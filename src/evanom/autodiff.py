@@ -364,3 +364,45 @@ def uniform_init(rng: np.random.Generator, shape, fan_in: int,
     bound = 1.0 / np.sqrt(fan_in)
     return Tensor(rng.uniform(-bound, bound, size=shape).astype(dtype),
                   requires_grad=True)
+
+
+class WrongParamNames(ValueError):
+    pass
+
+
+class Params(dict):
+    """A network's parameter tensors keyed by checkpoint name, in NAMES order.
+
+    Each layer `l` owns `l.w` and `l.b`. Subclasses set NAMES and build
+    their layers with `init_layers`, so a checkpoint written from
+    `to_arrays` lists tensors in NAMES order.
+    """
+
+    NAMES: tuple[str, ...] = ()
+
+    @classmethod
+    def init_layers(cls, rng: np.random.Generator, layers, dtype=np.float32):
+        """layers: (name, weight shape, fan_in, bias length), in NAMES order.
+        Weights draw from `rng` in that order; biases start at zero."""
+        p = cls()
+        for name, shape, fan_in, n_out in layers:
+            p[f"{name}.w"] = uniform_init(rng, shape, fan_in, dtype)
+            p[f"{name}.b"] = Tensor(np.zeros(n_out, dtype=dtype),
+                                    requires_grad=True)
+        return p
+
+    def parameters(self, prefix: str = "") -> list[Tensor]:
+        return [t for name, t in self.items() if name.startswith(prefix)]
+
+    def to_arrays(self) -> dict[str, np.ndarray]:
+        return {name: t.data for name, t in self.items()}
+
+    @classmethod
+    def from_arrays(cls, arrays: dict[str, np.ndarray]):
+        if set(arrays) != set(cls.NAMES):
+            missing = sorted(set(cls.NAMES) - set(arrays))
+            extra = sorted(set(arrays) - set(cls.NAMES))
+            raise WrongParamNames(f"{cls.__name__}: missing {missing}, "
+                                  f"unexpected {extra}")
+        return cls((name, Tensor(arrays[name].astype(np.float32),
+                                 requires_grad=True)) for name in cls.NAMES)

@@ -9,8 +9,6 @@ import argparse
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import events, gan, io, msnet, oracle, pipeline, representation, simulate
 
 DOMAIN_ERRORS = (
@@ -57,11 +55,8 @@ def cmd_voxelize(args) -> int:
 def cmd_train_ms(args) -> int:
     cfg = _load_cfg(args.config)
     stream = _read_stream(args)
-    windows = representation.sliding_windows(
-        stream, cfg.bin_dt_us, cfg.bins, stride=cfg.stride, mode=cfg.mode,
-        t0=0, duration=int(stream.t[-1]))
-    vols = np.stack([w.input.data for w in windows])
-    vols = np.clip(vols, -cfg.cap, cfg.cap) / np.float32(cfg.cap)
+    vols, _ = representation.window_arrays(pipeline.windows_for(stream, cfg),
+                                           cfg.cap)
     params, curve = msnet.train_ms(vols, cfg.ms_hyper(), seed=args.seed)
     Path(args.out).write_bytes(io.write_evck(params.to_arrays()))
     print(f"trained on {len(vols)} volumes; "
@@ -74,9 +69,7 @@ def cmd_train_gan(args) -> int:
     stream = _read_stream(args)
     ms_params = msnet.MsNetParams.from_arrays(
         io.read_evck(Path(args.ms_ckpt).read_bytes()))
-    windows = representation.sliding_windows(
-        stream, cfg.bin_dt_us, cfg.bins, stride=cfg.stride, mode=cfg.mode,
-        t0=0, duration=int(stream.t[-1]))
+    windows = pipeline.windows_for(stream, cfg)
     params, curves = gan.train_gan(windows, ms_params, cfg.gan_hyper(),
                                    seed=args.seed)
     Path(args.out).write_bytes(io.write_evck(params.to_arrays()))

@@ -7,7 +7,7 @@ order for ties) and are safe to share across threads for reading.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -88,14 +88,6 @@ class EventStream:
             order = np.argsort(t, kind="stable")
             x, y, t, p = x[order], y[order], t[order], p[order]
         return cls(width, height, x.copy(), y.copy(), t.copy(), p.copy())
-
-    @classmethod
-    def from_events(cls, width, height, events: Iterable[Event]) -> "EventStream":
-        ev = list(events)
-        if not ev:
-            return cls.empty(width, height)
-        x, y, t, p = zip(*((e.x, e.y, e.t, e.p) for e in ev))
-        return cls.from_arrays(width, height, x, y, t, p)
 
     @classmethod
     def empty(cls, width, height) -> "EventStream":

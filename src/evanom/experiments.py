@@ -22,15 +22,12 @@ def training_windows(seed: int, cfg: pipeline.PipelineConfig):
     windows = []
     for s in range(3):
         stream, _ = simulate.render_scene(simulate.walking_scene(100 * seed + s))
-        windows += representation.sliding_windows(
-            stream, cfg.bin_dt_us, cfg.bins, stride=cfg.stride, mode=cfg.mode,
-            t0=0, duration=int(stream.t[-1]))
+        windows += pipeline.windows_for(stream, cfg)
     return windows
 
 
 def normalized_volumes(windows, cfg: pipeline.PipelineConfig) -> np.ndarray:
-    vols = np.stack([w.input.data for w in windows])
-    return np.clip(vols, -cfg.cap, cfg.cap) / np.float32(cfg.cap)
+    return representation.window_arrays(windows, cfg.cap)[0]
 
 
 def train_models(seed: int, cfg: pipeline.PipelineConfig):

@@ -7,13 +7,14 @@ through stable logits; the generator uses the non-saturating form.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
 from .msnet import EmptyDataset, MsNetParams, encode
+from .representation import window_arrays
 
 
 class DivergenceDetected(RuntimeError):
@@ -41,143 +42,66 @@ class GanBatch:
     z: np.ndarray  # (N,1,H,W) noise, N(0,1)
 
 
-def _conv_params(rng, cin, cout, k=4, transpose=False, dtype=np.float32):
-    fan_in = cin * k * k
-    shape = (cin, cout, k, k) if transpose else (cout, cin, k, k)
-    return (ad.uniform_init(rng, shape, fan_in, dtype),
-            Tensor(np.zeros(cout, dtype=dtype), requires_grad=True))
+class GanParams(ad.Params):
+    """Generator `g`: three stride-2 downs, three stride-2 transposed-conv
+    ups with skip connections, tanh output; noise enters as a second input
+    channel. Discriminators `dxy` (frame, surface) and `dx` (frame): three
+    stride-2 convs then a dense layer to one logit."""
 
-
-@dataclass
-class DiscParams:
-    """Three stride-2 convs then a dense layer to one logit."""
-
-    c1_w: Tensor
-    c1_b: Tensor
-    c2_w: Tensor
-    c2_b: Tensor
-    c3_w: Tensor
-    c3_b: Tensor
-    fc_w: Tensor
-    fc_b: Tensor
-
-    @classmethod
-    def init(cls, in_ch, ndf, h, w, rng):
-        c1 = _conv_params(rng, in_ch, ndf)
-        c2 = _conv_params(rng, ndf, 2 * ndf)
-        c3 = _conv_params(rng, 2 * ndf, 4 * ndf)
-        feat = 4 * ndf * (h // 8) * (w // 8)
-        fc_w = ad.uniform_init(rng, (feat, 1), feat)
-        fc_b = Tensor(np.zeros(1, dtype=np.float32), requires_grad=True)
-        return cls(*c1, *c2, *c3, fc_w, fc_b)
-
-    def parameters(self):
-        return [self.c1_w, self.c1_b, self.c2_w, self.c2_b,
-                self.c3_w, self.c3_b, self.fc_w, self.fc_b]
-
-
-@dataclass
-class GenParams:
-    """Three stride-2 downs, three stride-2 transposed-conv ups with skip
-    connections, tanh output; noise enters as a second input channel."""
-
-    d1_w: Tensor
-    d1_b: Tensor
-    d2_w: Tensor
-    d2_b: Tensor
-    d3_w: Tensor
-    d3_b: Tensor
-    u1_w: Tensor
-    u1_b: Tensor
-    u2_w: Tensor
-    u2_b: Tensor
-    u3_w: Tensor
-    u3_b: Tensor
-
-    @classmethod
-    def init(cls, ngf, rng):
-        d1 = _conv_params(rng, 2, ngf)
-        d2 = _conv_params(rng, ngf, 2 * ngf)
-        d3 = _conv_params(rng, 2 * ngf, 4 * ngf)
-        u1 = _conv_params(rng, 4 * ngf, 2 * ngf, transpose=True)
-        u2 = _conv_params(rng, 4 * ngf, ngf, transpose=True)
-        u3 = _conv_params(rng, 2 * ngf, 1, transpose=True)
-        return cls(*d1, *d2, *d3, *u1, *u2, *u3)
-
-    def parameters(self):
-        return [self.d1_w, self.d1_b, self.d2_w, self.d2_b, self.d3_w,
-                self.d3_b, self.u1_w, self.u1_b, self.u2_w, self.u2_b,
-                self.u3_w, self.u3_b]
-
-
-_PART_FIELDS = {
-    "g": ("d1", "d2", "d3", "u1", "u2", "u3"),
-    "dxy": ("c1", "c2", "c3", "fc"),
-    "dx": ("c1", "c2", "c3", "fc"),
-}
-
-
-@dataclass
-class GanParams:
-    g: GenParams
-    d_xy: DiscParams
-    d_x: DiscParams
+    NAMES = tuple(f"{layer}.{s}" for layer in (
+        "g.d1", "g.d2", "g.d3", "g.u1", "g.u2", "g.u3",
+        "dxy.c1", "dxy.c2", "dxy.c3", "dxy.fc",
+        "dx.c1", "dx.c2", "dx.c3", "dx.fc") for s in "wb")
 
     @classmethod
     def init(cls, h: int, w: int, hyper: GanHyper,
              rng: np.random.Generator) -> "GanParams":
         if h % 8 or w % 8:
             raise ad.ShapeMismatch(f"H and W must be divisible by 8, got {h}x{w}")
-        return cls(GenParams.init(hyper.ngf, rng),
-                   DiscParams.init(2, hyper.ndf, h, w, rng),
-                   DiscParams.init(1, hyper.ndf, h, w, rng))
 
-    def parameters(self):
-        return (self.g.parameters() + self.d_xy.parameters()
-                + self.d_x.parameters())
+        def conv(name, cin, cout):
+            return name, (cout, cin, 4, 4), cin * 16, cout
 
-    def to_arrays(self) -> dict[str, np.ndarray]:
-        out = {}
-        for prefix, part in (("g", self.g), ("dxy", self.d_xy),
-                             ("dx", self.d_x)):
-            for layer in _PART_FIELDS[prefix]:
-                out[f"{prefix}.{layer}.w"] = getattr(part, f"{layer}_w").data
-                out[f"{prefix}.{layer}.b"] = getattr(part, f"{layer}_b").data
-        return out
+        def up(name, cin, cout):  # transposed-conv weights are (in, out, k, k)
+            return name, (cin, cout, 4, 4), cin * 16, cout
 
-    @classmethod
-    def from_arrays(cls, arrays: dict[str, np.ndarray]) -> "GanParams":
-        parts = {}
-        for prefix, maker in (("g", GenParams), ("dxy", DiscParams),
-                              ("dx", DiscParams)):
-            kw = {}
-            for layer in _PART_FIELDS[prefix]:
-                for suffix in ("w", "b"):
-                    kw[f"{layer}_{suffix}"] = Tensor(
-                        arrays[f"{prefix}.{layer}.{suffix}"].astype(np.float32),
-                        requires_grad=True)
-            parts[prefix] = maker(**kw)
-        return cls(parts["g"], parts["dxy"], parts["dx"])
+        g, d = hyper.ngf, hyper.ndf
+        feat = 4 * d * (h // 8) * (w // 8)
+        layers = [conv("g.d1", 2, g), conv("g.d2", g, 2 * g),
+                  conv("g.d3", 2 * g, 4 * g), up("g.u1", 4 * g, 2 * g),
+                  up("g.u2", 4 * g, g), up("g.u3", 2 * g, 1)]
+        for part, cin in (("dxy", 2), ("dx", 1)):
+            layers += [conv(f"{part}.c1", cin, d), conv(f"{part}.c2", d, 2 * d),
+                       conv(f"{part}.c3", 2 * d, 4 * d),
+                       (f"{part}.fc", (feat, 1), feat, 1)]
+        return cls.init_layers(rng, layers)
 
 
-def g_forward_t(p: GenParams, y: Tensor, z: Tensor) -> Tensor:
-    x = ad.concat([y, z], axis=1)
-    e1 = ad.leaky_relu(ad.conv2d(x, p.d1_w, p.d1_b, stride=2, pad=1))
-    e2 = ad.leaky_relu(ad.conv2d(e1, p.d2_w, p.d2_b, stride=2, pad=1))
-    e3 = ad.leaky_relu(ad.conv2d(e2, p.d3_w, p.d3_b, stride=2, pad=1))
-    u1 = ad.leaky_relu(ad.conv_transpose2d(e3, p.u1_w, p.u1_b, stride=2, pad=1))
-    u2 = ad.leaky_relu(ad.conv_transpose2d(ad.concat([u1, e2]), p.u2_w,
-                                           p.u2_b, stride=2, pad=1))
-    return ad.tanh(ad.conv_transpose2d(ad.concat([u2, e1]), p.u3_w, p.u3_b,
+def g_forward_t(p: GanParams, y: Tensor, z: Tensor) -> Tensor:
+    def down(x, layer):
+        return ad.leaky_relu(ad.conv2d(x, p[f"g.{layer}.w"], p[f"g.{layer}.b"],
                                        stride=2, pad=1))
 
+    def up(x, layer):
+        return ad.conv_transpose2d(x, p[f"g.{layer}.w"], p[f"g.{layer}.b"],
+                                   stride=2, pad=1)
 
-def d_forward_t(p: DiscParams, x: Tensor) -> Tensor:
-    h = ad.leaky_relu(ad.conv2d(x, p.c1_w, p.c1_b, stride=2, pad=1))
-    h = ad.leaky_relu(ad.conv2d(h, p.c2_w, p.c2_b, stride=2, pad=1))
-    h = ad.leaky_relu(ad.conv2d(h, p.c3_w, p.c3_b, stride=2, pad=1))
+    e1 = down(ad.concat([y, z], axis=1), "d1")
+    e2 = down(e1, "d2")
+    e3 = down(e2, "d3")
+    u1 = ad.leaky_relu(up(e3, "u1"))
+    u2 = ad.leaky_relu(up(ad.concat([u1, e2]), "u2"))
+    return ad.tanh(up(ad.concat([u2, e1]), "u3"))
+
+
+def d_forward_t(p: GanParams, part: str, x: Tensor) -> Tensor:
+    """Logits of discriminator `part` ("dxy" or "dx") on input x."""
+    h = x
+    for layer in ("c1", "c2", "c3"):
+        h = ad.leaky_relu(ad.conv2d(h, p[f"{part}.{layer}.w"],
+                                    p[f"{part}.{layer}.b"], stride=2, pad=1))
     h = ad.reshape(h, (h.shape[0], -1))
-    return ad.dense(h, p.fc_w, p.fc_b)
+    return ad.dense(h, p[f"{part}.fc.w"], p[f"{part}.fc.b"])
 
 
 def g_forward(params: GanParams, y: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -188,7 +112,7 @@ def g_forward(params: GanParams, y: np.ndarray, z: np.ndarray) -> np.ndarray:
     single = np.asarray(y).ndim == 2
     yb = np.asarray(y, dtype=np.float32).reshape(-1, 1, *np.asarray(y).shape[-2:])
     zb = np.asarray(z, dtype=np.float32).reshape(yb.shape)
-    out = g_forward_t(params.g, Tensor(yb), Tensor(zb)).data
+    out = g_forward_t(params, Tensor(yb), Tensor(zb)).data
     return out[0, 0] if single else out
 
 
@@ -203,13 +127,13 @@ def _zeros_like(t: Tensor) -> Tensor:
 def d_losses(params: GanParams, batch: GanBatch):
     """(L_Dxy, L_Dx) loss tensors; fakes are detached from the generator."""
     y, x = Tensor(batch.y), Tensor(batch.x)
-    x_fake = g_forward_t(params.g, y, Tensor(batch.z)).detach()
-    lr_xy = d_forward_t(params.d_xy, ad.concat([x, y]))
-    lf_xy = d_forward_t(params.d_xy, ad.concat([x_fake, y]))
+    x_fake = g_forward_t(params, y, Tensor(batch.z)).detach()
+    lr_xy = d_forward_t(params, "dxy", ad.concat([x, y]))
+    lf_xy = d_forward_t(params, "dxy", ad.concat([x_fake, y]))
     l_dxy = ad.add(ad.bce_with_logits(lr_xy, _ones_like(lr_xy)),
                    ad.bce_with_logits(lf_xy, _zeros_like(lf_xy)))
-    lr_x = d_forward_t(params.d_x, x)
-    lf_x = d_forward_t(params.d_x, x_fake)
+    lr_x = d_forward_t(params, "dx", x)
+    lf_x = d_forward_t(params, "dx", x_fake)
     l_dx = ad.add(ad.bce_with_logits(lr_x, _ones_like(lr_x)),
                   ad.bce_with_logits(lf_x, _zeros_like(lf_x)))
     return l_dxy, l_dx
@@ -222,9 +146,9 @@ def g_loss(params: GanParams, batch: GanBatch, lambda_l1: float = 0.0) -> Tensor
     if lambda_l1 < 0:
         raise ValueError("lambda_l1 must be >= 0")
     y = Tensor(batch.y)
-    x_fake = g_forward_t(params.g, y, Tensor(batch.z))
-    lf_xy = d_forward_t(params.d_xy, ad.concat([x_fake, y]))
-    lf_x = d_forward_t(params.d_x, x_fake)
+    x_fake = g_forward_t(params, y, Tensor(batch.z))
+    lf_xy = d_forward_t(params, "dxy", ad.concat([x_fake, y]))
+    lf_x = d_forward_t(params, "dx", x_fake)
     loss = ad.add(ad.bce_with_logits(lf_xy, _ones_like(lf_xy)),
                   ad.bce_with_logits(lf_x, _ones_like(lf_x)))
     if lambda_l1 > 0:
@@ -249,12 +173,9 @@ def minimax_value(logits_dd, logits_gd, logits_dx, logits_gx) -> float:
 
 def prepare_batches(windows, ms_params: MsNetParams, cap: float):
     """Windows -> (surfaces (N,1,H,W), normalized targets (N,1,H,W))."""
-    vols = np.stack([w.input.data for w in windows])
-    vols = np.clip(vols, -cap, cap) / np.float32(cap)
+    vols, targets = window_arrays(windows, cap)
     surfaces = encode(ms_params, vols)[:, None].astype(np.float32)
-    targets = np.stack([w.target for w in windows])[:, None]
-    targets = (np.clip(targets, -cap, cap) / np.float32(cap)).astype(np.float32)
-    return surfaces, targets
+    return surfaces, targets[:, None]
 
 
 def train_gan(windows, ms_params: MsNetParams, hyper: GanHyper,
@@ -286,10 +207,10 @@ def train_gan(windows, ms_params: MsNetParams, hyper: GanHyper,
                 y=surfaces[idx], x=targets[idx],
                 z=rng.standard_normal((len(idx), 1, h, w)).astype(np.float32))
             l_dxy, l_dx = d_losses(params, batch)
-            _step(l_dxy, params.d_xy.parameters(), opt_dxy)
-            _step(l_dx, params.d_x.parameters(), opt_dx)
+            _step(l_dxy, params.parameters("dxy."), opt_dxy)
+            _step(l_dx, params.parameters("dx."), opt_dx)
             l_g = g_loss(params, batch, hyper.lambda_l1)
-            _step(l_g, params.g.parameters(), opt_g)
+            _step(l_g, params.parameters("g."), opt_g)
             vals = (l_dxy.item(), l_dx.item(), l_g.item())
             if not all(np.isfinite(vals)):
                 raise DivergenceDetected(

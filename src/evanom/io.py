@@ -4,6 +4,7 @@ Both are little-endian throughout and round-trip bit-exactly.
 """
 from __future__ import annotations
 
+import math
 import struct
 from typing import Mapping
 
@@ -29,20 +30,30 @@ def write_evol(vol: DiscretizedVolume) -> bytes:
     return head + np.ascontiguousarray(vol.data, dtype="<f4").tobytes()
 
 
+def _unpack(fmt: str, blob: bytes, off: int, what: str) -> tuple:
+    try:
+        return struct.unpack_from(fmt, blob, off)
+    except struct.error:
+        raise FormatError(f"truncated {what}") from None
+
+
+def _floats(blob: bytes, off: int, n: int, what: str) -> np.ndarray:
+    if off + 4 * n > len(blob):
+        raise FormatError(f"truncated {what}")
+    return np.frombuffer(blob, dtype="<f4", count=n, offset=off)
+
+
 def read_evol(blob: bytes) -> DiscretizedVolume:
     if blob[:4] != EVOL_MAGIC:
         raise FormatError("not an EVOL blob")
-    version, bins, height, width, mode_tag, t0, bin_dt = struct.unpack_from(
-        "<IIIIBQQ", blob, 4)
+    version, bins, height, width, mode_tag, t0, bin_dt = _unpack(
+        "<IIIIBQQ", blob, 4, "EVOL header")
     if version != FORMAT_VERSION:
         raise FormatError(f"unsupported EVOL version {version}")
     if mode_tag >= len(MODES):
         raise FormatError(f"unknown mode tag {mode_tag}")
     off = 4 + struct.calcsize("<IIIIBQQ")
-    n = bins * height * width
-    data = np.frombuffer(blob, dtype="<f4", count=n, offset=off)
-    if len(data) != n:
-        raise FormatError("truncated EVOL payload")
+    data = _floats(blob, off, bins * height * width, "EVOL payload")
     return DiscretizedVolume(bins, height, width, int(t0), int(bin_dt),
                              MODES[mode_tag], data.reshape(bins, height, width).copy())
 
@@ -64,24 +75,26 @@ def write_evck(tensors: Mapping[str, np.ndarray]) -> bytes:
 def read_evck(blob: bytes) -> dict[str, np.ndarray]:
     if blob[:4] != EVCK_MAGIC:
         raise FormatError("not an EVCK blob")
-    version, count = struct.unpack_from("<II", blob, 4)
+    version, count = _unpack("<II", blob, 4, "EVCK header")
     if version != FORMAT_VERSION:
         raise FormatError(f"unsupported EVCK version {version}")
     off = 12
     out: dict[str, np.ndarray] = {}
-    for _ in range(count):
-        (nlen,) = struct.unpack_from("<I", blob, off)
+    for i in range(count):
+        what = f"EVCK tensor {i}"
+        (nlen,) = _unpack("<I", blob, off, what)
         off += 4
-        name = blob[off:off + nlen].decode("utf-8")
+        try:
+            name = blob[off:off + nlen].decode("utf-8")
+        except UnicodeDecodeError:
+            raise FormatError(f"{what}: name is not UTF-8") from None
         off += nlen
-        (rank,) = struct.unpack_from("<I", blob, off)
+        (rank,) = _unpack("<I", blob, off, what)
         off += 4
-        shape = struct.unpack_from(f"<{rank}I", blob, off)
+        shape = _unpack(f"<{rank}I", blob, off, what)
         off += 4 * rank
-        n = int(np.prod(shape)) if rank else 1
-        vals = np.frombuffer(blob, dtype="<f4", count=n, offset=off)
-        if len(vals) != n:
-            raise FormatError(f"truncated tensor {name!r}")
+        n = math.prod(shape)
+        vals = _floats(blob, off, n, f"tensor {name!r}")
         off += 4 * n
         out[name] = vals.reshape(shape).copy()
     return out

@@ -29,55 +29,24 @@ class MsHyper:
     batch: int = 16
 
 
-@dataclass
-class MsNetParams:
+class MsNetParams(ad.Params):
     """Two channel-mix layers each way; sigmoid bottleneck, linear output."""
 
-    enc1_w: Tensor
-    enc1_b: Tensor
-    enc2_w: Tensor
-    enc2_b: Tensor
-    dec1_w: Tensor
-    dec1_b: Tensor
-    dec2_w: Tensor
-    dec2_b: Tensor
+    NAMES = ("ms.enc1.w", "ms.enc1.b", "ms.enc2.w", "ms.enc2.b",
+             "ms.dec1.w", "ms.dec1.b", "ms.dec2.w", "ms.dec2.b")
 
     @classmethod
     def init(cls, bins: int, filters: int, rng: np.random.Generator,
              dtype=np.float32) -> "MsNetParams":
-        def w(shape, fan_in):
-            return ad.uniform_init(rng, shape, fan_in, dtype)
-
-        def b(n):
-            return Tensor(np.zeros(n, dtype=dtype), requires_grad=True)
-
-        return cls(
-            enc1_w=w((filters, bins), bins), enc1_b=b(filters),
-            enc2_w=w((1, filters), filters), enc2_b=b(1),
-            dec1_w=w((filters, 1), 1), dec1_b=b(filters),
-            dec2_w=w((bins, filters), filters), dec2_b=b(bins))
+        return cls.init_layers(rng, [
+            ("ms.enc1", (filters, bins), bins, filters),
+            ("ms.enc2", (1, filters), filters, 1),
+            ("ms.dec1", (filters, 1), 1, filters),
+            ("ms.dec2", (bins, filters), filters, bins)], dtype)
 
     @property
     def bins(self) -> int:
-        return self.enc1_w.shape[1]
-
-    def parameters(self) -> list[Tensor]:
-        return [self.enc1_w, self.enc1_b, self.enc2_w, self.enc2_b,
-                self.dec1_w, self.dec1_b, self.dec2_w, self.dec2_b]
-
-    def to_arrays(self) -> dict[str, np.ndarray]:
-        names = ("ms.enc1.w", "ms.enc1.b", "ms.enc2.w", "ms.enc2.b",
-                 "ms.dec1.w", "ms.dec1.b", "ms.dec2.w", "ms.dec2.b")
-        return {n: p.data for n, p in zip(names, self.parameters())}
-
-    @classmethod
-    def from_arrays(cls, arrays: dict[str, np.ndarray]) -> "MsNetParams":
-        def t(name):
-            return Tensor(arrays[name].astype(np.float32), requires_grad=True)
-
-        return cls(t("ms.enc1.w"), t("ms.enc1.b"), t("ms.enc2.w"),
-                   t("ms.enc2.b"), t("ms.dec1.w"), t("ms.dec1.b"),
-                   t("ms.dec2.w"), t("ms.dec2.b"))
+        return self["ms.enc1.w"].shape[1]
 
 
 def _as_batch(vol) -> np.ndarray:
@@ -87,14 +56,16 @@ def _as_batch(vol) -> np.ndarray:
     return a if a.ndim == 4 else a[None]
 
 
+def _mix(params: MsNetParams, layer: str, x: Tensor) -> Tensor:
+    return ad.channel_mix(x, params[f"ms.{layer}.w"], params[f"ms.{layer}.b"])
+
+
 def encode_t(params: MsNetParams, x: Tensor) -> Tensor:
-    h = ad.sigmoid(ad.channel_mix(x, params.enc1_w, params.enc1_b))
-    return ad.sigmoid(ad.channel_mix(h, params.enc2_w, params.enc2_b))
+    return ad.sigmoid(_mix(params, "enc2", ad.sigmoid(_mix(params, "enc1", x))))
 
 
 def decode_t(params: MsNetParams, ms: Tensor) -> Tensor:
-    h = ad.sigmoid(ad.channel_mix(ms, params.dec1_w, params.dec1_b))
-    return ad.channel_mix(h, params.dec2_w, params.dec2_b)
+    return _mix(params, "dec2", ad.sigmoid(_mix(params, "dec1", ms)))
 
 
 def encode(params: MsNetParams, vol) -> np.ndarray:

@@ -7,7 +7,7 @@ ranked by score; evaluation is threshold-free (ROC AUC and best F1).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -15,7 +15,7 @@ from . import gan as gan_mod
 from .events import EventStream
 from .msnet import MsNetParams
 from .representation import sliding_windows
-from .simulate import LabelTrack
+from .simulate import LabelTrack, label_frames
 
 
 class SingleClass(ValueError):
@@ -113,6 +113,13 @@ class EvalMetrics:
     curve: list  # (threshold, fpr, tpr, f1) per distinct score
 
 
+def windows_for(stream: EventStream, cfg: PipelineConfig):
+    """The config's windows over a stream, from t=0 to its last event."""
+    return sliding_windows(stream, cfg.bin_dt_us, cfg.bins, stride=cfg.stride,
+                           mode=cfg.mode, t0=0,
+                           duration=int(stream.t[-1]) if len(stream) else 0)
+
+
 def score_sequence(ms_params: MsNetParams, gan_params: gan_mod.GanParams,
                    stream: EventStream, cfg: PipelineConfig,
                    track: LabelTrack | None = None,
@@ -122,9 +129,7 @@ def score_sequence(ms_params: MsNetParams, gan_params: gan_mod.GanParams,
     With cfg.noise_samples == 0 the generator runs with an all-zero noise
     grid; with k > 0 the score is the mean over k seeded noise draws.
     """
-    windows = sliding_windows(stream, cfg.bin_dt_us, cfg.bins,
-                              stride=cfg.stride, mode=cfg.mode,
-                              t0=0, duration=int(stream.t[-1]) if len(stream) else 0)
+    windows = windows_for(stream, cfg)
     surfaces, targets = gan_mod.prepare_batches(windows, ms_params, cfg.cap)
     n, _, h, w = surfaces.shape
     if cfg.noise_samples == 0:
@@ -145,10 +150,9 @@ def score_sequence(ms_params: MsNetParams, gan_params: gan_mod.GanParams,
     frame_dt = cfg.stride * cfg.bin_dt_us
     labels = None
     if track is not None:
-        labels = np.array(
-            [1 if track.overlaps_anomaly(t0 + k * frame_dt,
-                                         t0 + k * frame_dt + cfg.bin_dt_us)
-             else 0 for k in range(n)], dtype=np.int8)
+        # A frame is labelled by its target bin, which is narrower than
+        # frame_dt when stride > 1.
+        labels = label_frames(track, t0, frame_dt, n, cfg.bin_dt_us)
     return ScoreSeries(t0, frame_dt, scores, labels)
 
 
@@ -199,6 +203,8 @@ def read_score_csv(text: str) -> ScoreSeries:
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines or lines[0] != "frame,t0_us,mse,label":
         raise ValueError("missing score CSV header")
+    if len(lines) == 1:
+        raise EmptySeries("score CSV has no frames")
     t0s, scores, labels = [], [], []
     for ln in lines[1:]:
         _, t0, mse, lab = ln.split(",")

@@ -7,8 +7,7 @@ nearest temporal bins.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Iterator
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -99,12 +98,23 @@ def discretize(stream: EventStream, t0: int, bin_dt: int, bins: int,
     return DiscretizedVolume(bins, H, W, t0, bin_dt, mode, grid)
 
 
-def normalize_volume(vol: DiscretizedVolume, cap: float) -> DiscretizedVolume:
-    """Clamp entries to [-cap, cap] and scale into [-1, 1]."""
+def normalize(array: np.ndarray, cap: float) -> np.ndarray:
+    """Clamp entries to [-cap, cap] and scale into [-1, 1], as float32."""
     if cap <= 0:
         raise ValueError("cap must be positive")
-    data = np.clip(vol.data, -cap, cap) / np.float32(cap)
-    return replace(vol, data=data.astype(np.float32))
+    return (np.clip(array, -cap, cap) / np.float32(cap)).astype(np.float32,
+                                                                copy=False)
+
+
+def normalize_volume(vol: DiscretizedVolume, cap: float) -> DiscretizedVolume:
+    """The volume with `normalize` applied to its data."""
+    return replace(vol, data=normalize(vol.data, cap))
+
+
+def window_arrays(windows, cap: float) -> tuple[np.ndarray, np.ndarray]:
+    """Windows -> (normalized inputs (N,B,H,W), normalized targets (N,H,W))."""
+    return (normalize(np.stack([w.input.data for w in windows]), cap),
+            normalize(np.stack([w.target for w in windows]), cap))
 
 
 def sliding_windows(stream: EventStream, bin_dt: int, bins: int,

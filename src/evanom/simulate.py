@@ -196,14 +196,16 @@ def _merge_labels(step_labels: list[str], micro_step: int, duration: int) -> Lab
     return LabelTrack(tuple(intervals))
 
 
-def label_frames(track: LabelTrack, t0: int, frame_dt: int, n_frames: int) -> np.ndarray:
-    """Frame i is 1 iff [t0 + i*dt, t0 + (i+1)*dt) overlaps an anomaly interval."""
-    if frame_dt <= 0:
-        raise ValueError("frame_dt must be positive")
+def label_frames(track: LabelTrack, t0: int, frame_dt: int, n_frames: int,
+                 span: int) -> np.ndarray:
+    """Frame i is 1 iff [t0 + i*frame_dt, t0 + i*frame_dt + span) overlaps
+    an anomaly interval."""
+    if frame_dt <= 0 or span <= 0:
+        raise ValueError("frame_dt and span must be positive")
     out = np.zeros(n_frames, dtype=np.int8)
     for i in range(n_frames):
         a = t0 + i * frame_dt
-        if track.overlaps_anomaly(a, a + frame_dt):
+        if track.overlaps_anomaly(a, a + span):
             out[i] = 1
     return out
 

@@ -54,10 +54,24 @@ def test_forward_deterministic(rng):
                                   g_forward(params, batch.y, batch.z))
 
 
+def test_params_follow_checkpoint_names(rng):
+    params = tiny_params(rng)
+    assert tuple(params) == GanParams.NAMES
+    arrays = params.to_arrays()
+    back = GanParams.from_arrays(dict(reversed(arrays.items())))
+    assert tuple(back) == GanParams.NAMES
+    assert io.write_evck(back.to_arrays()) == io.write_evck(arrays)
+    with pytest.raises(ValueError):
+        MsNetParams.from_arrays(arrays)
+    del arrays["dx.fc.b"]
+    with pytest.raises(ValueError):
+        GanParams.from_arrays(arrays)
+
+
 def test_discriminator_logit_shape(rng):
     params = tiny_params(rng)
     batch = tiny_batch(rng, n=4)
-    logits = d_forward_t(params.d_x, Tensor(batch.x))
+    logits = d_forward_t(params, "dx", Tensor(batch.x))
     assert logits.shape == (4, 1)
     assert np.isfinite(logits.data).all()
 
@@ -65,9 +79,8 @@ def test_discriminator_logit_shape(rng):
 def test_d_loss_is_2log2_at_indifference(rng):
     # zeroed discriminators emit logit 0 -> D = 1/2 everywhere
     params = tiny_params(rng)
-    for disc in (params.d_xy, params.d_x):
-        for p in disc.parameters():
-            p.data[...] = 0.0
+    for p in params.parameters("dxy.") + params.parameters("dx."):
+        p.data[...] = 0.0
     l_dxy, l_dx = d_losses(params, tiny_batch(rng))
     assert l_dxy.item() == pytest.approx(2 * LOG2, abs=1e-6)
     assert l_dx.item() == pytest.approx(2 * LOG2, abs=1e-6)
@@ -78,8 +91,8 @@ def test_g_loss_decreases_when_discriminator_fooled(rng):
     params = tiny_params(rng)
     batch = tiny_batch(rng)
     base = g_loss(params, batch).item()
-    params.d_xy.fc_b.data[...] = 5.0
-    params.d_x.fc_b.data[...] = 5.0
+    params["dxy.fc.b"].data[...] = 5.0
+    params["dx.fc.b"].data[...] = 5.0
     assert g_loss(params, batch).item() < base
 
 
@@ -129,9 +142,9 @@ def test_d_loss_gradients_match_finite_differences(rng):
     batch.y, batch.x, batch.z = (a.astype(np.float64)
                                  for a in (batch.y, batch.x, batch.z))
     _check_param_grads(lambda: d_losses(params, batch)[0],
-                       params, params.d_xy.parameters(), rng)
+                       params, params.parameters("dxy."), rng)
     _check_param_grads(lambda: d_losses(params, batch)[1],
-                       params, params.d_x.parameters(), rng)
+                       params, params.parameters("dx."), rng)
 
 
 def test_g_loss_gradients_match_finite_differences(rng):
@@ -140,7 +153,7 @@ def test_g_loss_gradients_match_finite_differences(rng):
     batch.y, batch.x, batch.z = (a.astype(np.float64)
                                  for a in (batch.y, batch.x, batch.z))
     _check_param_grads(lambda: g_loss(params, batch, lambda_l1=1.0),
-                       params, params.g.parameters(), rng)
+                       params, params.parameters("g."), rng)
 
 
 def test_d_loss_does_not_reach_generator(rng):
@@ -152,9 +165,9 @@ def test_d_loss_does_not_reach_generator(rng):
         p.zero_grad()
     with pytest.warns(UserWarning):
         ad.backward(l_dxy, params.parameters())
-    for p in params.g.parameters():
+    for p in params.parameters("g."):
         assert not p.grad.any()
-    for p in params.d_xy.parameters():
+    for p in params.parameters("dxy."):
         assert p.grad.any()
 
 

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
+from evanom import io
 from evanom.cli import cli_main
 from evanom.gan import GanHyper, train_gan
-from evanom.msnet import MsHyper, train_ms
+from evanom.msnet import MsHyper, MsNetParams, train_ms
 from evanom.pipeline import (EmptySeries, EvalMetrics, PipelineConfig,
                              ScoreSeries, SingleClass, evaluate, plot_scores,
                              read_label_csv, read_score_csv, score_sequence,
@@ -62,6 +63,25 @@ def test_evaluate_matches_sklearn(rng):
         ours = evaluate(series(scores, labels)).auc
         ref = sklearn.roc_auc_score(labels, scores)
         assert ours == pytest.approx(ref, abs=1e-12)
+
+
+def _pair_count_auc(scores, labels):
+    """Mann-Whitney: share of (positive, negative) pairs with the positive
+    scored higher, ties counted as 1/2."""
+    pos = [s for s, lab in zip(scores, labels) if lab]
+    neg = [s for s, lab in zip(scores, labels) if not lab]
+    wins = sum((p > n) + 0.5 * (p == n) for p in pos for n in neg)
+    return wins / (len(pos) * len(neg))
+
+
+def test_evaluate_matches_pair_count(rng):
+    for _ in range(5):
+        scores = np.round(rng.random(300), 2)  # ties included
+        labels = (rng.random(300) < 0.25).astype(int)
+        labels[:2] = [0, 1]
+        ours = evaluate(series(scores, labels)).auc
+        assert ours == pytest.approx(_pair_count_auc(scores, labels),
+                                     abs=1e-12)
 
 
 def test_evaluate_requires_both_classes():
@@ -194,6 +214,32 @@ def test_cli_usage_errors(capsys):
 
 def test_cli_domain_error(tmp_path, capsys):
     assert cli_main(["eval", "--scores", str(tmp_path / "missing.csv")]) == 1
+    assert "error:" in capsys.readouterr().err
+
+
+def test_cli_eval_header_only_scores(tmp_path, capsys):
+    scores = tmp_path / "scores.csv"
+    scores.write_text("frame,t0_us,mse,label\n")
+    assert cli_main(["eval", "--scores", str(scores)]) == 1
+    assert "error:" in capsys.readouterr().err
+
+
+def test_cli_train_ms_header_only_events(tmp_path, capsys):
+    ev = tmp_path / "events.csv"
+    ev.write_text("t_us,x,y,p\n")
+    assert cli_main(["train-ms", "--events", str(ev), "--width", "8",
+                     "--height", "8", "--out", str(tmp_path / "ms.evck")]) == 1
+    assert "error:" in capsys.readouterr().err
+
+
+def test_cli_score_rejects_ms_checkpoint_as_gan(tmp_path, capsys):
+    ev, ms = tmp_path / "events.csv", tmp_path / "ms.evck"
+    ev.write_text("t_us,x,y,p\n0,0,0,1\n")
+    params = MsNetParams.init(8, 4, np.random.default_rng(0))
+    ms.write_bytes(io.write_evck(params.to_arrays()))
+    assert cli_main(["score", "--events", str(ev), "--width", "8",
+                     "--height", "8", "--ms-ckpt", str(ms), "--gan-ckpt",
+                     str(ms), "--out", str(tmp_path / "scores.csv")]) == 1
     assert "error:" in capsys.readouterr().err
 
 

@@ -115,21 +115,25 @@ def test_label_track_anomaly_when_on_screen():
 
 def test_label_frames_all_normal():
     track = LabelTrack(((0, 1000, "normal"),))
-    assert label_frames(track, 0, 100, 10).sum() == 0
+    assert label_frames(track, 0, 100, 10, 100).sum() == 0
 
 
 def test_label_frames_one_hot():
     track = LabelTrack(((0, 300, "normal"), (300, 400, "anomaly"),
                         (400, 1000, "normal")))
-    np.testing.assert_array_equal(label_frames(track, 0, 100, 10),
+    np.testing.assert_array_equal(label_frames(track, 0, 100, 10, 100),
                                   [0, 0, 0, 1, 0, 0, 0, 0, 0, 0])
 
 
 def test_label_frames_straddling_boundary():
     track = LabelTrack(((0, 250, "normal"), (250, 350, "anomaly"),
                         (350, 1000, "normal")))
-    np.testing.assert_array_equal(label_frames(track, 0, 100, 5),
+    np.testing.assert_array_equal(label_frames(track, 0, 100, 5, 100),
                                   [0, 0, 1, 1, 0])
+    # a span narrower than the spacing no longer reaches the anomaly
+    # from frame 2
+    np.testing.assert_array_equal(label_frames(track, 0, 100, 5, 50),
+                                  [0, 0, 0, 1, 0])
 
 
 def test_scene_config_round_trip():

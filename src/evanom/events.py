@@ -6,12 +6,21 @@ order for ties) and are safe to share across threads for reading.
 """
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple
 
 import numpy as np
 
 HEADER = "t_us,x,y,p"
+_T_MAX = np.iinfo(np.int64).max
+
+# A newline not followed by a row exactly as write_event_csv emits it:
+# ASCII digits only, and few enough of them that every value fits its
+# dtype. Searching for the first such newline keeps no per-row state,
+# where one pattern repeated over all rows would.
+_NONCANONICAL = re.compile(
+    r"\n(?![0-9]{1,18},[0-9]{1,9},[0-9]{1,9},-?1(?:\n|\Z))")
 
 
 class EventError(ValueError):
@@ -123,6 +132,8 @@ def _parse_row(line: str, line_no: int, width: int, height: int):
         raise MalformedRow(line_no, f"non-integer field in {line!r}") from None
     if t < 0:
         raise MalformedRow(line_no, f"negative timestamp {t}")
+    if t > _T_MAX:
+        raise MalformedRow(line_no, f"timestamp {t} exceeds int64")
     if not (0 <= x < width and 0 <= y < height):
         raise OutOfBounds(line_no, f"({x},{y}) on {width}x{height} sensor")
     if p not in (1, -1):
@@ -130,15 +141,26 @@ def _parse_row(line: str, line_no: int, width: int, height: int):
     return t, x, y, p
 
 
-def _parse(text: str, width: int, height: int, lenient: bool):
-    lines = text.split("\n")
-    if lines and lines[-1] == "":
+def _parse_canonical(body: str, width: int, height: int) -> EventStream | None:
+    """All rows in one numpy call, if every row is canonical and valid;
+    None otherwise, and the row loop then finds and reports the bad row."""
+    body = body.removesuffix("\n")
+    if _NONCANONICAL.search("\n" + body) is not None:
+        return None
+    t, x, y, p = np.fromstring(body.replace("\n", ","), dtype=np.int64,
+                               sep=",").reshape(-1, 4).T
+    if np.any(x >= width) or np.any(y >= height):
+        return None
+    return EventStream.from_arrays(width, height, x, y, t, p)
+
+
+def _parse_rows(body: str, width: int, height: int, lenient: bool):
+    lines = body.split("\n")
+    if lines[-1] == "":
         lines.pop()
-    if not lines or lines[0].strip() != HEADER:
-        raise MalformedRow(1, f"missing header {HEADER!r}")
     ts, xs, ys, ps = [], [], [], []
     issues: list[EventError] = []
-    for i, line in enumerate(lines[1:], start=2):
+    for i, line in enumerate(lines, start=2):
         try:
             t, x, y, p = _parse_row(line.strip(), i, width, height)
         except EventError as err:
@@ -154,9 +176,23 @@ def _parse(text: str, width: int, height: int, lenient: bool):
     return stream, issues
 
 
+def _parse(text: str, width: int, height: int, lenient: bool):
+    header, _, body = text.partition("\n")
+    if header.strip() != HEADER:
+        raise MalformedRow(1, f"missing header {HEADER!r}")
+    if not lenient:
+        stream = _parse_canonical(body, width, height)
+        if stream is not None:
+            return stream, []
+    return _parse_rows(body, width, height, lenient)
+
+
 def parse_event_csv(text: str, width: int, height: int) -> EventStream:
     """Parse the event CSV format (header `t_us,x,y,p`); strict validation.
 
+    Text whose rows all read as write_event_csv writes them is converted
+    in one numpy pass; any other text is checked row by row, so the first
+    bad row is reported with its line number either way.
     Rows out of time order are stably sorted; already-sorted input keeps
     its row order, including ties.
     """

@@ -1,6 +1,9 @@
 """Binary file formats: EVOL (discretized volumes) and EVCK (checkpoints).
 
-Both are little-endian throughout and round-trip bit-exactly.
+Both are little-endian throughout and round-trip bit-exactly. Readers
+raise FormatError on any blob the writers cannot produce: truncated,
+with bytes after the last tensor or payload, or, for EVCK, with a
+tensor name given twice.
 """
 from __future__ import annotations
 
@@ -43,6 +46,11 @@ def _floats(blob: bytes, off: int, n: int, what: str) -> np.ndarray:
     return np.frombuffer(blob, dtype="<f4", count=n, offset=off)
 
 
+def _check_end(blob: bytes, off: int, what: str):
+    if off != len(blob):
+        raise FormatError(f"{len(blob) - off} bytes after the end of the {what} data")
+
+
 def read_evol(blob: bytes) -> DiscretizedVolume:
     if blob[:4] != EVOL_MAGIC:
         raise FormatError("not an EVOL blob")
@@ -54,6 +62,7 @@ def read_evol(blob: bytes) -> DiscretizedVolume:
         raise FormatError(f"unknown mode tag {mode_tag}")
     off = 4 + struct.calcsize("<IIIIBQQ")
     data = _floats(blob, off, bins * height * width, "EVOL payload")
+    _check_end(blob, off + data.nbytes, "EVOL")
     return DiscretizedVolume(bins, height, width, int(t0), int(bin_dt),
                              MODES[mode_tag], data.reshape(bins, height, width).copy())
 
@@ -89,6 +98,8 @@ def read_evck(blob: bytes) -> dict[str, np.ndarray]:
         except UnicodeDecodeError:
             raise FormatError(f"{what}: name is not UTF-8") from None
         off += nlen
+        if name in out:
+            raise FormatError(f"{what}: duplicate name {name!r}")
         (rank,) = _unpack("<I", blob, off, what)
         off += 4
         shape = _unpack(f"<{rank}I", blob, off, what)
@@ -97,4 +108,5 @@ def read_evck(blob: bytes) -> dict[str, np.ndarray]:
         vals = _floats(blob, off, n, f"tensor {name!r}")
         off += 4 * n
         out[name] = vals.reshape(shape).copy()
+    _check_end(blob, off, "EVCK")
     return out

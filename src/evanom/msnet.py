@@ -4,6 +4,14 @@ Encoder and decoder act purely across the time dimension (1x1 spatial
 kernels), so the spatial layout of events is untouched and the
 bottleneck is a single H x W image squeezed through a sigmoid. Loss is
 reconstruction MSE plus an L1 sparsity term on the bottleneck.
+
+With 1x1 kernels the net is a per-pixel B -> F -> 1 -> F -> B MLP, and
+every pixel with no events in its window gives the same output. `encode`
+and `train_ms` therefore run only the pixels' non-zero B-vectors, as an
+(R,B,1,1) batch, plus the one all-zero vector. Training weights the
+zero vector's terms by its count, so the loss equals the dense mean over
+every pixel; `encode_t`/`decode_t` on a whole (N,B,H,W) batch give the
+same values and serve as the reference in the tests.
 """
 from __future__ import annotations
 
@@ -56,6 +64,17 @@ def _as_batch(vol) -> np.ndarray:
     return a if a.ndim == 4 else a[None]
 
 
+def _pixel_rows(batch: np.ndarray):
+    """(N,B,H,W) -> ((N,H,W) mask of pixels with any non-zero bin, their
+    B-vectors as an (R,B,1,1) array in mask order)."""
+    mask = batch.any(axis=1)
+    return mask, np.moveaxis(batch, 1, -1)[mask][:, :, None, None]
+
+
+def _zero_row(batch: np.ndarray) -> np.ndarray:
+    return np.zeros((1, batch.shape[1], 1, 1), dtype=batch.dtype)
+
+
 def _mix(params: MsNetParams, layer: str, x: Tensor) -> Tensor:
     return ad.channel_mix(x, params[f"ms.{layer}.w"], params[f"ms.{layer}.b"])
 
@@ -78,7 +97,10 @@ def encode(params: MsNetParams, vol) -> np.ndarray:
     if batch.shape[1] != params.bins:
         raise ad.ShapeMismatch(
             f"volume has {batch.shape[1]} bins, net expects {params.bins}")
-    out = encode_t(params, Tensor(batch)).data[:, 0]
+    mask, rows = _pixel_rows(batch)
+    zero = encode_t(params, Tensor(_zero_row(batch))).data.reshape(())
+    out = np.full(mask.shape, zero, dtype=zero.dtype)
+    out[mask] = encode_t(params, Tensor(rows)).data.reshape(-1)
     return out[0] if (isinstance(vol, DiscretizedVolume)
                       or np.asarray(vol).ndim == 3) else out
 
@@ -107,12 +129,24 @@ def ms_loss(vol: np.ndarray, vol_hat: np.ndarray, ms: np.ndarray,
                  + lambda_sparse * np.mean(np.abs(ms)))
 
 
-def _loss_t(params: MsNetParams, x: Tensor, lambda_sparse: float) -> Tensor:
-    ms = encode_t(params, x)
-    out = decode_t(params, ms)
-    loss = ad.mse_loss(out, x.detach())
-    if lambda_sparse > 0:
-        loss = ad.add(loss, ad.mul(ad.l1_norm(ms), lambda_sparse))
+def _loss_t(params: MsNetParams, batch: np.ndarray,
+            lambda_sparse: float) -> Tensor:
+    """Mean MSE + lambda * mean|ms| over every pixel of an (N,B,H,W) batch,
+    from its non-zero pixel rows and the all-zero row, each term weighted
+    by the share of pixels it stands for."""
+    mask, rows = _pixel_rows(batch)
+    parts = ((rows, len(rows)), (_zero_row(batch), mask.size - len(rows)))
+    loss = None
+    for x, count in parts:
+        if count == 0:
+            continue
+        x = Tensor(x)
+        ms = encode_t(params, x)
+        term = ad.mse_loss(decode_t(params, ms), x)
+        if lambda_sparse > 0:
+            term = ad.add(term, ad.mul(ad.l1_norm(ms), lambda_sparse))
+        term = ad.mul(term, count / mask.size)
+        loss = term if loss is None else ad.add(loss, term)
     return loss
 
 
@@ -140,8 +174,7 @@ def train_ms(dataset, hyper: MsHyper, seed: int = 0,
         total = 0.0
         for start in range(0, n, hyper.batch):
             idx = order[start:start + hyper.batch]
-            x = Tensor(data[idx])
-            loss = _loss_t(params, x, hyper.lambda_sparse)
+            loss = _loss_t(params, data[idx], hyper.lambda_sparse)
             for p in plist:
                 p.zero_grad()
             ad.backward(loss, plist)

@@ -1,8 +1,11 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from evanom import events
 from evanom.events import (BadPolarity, EventStream, InvalidRange,
                            MalformedRow, OutOfBounds, parse_event_csv,
                            parse_event_csv_lenient, slice_time,
@@ -46,6 +49,21 @@ def test_parse_strict_errors(row, exc):
     with pytest.raises(exc) as e:
         parse_event_csv(f"t_us,x,y,p\n{row}\n", 8, 8)
     assert e.value.line_no == 2
+
+
+def test_parse_timestamp_beyond_int64():
+    text = "t_us,x,y,p\n100,0,0,1\n100000000000000000000,1,1,1\n"
+    with pytest.raises(MalformedRow, match="exceeds int64") as e:
+        parse_event_csv(text, 8, 8)
+    assert e.value.line_no == 3
+    stream, issues = parse_event_csv_lenient(text, 8, 8)
+    assert len(stream) == 1
+    assert [(type(i), i.line_no) for i in issues] == [(MalformedRow, 3)]
+
+
+def test_parse_largest_int64_timestamp():
+    t = np.iinfo(np.int64).max
+    assert parse_event_csv(f"t_us,x,y,p\n{t},1,1,1\n", 8, 8).t[0] == t
 
 
 def test_parse_missing_header():
@@ -130,3 +148,46 @@ def test_stream_arrays_immutable():
     s = EventStream.from_arrays(4, 4, [0], [0], [0], [1])
     with pytest.raises(ValueError):
         s.t[0] = 5
+
+
+def _outcome(text, width, height):
+    try:
+        return parse_event_csv(text, width, height)
+    except events.EventError as err:
+        return type(err), getattr(err, "line_no", None)
+
+
+# Canonical characters, plus ones that int() or str.strip() accept but a
+# canonical row never holds: signs, underscores, other whitespace and
+# non-ASCII digits.
+_EDIT_CHARS = "0123456789,\n-+_ \r\t\x0b\u0663\uff11\u2028a"
+
+
+@settings(max_examples=300, deadline=None)
+@given(rows=st.lists(st.tuples(st.integers(0, 10**19), st.integers(0, 11),
+                               st.integers(0, 9), st.sampled_from([1, -1])),
+                     min_size=1, max_size=12),
+       edits=st.lists(st.tuples(st.integers(0, 400),
+                                st.sampled_from(["set", "insert", "delete"]),
+                                st.sampled_from(_EDIT_CHARS)), max_size=4),
+       trailing_newline=st.booleans())
+def test_fast_parse_agrees_with_row_loop(rows, edits, trailing_newline):
+    text = "t_us,x,y,p\n" + "\n".join(",".join(map(str, r)) for r in rows)
+    text += "\n" if trailing_newline else ""
+    chars = list(text)
+    for pos, kind, ch in edits:
+        pos = 11 + pos % max(1, len(chars) - 11)  # keep the header intact
+        if kind == "set" and pos < len(chars):
+            chars[pos] = ch
+        elif kind == "insert":
+            chars.insert(pos, ch)
+        elif kind == "delete" and pos < len(chars):
+            del chars[pos]
+    text = "".join(chars)
+    fast = _outcome(text, 10, 8)
+    with mock.patch.object(events, "_parse_canonical", lambda *a: None):
+        loop = _outcome(text, 10, 8)
+    if isinstance(loop, EventStream):
+        assert isinstance(fast, EventStream) and fast == loop
+    else:
+        assert fast == loop

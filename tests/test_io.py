@@ -32,10 +32,26 @@ def test_mutated_blobs_parse_or_raise_format_error(blob, read, data):
                                          st.integers(0, 255)),
                                min_size=1, max_size=8))
     cut = data.draw(st.integers(0, len(blob)))
+    tail = data.draw(st.binary(max_size=8))
     mutated = bytearray(blob)
     for pos, val in edits:
         mutated[pos] = val
     try:
-        read(bytes(mutated[:cut]))
+        read(bytes(mutated[:cut]) + tail)
     except io.FormatError:
         pass
+
+
+@pytest.mark.parametrize("blob, read", READERS, ids=["evol", "evck"])
+def test_trailing_bytes_are_a_format_error(blob, read):
+    for tail in (b"\x00", b"junk"):
+        with pytest.raises(io.FormatError, match="after the end"):
+            read(blob + tail)
+
+
+def test_evck_duplicate_name_is_a_format_error():
+    one = io.write_evck({"x": np.ones(2, np.float32)})
+    tensor = one[12:]
+    blob = one[:8] + (2).to_bytes(4, "little") + tensor + tensor
+    with pytest.raises(io.FormatError, match="duplicate name 'x'"):
+        io.read_evck(blob)

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from evanom import io
-from evanom.autodiff import ShapeMismatch
+from evanom import autodiff as ad
+from evanom import io, msnet
+from evanom.autodiff import ShapeMismatch, Tensor
 from evanom.msnet import (EmptyDataset, MsHyper, MsNetParams, encode,
-                          ms_loss, reconstruct, train_ms)
+                          encode_t, ms_loss, reconstruct, train_ms)
 
 
 @pytest.fixture
@@ -114,3 +115,50 @@ def test_checkpoint_round_trip(params, rng):
     back = MsNetParams.from_arrays(io.read_evck(blob))
     vol = rng.standard_normal((1, 4, 6, 6)).astype(np.float32)
     np.testing.assert_array_equal(encode(params, vol), encode(back, vol))
+
+
+# The loss and encode run on non-zero pixel rows plus one all-zero row;
+# the dense 4-D forward on the whole batch is their reference.
+
+def _sparse_batch(rng, active):
+    """(3,4,6,5) float32 batch whose pixels are non-zero with prob. `active`."""
+    batch = rng.standard_normal((3, 4, 6, 5)).astype(np.float32)
+    return batch * (rng.random((3, 1, 6, 5)) < active)
+
+
+def _dense_loss_t(params, batch, lambda_sparse):
+    x = Tensor(batch)
+    ms = encode_t(params, x)
+    loss = ad.mse_loss(msnet.decode_t(params, ms), x)
+    return ad.add(loss, ad.mul(ad.l1_norm(ms), lambda_sparse))
+
+
+def _loss_and_grads(loss_fn, params, batch):
+    plist = params.parameters()
+    for p in plist:
+        p.zero_grad()
+    loss = loss_fn(params, batch, 1e-2)
+    ad.backward(loss, plist)
+    return loss.item(), [p.grad.copy() for p in plist]
+
+
+@pytest.mark.parametrize("active", [0.3, 0.0, 1.0],
+                         ids=["some-zero", "all-zero", "none-zero"])
+def test_row_loss_matches_dense_loss(params, rng, active):
+    batch = _sparse_batch(rng, active)
+    assert batch.any(axis=1).mean() == pytest.approx(active, abs=0.2)
+    value, grads = _loss_and_grads(msnet._loss_t, params, batch)
+    ref_value, ref_grads = _loss_and_grads(_dense_loss_t, params, batch)
+    assert value == pytest.approx(ref_value, rel=1e-6)
+    for name, g, ref in zip(params, grads, ref_grads):
+        np.testing.assert_allclose(g, ref, rtol=1e-5,
+                                   atol=1e-6 * np.abs(ref).max(), err_msg=name)
+
+
+@pytest.mark.parametrize("active", [0.3, 0.0, 1.0],
+                         ids=["some-zero", "all-zero", "none-zero"])
+def test_encode_matches_dense_encode(params, rng, active):
+    batch = _sparse_batch(rng, active)
+    np.testing.assert_allclose(encode(params, batch),
+                               encode_t(params, Tensor(batch)).data[:, 0],
+                               rtol=0, atol=1e-6)

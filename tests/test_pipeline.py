@@ -232,6 +232,15 @@ def test_cli_train_ms_header_only_events(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_cli_timestamp_beyond_int64(tmp_path, capsys):
+    ev = tmp_path / "events.csv"
+    ev.write_text("t_us,x,y,p\n100000000000000000000,1,1,1\n")
+    assert cli_main(["voxelize", "--events", str(ev), "--width", "8",
+                     "--height", "8", "--t0", "0", "--bin-dt", "10", "--bins",
+                     "2", "--out", str(tmp_path / "v.evol")]) == 1
+    assert "line 2" in capsys.readouterr().err
+
+
 def test_cli_score_rejects_ms_checkpoint_as_gan(tmp_path, capsys):
     ev, ms = tmp_path / "events.csv", tmp_path / "ms.evck"
     ev.write_text("t_us,x,y,p\n0,0,0,1\n")

@@ -12,6 +12,7 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.special import expit
 
 
@@ -57,9 +58,12 @@ class Tensor:
 
 
 def _acc(t: Tensor, g: np.ndarray):
+    if not t.requires_grad:
+        return
     if t.grad is None:
-        t.grad = np.zeros_like(t.data)
-    t.grad += g
+        t.grad = np.array(g, dtype=t.data.dtype)  # a copy: g may be a view
+    else:
+        t.grad += g
 
 
 def _result(data, inputs, back, op) -> Tensor:
@@ -147,48 +151,63 @@ def concat(tensors: list[Tensor], axis: int = 1) -> Tensor:
 
 
 # --- convolution ----------------------------------------------------------
+#
+# Each convolution is one 2-D matmul against a patch matrix whose rows run
+# over (channel, ki, kj) and whose columns run over (n, y, x), so the
+# weights enter as `w.reshape(O, -1)` or `w.reshape(C, -1)` without a copy.
+# Results come out channel-major; the returned NCHW arrays are views of
+# them, and the elementwise ops that follow keep that memory order.
 
 def _im2col(xd, kh, kw, stride, pad):
+    """(N,C,H,W) -> (C*kh*kw, N*Ho*Wo) patch matrix, built in one copy."""
     N, C, H, W = xd.shape
-    Ho = (H + 2 * pad - kh) // stride + 1
-    Wo = (W + 2 * pad - kw) // stride + 1
     xp = np.pad(xd, ((0, 0), (0, 0), (pad, pad), (pad, pad))) if pad else xd
-    cols = np.empty((N, C, kh, kw, Ho, Wo), dtype=xd.dtype)
-    for i in range(kh):
-        for j in range(kw):
-            cols[:, :, i, j] = xp[:, :, i:i + stride * Ho:stride,
-                                  j:j + stride * Wo:stride]
-    return cols
+    win = sliding_window_view(xp, (kh, kw), axis=(2, 3))
+    win = win[:, :, ::stride, ::stride]               # (N,C,Ho,Wo,kh,kw)
+    return win.transpose(1, 4, 5, 0, 2, 3).reshape(C * kh * kw, -1)
 
 
 def _col2im(cols, out_hw, stride, pad):
-    N, C, kh, kw, h, w = cols.shape
+    """Sum (C,kh,kw,N,h,w) patches into an (N,C,H,W) view of a (C,N,H,W)
+    array; each slice-add reads one contiguous (N,h,w) block per channel."""
+    C, kh, kw, N, h, w = cols.shape
     H, W = out_hw
-    xp = np.zeros((N, C, H + 2 * pad, W + 2 * pad), dtype=cols.dtype)
+    xp = np.zeros((C, N, H + 2 * pad, W + 2 * pad), dtype=cols.dtype)
     for i in range(kh):
         for j in range(kw):
             xp[:, :, i:i + stride * h:stride, j:j + stride * w:stride] += \
-                cols[:, :, i, j]
-    return xp[:, :, pad:pad + H, pad:pad + W] if pad else xp
+                cols[:, i, j]
+    return xp[:, :, pad:pad + H, pad:pad + W].transpose(1, 0, 2, 3)
+
+
+def _channels_first(a):
+    """(N,C,H,W) -> (C, N*H*W); free when `a` is already channel-major."""
+    return a.transpose(1, 0, 2, 3).reshape(a.shape[1], -1)
 
 
 def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1,
            pad: int = 0) -> Tensor:
-    """x: (N,C,H,W), w: (O,C,kh,kw), b: (O,). Zero padding, stride 1 or 2."""
+    """x: (N,C,H,W), w: (O,C,kh,kw), b: (O,). Zero padding, any stride."""
     N, C, H, W = x.shape
     O, Cw, kh, kw = w.shape
     if C != Cw or b.shape != (O,):
         raise ShapeMismatch(f"conv2d: x {x.shape} w {w.shape} b {b.shape}")
+    Ho = (H + 2 * pad - kh) // stride + 1
+    Wo = (W + 2 * pad - kw) // stride + 1
     cols = _im2col(x.data, kh, kw, stride, pad)
-    out = np.tensordot(cols, w.data, axes=([1, 2, 3], [1, 2, 3]))
-    out = out.transpose(0, 3, 1, 2) + b.data.reshape(1, O, 1, 1)
+    out = w.data.reshape(O, -1) @ cols
+    out += b.data[:, None]
+    out = out.reshape(O, N, Ho, Wo).transpose(1, 0, 2, 3)
 
     def back(g):
-        _acc(b, g.sum(axis=(0, 2, 3)))
-        _acc(w, np.tensordot(g, cols, axes=([0, 2, 3], [0, 4, 5])))
-        gcols = np.tensordot(g, w.data, axes=([1], [0]))  # (N,Ho,Wo,C,kh,kw)
-        gcols = gcols.transpose(0, 3, 4, 5, 1, 2)
-        _acc(x, _col2im(gcols, (H, W), stride, pad))
+        g2 = _channels_first(g)                        # (O, N*Ho*Wo)
+        if b.requires_grad:
+            _acc(b, g.sum(axis=(0, 2, 3)))
+        if w.requires_grad:
+            _acc(w, (g2 @ cols.T).reshape(w.shape))
+        if x.requires_grad:
+            gcols = (w.data.reshape(O, -1).T @ g2).reshape(C, kh, kw, N, Ho, Wo)
+            _acc(x, _col2im(gcols, (H, W), stride, pad))
     return _result(out, (x, w, b), back, "conv2d")
 
 
@@ -201,16 +220,22 @@ def conv_transpose2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 2,
         raise ShapeMismatch(f"conv_transpose2d: x {x.shape} w {w.shape} b {b.shape}")
     Ho = (H - 1) * stride - 2 * pad + kh
     Wo = (W - 1) * stride - 2 * pad + kw
-    cols = np.tensordot(x.data, w.data, axes=([1], [0]))  # (N,H,W,O,kh,kw)
-    cols = cols.transpose(0, 3, 4, 5, 1, 2)
-    out = _col2im(cols, (Ho, Wo), stride, pad) + b.data.reshape(1, O, 1, 1)
+    x2 = _channels_first(x.data)                       # (C, N*H*W)
+    cols = (w.data.reshape(C, -1).T @ x2).reshape(O, kh, kw, N, H, W)
+    out = _col2im(cols, (Ho, Wo), stride, pad)
+    out += b.data.reshape(1, O, 1, 1)
 
     def back(g):
-        _acc(b, g.sum(axis=(0, 2, 3)))
-        gcols = _im2col(g, kh, kw, stride, pad)  # (N,O,kh,kw,H,W)
-        _acc(w, np.tensordot(x.data, gcols, axes=([0, 2, 3], [0, 4, 5])))
-        gx = np.tensordot(gcols, w.data, axes=([1, 2, 3], [1, 2, 3]))
-        _acc(x, gx.transpose(0, 3, 1, 2))
+        if b.requires_grad:
+            _acc(b, g.sum(axis=(0, 2, 3)))
+        if not (w.requires_grad or x.requires_grad):
+            return
+        gcols = _im2col(g, kh, kw, stride, pad)        # (O*kh*kw, N*H*W)
+        if w.requires_grad:
+            _acc(w, (x2 @ gcols.T).reshape(w.shape))
+        if x.requires_grad:
+            gx = (w.data.reshape(C, -1) @ gcols).reshape(C, N, H, W)
+            _acc(x, gx.transpose(1, 0, 2, 3))
     return _result(out, (x, w, b), back, "conv_transpose2d")
 
 
@@ -225,9 +250,11 @@ def channel_mix(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
 
     def back(g):
         _acc(b, g.sum(axis=(0, 2, 3)))
-        _acc(w, np.tensordot(g, x.data, axes=([0, 2, 3], [0, 2, 3])))
-        gx = np.tensordot(g, w.data, axes=([1], [0]))  # (N,H,W,C)
-        _acc(x, gx.transpose(0, 3, 1, 2))
+        if w.requires_grad:
+            _acc(w, np.tensordot(g, x.data, axes=([0, 2, 3], [0, 2, 3])))
+        if x.requires_grad:
+            gx = np.tensordot(g, w.data, axes=([1], [0]))  # (N,H,W,C)
+            _acc(x, gx.transpose(0, 3, 1, 2))
     return _result(out, (x, w, b), back, "channel_mix")
 
 
@@ -239,8 +266,10 @@ def dense(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
 
     def back(g):
         _acc(b, g.sum(axis=0))
-        _acc(w, x.data.T @ g)
-        _acc(x, g @ w.data.T)
+        if w.requires_grad:
+            _acc(w, x.data.T @ g)
+        if x.requires_grad:
+            _acc(x, g @ w.data.T)
     return _result(out, (x, w, b), back, "dense")
 
 
@@ -261,7 +290,8 @@ def mse_loss(a: Tensor, b: Tensor) -> Tensor:
 
     def back(g):
         _acc(a, g * 2.0 * d / n)
-        _acc(b, g * (-2.0) * d / n)
+        if b.requires_grad:
+            _acc(b, g * (-2.0) * d / n)
     return _result(np.mean(d * d), (a, b), back, "mse_loss")
 
 
@@ -274,7 +304,8 @@ def bce_with_logits(logits: Tensor, targets: Tensor) -> Tensor:
 
     def back(g):
         _acc(logits, g * (expit(l) - t) / n)
-        _acc(targets, g * (-l) / n)
+        if targets.requires_grad:
+            _acc(targets, g * (-l) / n)
     return _result(val, (logits, targets), back, "bce_with_logits")
 
 
@@ -290,10 +321,12 @@ def l1_norm(x: Tensor) -> Tensor:
 # --- backward pass --------------------------------------------------------
 
 def backward(loss: Tensor, params: list[Tensor] | None = None):
-    """Populate grads of every requires_grad tensor reachable from loss.
+    """Accumulate `.grad` of every requires_grad tensor reachable from loss.
 
     Visits each graph node exactly once, children before parents, in a
-    fixed order. If `params` is given, parameters not reached by the
+    fixed order. Below the loss, a tensor with requires_grad=False, and
+    every node built only from such tensors, keeps `.grad` None and runs
+    no backward code. If `params` is given, parameters not reached by the
     graph get a zero grad and a DisconnectedParameter warning.
     """
     if loss.data.size != 1:

@@ -142,13 +142,17 @@ def d_losses(params: GanParams, batch: GanBatch):
 def g_loss(params: GanParams, batch: GanBatch, lambda_l1: float = 0.0) -> Tensor:
     """Non-saturating generator loss:
     -mean log D_xy(x_hat, y) - mean log D_x(x_hat) + lambda * mean|x_hat - x|.
+
+    Both discriminators run with their parameters held fixed (detached
+    tensors sharing the same arrays), so backward computes no D gradients.
     """
     if lambda_l1 < 0:
         raise ValueError("lambda_l1 must be >= 0")
+    fixed = GanParams((name, t.detach()) for name, t in params.items())
     y = Tensor(batch.y)
     x_fake = g_forward_t(params, y, Tensor(batch.z))
-    lf_xy = d_forward_t(params, "dxy", ad.concat([x_fake, y]))
-    lf_x = d_forward_t(params, "dx", x_fake)
+    lf_xy = d_forward_t(fixed, "dxy", ad.concat([x_fake, y]))
+    lf_x = d_forward_t(fixed, "dx", x_fake)
     loss = ad.add(ad.bce_with_logits(lf_xy, _ones_like(lf_xy)),
                   ad.bce_with_logits(lf_x, _ones_like(lf_x)))
     if lambda_l1 > 0:

@@ -94,9 +94,12 @@ class ScoreSeries:
         if not np.all(np.isfinite(self.scores)) or (self.scores < 0).any():
             raise ValueError("scores must be finite and non-negative")
         if self.labels is not None:
-            self.labels = np.asarray(self.labels, dtype=np.int8)
-            if len(self.labels) != len(self.scores):
+            labels = np.asarray(self.labels)
+            if len(labels) != len(self.scores):
                 raise ValueError("labels length mismatch")
+            if not np.isin(labels, (0, 1)).all():
+                raise ValueError("labels must be 0 or 1")
+            self.labels = labels.astype(np.int8)
 
     def __len__(self):
         return len(self.scores)
@@ -200,17 +203,21 @@ def write_score_csv(series: ScoreSeries) -> str:
 
 
 def read_score_csv(text: str) -> ScoreSeries:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or lines[0] != "frame,t0_us,mse,label":
+    lines = [(no, ln) for no, ln in enumerate(text.splitlines(), start=1)
+             if ln.strip()]
+    if not lines or lines[0][1] != "frame,t0_us,mse,label":
         raise ValueError("missing score CSV header")
     if len(lines) == 1:
         raise EmptySeries("score CSV has no frames")
     t0s, scores, labels = [], [], []
-    for ln in lines[1:]:
+    for lineno, ln in lines[1:]:
         _, t0, mse, lab = ln.split(",")
         t0s.append(int(t0))
         scores.append(float(mse))
-        labels.append(int(lab) if lab else None)
+        label = int(lab) if lab else None
+        if label not in (None, 0, 1):
+            raise ValueError(f"line {lineno}: label {lab!r} is not 0 or 1")
+        labels.append(label)
     frame_dt = t0s[1] - t0s[0] if len(t0s) > 1 else 1
     labs = None if any(l is None for l in labels) else np.array(labels)
     return ScoreSeries(t0s[0], frame_dt, np.array(scores), labs)

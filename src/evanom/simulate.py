@@ -264,28 +264,28 @@ def parse_scene_config(text: str) -> SceneConfig:
         height = int(kv["height"])
         duration = int(kv["duration_us"])
         micro_step = int(kv["micro_step_us"])
+        seed = int(kv.get("seed", "0"))
+        noise_rate = float(kv.get("noise_rate", "0"))
+        objects = []
+        i = 0
+        while f"object.{i}.shape" in kv:
+            pre = f"object.{i}."
+            sx, _, sy = kv[pre + "start"].partition(",")
+            vel = []
+            for seg in kv[pre + "velocity"].split(";"):
+                t, _, v = seg.partition(":")
+                vx, _, vy = v.partition(",")
+                vel.append((int(t), float(vx), float(vy)))
+            a, _, b = kv.get(pre + "active", "0,%d" % duration).partition(",")
+            objects.append(ObjectSpec(
+                shape=_parse_shape(kv[pre + "shape"]),
+                start=(float(sx), float(sy)),
+                velocity=tuple(vel),
+                active=(int(a), int(b)),
+                label=kv.get(pre + "label", "normal")))
+            i += 1
     except KeyError as k:
         raise ConfigError(f"missing key {k}") from None
-    seed = int(kv.get("seed", "0"))
-    noise_rate = float(kv.get("noise_rate", "0"))
-    objects = []
-    i = 0
-    while f"object.{i}.shape" in kv:
-        pre = f"object.{i}."
-        sx, _, sy = kv[pre + "start"].partition(",")
-        vel = []
-        for seg in kv[pre + "velocity"].split(";"):
-            t, _, v = seg.partition(":")
-            vx, _, vy = v.partition(",")
-            vel.append((int(t), float(vx), float(vy)))
-        a, _, b = kv.get(pre + "active", "0,%d" % duration).partition(",")
-        objects.append(ObjectSpec(
-            shape=_parse_shape(kv[pre + "shape"]),
-            start=(float(sx), float(sy)),
-            velocity=tuple(vel),
-            active=(int(a), int(b)),
-            label=kv.get(pre + "label", "normal")))
-        i += 1
     return SceneConfig(width, height, duration, micro_step, tuple(objects),
                        seed=seed, noise_rate=noise_rate)
 

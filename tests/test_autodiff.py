@@ -93,21 +93,74 @@ def test_conv2d_all_ones_kernel():
     assert out[0, 2] == 6
 
 
+def _conv2d_reference(x, w, stride, pad):
+    """Direct convolution, one output value at a time, in float64."""
+    N, _, H, W = x.shape
+    O, _, kh, kw = w.shape
+    Ho, Wo = (H + 2 * pad - kh) // stride + 1, (W + 2 * pad - kw) // stride + 1
+    xp = np.pad(x.astype(np.float64), ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+    ref = np.zeros((N, O, Ho, Wo))
+    for n in range(N):
+        for o in range(O):
+            for i in range(Ho):
+                for j in range(Wo):
+                    ref[n, o, i, j] = np.sum(
+                        xp[n, :, i * stride:i * stride + kh,
+                           j * stride:j * stride + kw] * w[o])
+    return ref
+
+
+def _conv_transpose2d_reference(x, w, stride, pad):
+    """Scatter each input value times the kernel, then crop the padding."""
+    N, C, H, W = x.shape
+    _, O, kh, kw = w.shape
+    full = np.zeros((N, O, (H - 1) * stride + kh, (W - 1) * stride + kw))
+    for n in range(N):
+        for c in range(C):
+            for i in range(H):
+                for j in range(W):
+                    full[n, :, i * stride:i * stride + kh,
+                         j * stride:j * stride + kw] += x[n, c, i, j] * w[c]
+    return full[:, :, pad:full.shape[2] - pad, pad:full.shape[3] - pad]
+
+
+def _assert_close_relative(out, ref, rel):
+    assert np.abs(out - ref).max() <= rel * np.abs(ref).max()
+
+
 def test_conv2d_matches_brute_force(rng):
     x = rng.standard_normal((2, 3, 6, 7))
     w = rng.standard_normal((4, 3, 3, 3))
     out = ad.conv2d(Tensor(x), Tensor(w), Tensor(np.zeros(4)),
                     stride=1, pad=1).data
-    # brute-force direct convolution
-    xp = np.pad(x, ((0, 0), (0, 0), (1, 1), (1, 1)))
-    ref = np.zeros_like(out)
-    for n in range(2):
-        for o in range(4):
-            for i in range(6):
-                for j in range(7):
-                    ref[n, o, i, j] = np.sum(
-                        xp[n, :, i:i + 3, j:j + 3] * w[o])
-    np.testing.assert_allclose(out, ref, atol=1e-10)
+    np.testing.assert_allclose(out, _conv2d_reference(x, w, 1, 1), atol=1e-10)
+
+
+@pytest.mark.parametrize("dtype, rel", [(np.float64, 1e-12),
+                                        (np.float32, 1e-5)])
+def test_strided_conv2d_matches_brute_force(rng, dtype, rel):
+    # the GAN's layer: k=4, stride 2, pad 1, several channels in and out
+    x = rng.standard_normal((3, 5, 8, 10)).astype(dtype)
+    w = rng.standard_normal((6, 5, 4, 4)).astype(dtype)
+    b = rng.standard_normal(6).astype(dtype)
+    out = ad.conv2d(Tensor(x), Tensor(w), Tensor(b), stride=2, pad=1).data
+    assert out.dtype == dtype and out.shape == (3, 6, 4, 5)
+    _assert_close_relative(
+        out, _conv2d_reference(x, w, 2, 1) + b.reshape(1, 6, 1, 1), rel)
+
+
+@pytest.mark.parametrize("dtype, rel", [(np.float64, 1e-12),
+                                        (np.float32, 1e-5)])
+@pytest.mark.parametrize("k, stride, pad", [(4, 2, 1), (3, 1, 1), (3, 2, 0)])
+def test_conv_transpose2d_matches_brute_force(rng, dtype, rel, k, stride, pad):
+    x = rng.standard_normal((2, 5, 4, 3)).astype(dtype)
+    w = rng.standard_normal((5, 3, k, k)).astype(dtype)
+    b = rng.standard_normal(3).astype(dtype)
+    out = ad.conv_transpose2d(Tensor(x), Tensor(w), Tensor(b),
+                              stride=stride, pad=pad).data
+    ref = _conv_transpose2d_reference(x, w, stride, pad) + b.reshape(1, 3, 1, 1)
+    assert out.dtype == dtype and out.shape == ref.shape
+    _assert_close_relative(out, ref, rel)
 
 
 def test_conv_transpose_inverts_spatial_reduction(rng):
@@ -190,6 +243,65 @@ def test_ops_do_not_mutate_inputs(rng):
     ad.sigmoid(t)
     ad.leaky_relu(t)
     np.testing.assert_array_equal(t.data, x)
+
+
+# --- inputs that do not require gradients --------------------------------
+
+# op -> (build(x, *params) -> output, shape of x, shapes of params). x is
+# the op's own input that will not require grad; mul by a parameter gives
+# every case a parameter when the op has none of its own.
+NO_GRAD_CASES = {
+    "add": (ad.add, (2, 3), [(2, 3)]),
+    "mul": (ad.mul, (2, 3), [(2, 3)]),
+    "sigmoid": (lambda x, p: ad.mul(ad.sigmoid(x), p), (2, 3), [(2, 3)]),
+    "tanh": (lambda x, p: ad.mul(ad.tanh(x), p), (2, 3), [(2, 3)]),
+    "leaky_relu": (lambda x, p: ad.mul(ad.leaky_relu(x), p), (2, 3), [(2, 3)]),
+    "concat": (lambda x, p: ad.concat([x, p]), (2, 1, 3, 3), [(2, 2, 3, 3)]),
+    "conv2d": (lambda x, w, b: ad.conv2d(x, w, b, stride=2, pad=1),
+               (2, 3, 6, 6), [(4, 3, 4, 4), (4,)]),
+    "conv_transpose2d": (ad.conv_transpose2d, (2, 3, 3, 3),
+                         [(3, 2, 4, 4), (2,)]),
+    "channel_mix": (ad.channel_mix, (2, 3, 4, 4), [(2, 3), (2,)]),
+    "dense": (ad.dense, (4, 3), [(3, 2), (2,)]),
+    "reshape": (lambda x, p: ad.mul(ad.reshape(x, (2, 3)), p), (3, 2),
+                [(2, 3)]),
+    "mse_loss": (lambda x, p: ad.mse_loss(p, x), (2, 3), [(2, 3)]),
+    "bce_with_logits": (lambda x, p: ad.bce_with_logits(p, x), (2, 3),
+                        [(2, 3)]),
+    "l1_norm": (lambda x, p: ad.mul(ad.l1_norm(x), p), (2, 3), [()]),
+}
+
+
+def test_no_grad_cases_cover_every_op():
+    public = {name for name, f in vars(ad).items()
+              if callable(f) and getattr(f, "__module__", "") == ad.__name__
+              and not name.startswith("_") and name[0].islower()}
+    assert public - {"backward", "adam_step", "uniform_init"} == \
+        set(NO_GRAD_CASES)
+
+
+@pytest.mark.parametrize("op", sorted(NO_GRAD_CASES))
+def test_input_without_grad_gets_none(op):
+    build, x_shape, p_shapes = NO_GRAD_CASES[op]
+    rng = np.random.default_rng(3)
+    x_data = rng.standard_normal(x_shape)
+    p_data = [rng.standard_normal(s) for s in p_shapes]
+
+    def grads(x_requires_grad):
+        x = Tensor(x_data, requires_grad=x_requires_grad)
+        params = [Tensor(a, requires_grad=True) for a in p_data]
+        out = build(x, *params)
+        if out.data.size > 1:
+            out = ad.mse_loss(out, Tensor(np.zeros(out.shape)))
+        ad.backward(out, params)
+        return x.grad, [p.grad for p in params]
+
+    x_grad, p_grads = grads(False)
+    assert x_grad is None
+    ref_x_grad, ref_p_grads = grads(True)
+    assert ref_x_grad is not None
+    for got, want in zip(p_grads, ref_p_grads):
+        np.testing.assert_array_equal(got, want)
 
 
 # --- gradient checks, 10 random shapes per op -----------------------------

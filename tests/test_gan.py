@@ -156,6 +156,18 @@ def test_g_loss_gradients_match_finite_differences(rng):
                        params, params.parameters("g."), rng)
 
 
+def test_g_loss_computes_no_discriminator_grads(rng):
+    # D is held fixed in the G step: only G's parameters get gradients
+    import evanom.autodiff as ad
+    params = tiny_params(rng)
+    ad.backward(g_loss(params, tiny_batch(rng), lambda_l1=1.0),
+                params.parameters("g."))
+    for p in params.parameters("g."):
+        assert p.grad.any()
+    for p in params.parameters("dxy.") + params.parameters("dx."):
+        assert p.grad is None
+
+
 def test_d_loss_does_not_reach_generator(rng):
     # fakes are detached: discriminator training must leave G untouched
     import evanom.autodiff as ad

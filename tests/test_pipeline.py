@@ -98,6 +98,10 @@ def test_score_series_validation():
         series([1.0, np.nan])
     with pytest.raises(ValueError):
         series([1.0, 2.0], [1])
+    for bad in ([0, 2], [0, -1], [0, 300], [0, 10**22], [0, 0.5]):
+        with pytest.raises(ValueError, match="0 or 1"):
+            series([1.0, 2.0], bad)
+    assert series([1.0, 2.0], [True, False]).labels.tolist() == [1, 0]
 
 
 # ------------------------------------------------------------------- formats
@@ -116,6 +120,13 @@ def test_score_csv_without_labels(rng):
     assert back.labels is None
     with pytest.raises(ValueError):
         read_score_csv("bad header\n1,2,3,4\n")
+
+
+def test_score_csv_label_must_be_0_or_1():
+    head = "frame,t0_us,mse,label\n0,100,0.5,0\n"
+    for lab in ("300", "2", "-1", "1" * 23):
+        with pytest.raises(ValueError, match=f"line 4: label '{lab}'"):
+            read_score_csv(head + "\n1,200,0.25," + lab + "\n")
 
 
 def test_label_csv_round_trip():
@@ -222,6 +233,17 @@ def test_cli_eval_header_only_scores(tmp_path, capsys):
     scores.write_text("frame,t0_us,mse,label\n")
     assert cli_main(["eval", "--scores", str(scores)]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_cli_eval_rejects_label_outside_0_1(tmp_path, capsys):
+    # 300 used to wrap to int8 44 and count as an anomaly; 23 digits
+    # overflowed int8 with a traceback.
+    for lab in ("300", "1" * 23):
+        scores = tmp_path / "scores.csv"
+        scores.write_text("frame,t0_us,mse,label\n0,100,0.5,0\n"
+                          f"1,200,0.9,{lab}\n")
+        assert cli_main(["eval", "--scores", str(scores)]) == 1
+        assert "line 3" in capsys.readouterr().err
 
 
 def test_cli_train_ms_header_only_events(tmp_path, capsys):

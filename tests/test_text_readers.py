@@ -1,0 +1,89 @@
+"""Malformed score CSVs, label CSVs, pipeline configs and scene configs
+fail with a domain error (so the CLI exits 1), never with any other
+exception."""
+import re
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from evanom.cli import DOMAIN_ERRORS
+from evanom.pipeline import (PipelineConfig, ScoreSeries, read_label_csv,
+                             read_score_csv, write_label_csv, write_score_csv)
+from evanom.simulate import (ConfigError, LabelTrack, mixed_test_scene,
+                             parse_scene_config, write_scene_config)
+
+SCORES = write_score_csv(ScoreSeries(
+    100_000, 50_000, np.array([0.5, 0.03125, 2.0]), np.array([0, 1, 0])))
+UNLABELLED = write_score_csv(ScoreSeries(0, 10, np.array([1.5, 0.0])))
+LABELS = write_label_csv(LabelTrack(((0, 300, "normal"),
+                                     (300, 400, "anomaly"))))
+CONFIG = PipelineConfig().to_text()
+SCENE = write_scene_config(mixed_test_scene(0, size=16))
+
+# Characters that keep a mutated text close to the grammar, plus any other.
+CHARS = st.one_of(st.sampled_from("0123456789,-=.e+_ \n#"), st.characters())
+# Whole values put in place of a field.
+FIELDS = st.one_of(st.sampled_from(["2", "-1", "300", str(2**63), "1" * 23]),
+                   st.integers(-10**30, 10**30).map(str),
+                   st.floats().map(repr), st.text(max_size=4))
+
+
+def _mutate(data, text):
+    """One of: whole fields replaced, characters edited, or a cut."""
+    kind = data.draw(st.sampled_from(["fields", "chars", "cut"]))
+    if kind == "fields":
+        parts = re.split(r"([,=\n])", text)  # fields at even indices
+        for i, value in data.draw(st.lists(st.tuples(
+                st.integers(0, len(parts) // 2), FIELDS), min_size=1,
+                max_size=2)):
+            parts[-1 - 2 * i] = value  # counted from the end, off the header
+        return "".join(parts)
+    if kind == "chars":
+        for pos, ch, how in data.draw(st.lists(st.tuples(
+                st.integers(0, len(text)), CHARS,
+                st.sampled_from(["put", "insert", "delete"])),
+                min_size=1, max_size=6)):
+            if how == "put":
+                text = text[:pos] + ch + text[pos + 1:]
+            elif how == "insert":
+                text = text[:pos] + ch + text[pos:]
+            else:
+                text = text[:pos] + text[pos + 1:]
+        return text
+    return text[:data.draw(st.integers(0, len(text)))]
+
+
+def _parses_or_domain_error(read, text):
+    try:
+        read(text)
+    except DOMAIN_ERRORS:
+        pass
+
+
+READERS = [(SCORES, read_score_csv), (UNLABELLED, read_score_csv),
+           (LABELS, read_label_csv), (CONFIG, PipelineConfig.from_text),
+           (SCENE, parse_scene_config)]
+IDS = ["scores", "unlabelled", "labels", "config", "scene"]
+
+
+@pytest.mark.parametrize("text, read", READERS, ids=IDS)
+def test_every_truncation_parses_or_is_a_domain_error(text, read):
+    read(text)
+    for cut in range(len(text)):
+        _parses_or_domain_error(read, text[:cut])
+
+
+@pytest.mark.parametrize("text, read", READERS, ids=IDS)
+@settings(max_examples=500, deadline=None)
+@given(data=st.data())
+def test_mutated_text_parses_or_is_a_domain_error(text, read, data):
+    _parses_or_domain_error(read, _mutate(data, text))
+
+
+def test_scene_config_missing_object_key_is_a_config_error():
+    text = "".join(ln + "\n" for ln in SCENE.splitlines()
+                   if not ln.startswith("object.1.start="))
+    with pytest.raises(ConfigError, match="object.1.start"):
+        parse_scene_config(text)

@@ -57,11 +57,15 @@ class Tensor:
         return f"Tensor(shape={self.shape}, op={self._op})"
 
 
-def _acc(t: Tensor, g: np.ndarray):
+def _acc(t: Tensor, g: np.ndarray, fresh: bool = True):
+    """Add g to t.grad. A fresh g, computed by the calling closure and held
+    by nothing else, becomes the first gradient as is; any other g (the
+    incoming gradient or a view of it) is copied first."""
     if not t.requires_grad:
         return
     if t.grad is None:
-        t.grad = np.array(g, dtype=t.data.dtype)  # a copy: g may be a view
+        t.grad = (np.asarray(g, dtype=t.data.dtype) if fresh
+                  else np.array(g, dtype=t.data.dtype))
     else:
         t.grad += g
 
@@ -85,13 +89,13 @@ def add(a: Tensor, b) -> Tensor:
         out_data = a.data + b.data
 
         def back(g):
-            _acc(a, g)
-            _acc(b, g)
+            _acc(a, g, fresh=False)
+            _acc(b, g, fresh=False)
     else:
         out_data = a.data + b
 
         def back(g):
-            _acc(a, g)
+            _acc(a, g, fresh=False)
     return _result(out_data, (a, b), back, "add")
 
 
@@ -112,10 +116,19 @@ def mul(a: Tensor, b) -> Tensor:
 
 
 def sigmoid(x: Tensor) -> Tensor:
-    s = expit(x.data)
+    """1/(1+exp(-x)), computed in place on one buffer. exp(-x) overflows
+    to inf for very negative x, which gives exactly 0."""
+    s = np.negative(x.data, out=np.empty_like(x.data))
+    with np.errstate(over="ignore"):
+        np.exp(s, out=s)
+    s += 1
+    np.reciprocal(s, out=s)
 
     def back(g):
-        _acc(x, g * s * (1.0 - s))
+        d = np.subtract(1, s)
+        d *= s
+        d *= g
+        _acc(x, d)
     return _result(s, (x,), back, "sigmoid")
 
 
@@ -128,11 +141,21 @@ def tanh(x: Tensor) -> Tensor:
 
 
 def leaky_relu(x: Tensor, alpha: float = 0.2) -> Tensor:
-    mask = x.data > 0
-    y = np.where(mask, x.data, alpha * x.data)
+    """x where x > 0, else alpha*x. For 0 < alpha <= 1 that is
+    max(x, alpha*x), bit for bit, including -0, inf and NaN (an alpha of
+    0 in x's precision would turn x = inf into 0*inf = NaN)."""
+    if not 0 < alpha <= 1:
+        raise ValueError(f"leaky_relu: alpha must be in (0, 1], got {alpha}")
+    y = np.multiply(x.data, alpha, out=np.empty_like(x.data))
+    np.maximum(x.data, y, out=y)
 
     def back(g):
-        _acc(x, g * np.where(mask, 1.0, alpha).astype(x.data.dtype))
+        # the factor (1 where x > 0, else alpha) is built in the result
+        # buffer: no select, whose branches mispredict on random signs
+        gx = np.greater(x.data, 0, out=np.empty_like(x.data))
+        np.maximum(gx, alpha, out=gx)
+        gx *= g
+        _acc(x, gx)
     return _result(y, (x,), back, "leaky_relu")
 
 
@@ -145,7 +168,7 @@ def concat(tensors: list[Tensor], axis: int = 1) -> Tensor:
         for t, s in zip(tensors, sizes):
             idx = [slice(None)] * g.ndim
             idx[axis] = slice(off, off + s)
-            _acc(t, g[tuple(idx)])
+            _acc(t, g[tuple(idx)], fresh=False)
             off += s
     return _result(out_data, tuple(tensors), back, "concat")
 
@@ -239,21 +262,38 @@ def conv_transpose2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 2,
     return _result(out, (x, w, b), back, "conv_transpose2d")
 
 
+def _channels_last(a):
+    """(N,C,H,W) -> (N*H*W, C); free when `a` is channel-last in memory,
+    as channel_mix's outputs are, or when H = W = 1."""
+    return a.transpose(0, 2, 3, 1).reshape(-1, a.shape[1])
+
+
 def channel_mix(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """1x1 spatial convolution mixing channels: x (N,C,H,W), w (O,C), b (O,)."""
+    """1x1 spatial convolution mixing channels: x (N,C,H,W), w (O,C), b (O,).
+
+    Each contraction is one 2-D product on the (N*H*W, C) rows, by np.dot
+    or `@`, whichever was faster over the MS net's four layers at 64k
+    rows: `@` takes 4-7 ms where the inner size is 1 (C = 1 forward,
+    O = 1 input gradient), np.dot ~1 ms. The bias gradient is a BLAS
+    product with a ones vector, 3-9x faster there than a sum over rows.
+    """
     N, C, H, W = x.shape
     O, Cw = w.shape
     if C != Cw or b.shape != (O,):
         raise ShapeMismatch(f"channel_mix: x {x.shape} w {w.shape} b {b.shape}")
-    out = np.tensordot(x.data, w.data, axes=([1], [1]))  # (N,H,W,O)
-    out = out.transpose(0, 3, 1, 2) + b.data.reshape(1, O, 1, 1)
+    x2 = _channels_last(x.data)
+    out = np.dot(x2, w.data.T)
+    out += b.data
+    out = out.reshape(N, H, W, O).transpose(0, 3, 1, 2)
 
     def back(g):
-        _acc(b, g.sum(axis=(0, 2, 3)))
+        g2 = _channels_last(g)                         # (N*H*W, O)
+        if b.requires_grad:
+            _acc(b, np.ones(len(g2), dtype=g2.dtype) @ g2)
         if w.requires_grad:
-            _acc(w, np.tensordot(g, x.data, axes=([0, 2, 3], [0, 2, 3])))
+            _acc(w, g2.T @ x2)
         if x.requires_grad:
-            gx = np.tensordot(g, w.data, axes=([1], [0]))  # (N,H,W,C)
+            gx = np.dot(g2, w.data).reshape(N, H, W, C)
             _acc(x, gx.transpose(0, 3, 1, 2))
     return _result(out, (x, w, b), back, "channel_mix")
 
@@ -277,7 +317,7 @@ def reshape(x: Tensor, shape) -> Tensor:
     out = x.data.reshape(shape)
 
     def back(g):
-        _acc(x, g.reshape(x.shape))
+        _acc(x, g.reshape(x.shape), fresh=False)
     return _result(out, (x,), back, "reshape")
 
 

@@ -124,10 +124,11 @@ def _zeros_like(t: Tensor) -> Tensor:
     return Tensor(np.zeros_like(t.data))
 
 
-def d_losses(params: GanParams, batch: GanBatch):
-    """(L_Dxy, L_Dx) loss tensors; fakes are detached from the generator."""
+def d_losses(params: GanParams, batch: GanBatch, x_fake: Tensor):
+    """(L_Dxy, L_Dx) loss tensors on the generator's frames `x_fake` for
+    this batch, detached here so no gradient reaches the generator."""
     y, x = Tensor(batch.y), Tensor(batch.x)
-    x_fake = g_forward_t(params, y, Tensor(batch.z)).detach()
+    x_fake = x_fake.detach()
     lr_xy = d_forward_t(params, "dxy", ad.concat([x, y]))
     lf_xy = d_forward_t(params, "dxy", ad.concat([x_fake, y]))
     l_dxy = ad.add(ad.bce_with_logits(lr_xy, _ones_like(lr_xy)),
@@ -139,8 +140,9 @@ def d_losses(params: GanParams, batch: GanBatch):
     return l_dxy, l_dx
 
 
-def g_loss(params: GanParams, batch: GanBatch, lambda_l1: float = 0.0) -> Tensor:
-    """Non-saturating generator loss:
+def g_loss(params: GanParams, batch: GanBatch, x_fake: Tensor,
+           lambda_l1: float = 0.0) -> Tensor:
+    """Non-saturating generator loss on the generator's frames `x_fake`:
     -mean log D_xy(x_hat, y) - mean log D_x(x_hat) + lambda * mean|x_hat - x|.
 
     Both discriminators run with their parameters held fixed (detached
@@ -150,7 +152,6 @@ def g_loss(params: GanParams, batch: GanBatch, lambda_l1: float = 0.0) -> Tensor
         raise ValueError("lambda_l1 must be >= 0")
     fixed = GanParams((name, t.detach()) for name, t in params.items())
     y = Tensor(batch.y)
-    x_fake = g_forward_t(params, y, Tensor(batch.z))
     lf_xy = d_forward_t(fixed, "dxy", ad.concat([x_fake, y]))
     lf_x = d_forward_t(fixed, "dx", x_fake)
     loss = ad.add(ad.bce_with_logits(lf_xy, _ones_like(lf_xy)),
@@ -186,6 +187,10 @@ def train_gan(windows, ms_params: MsNetParams, hyper: GanHyper,
               seed: int = 0):
     """Alternating D_xy / D_x / G updates; deterministic for a fixed seed.
 
+    The generator runs once per batch: the D steps only change D's arrays,
+    so its frames serve both the D losses and the G loss. Each loss graph
+    is dropped once its step is done.
+
     Returns (GanParams, curves) with per-epoch mean losses. Raises
     DivergenceDetected (carrying the last finite parameters) if any loss
     goes non-finite.
@@ -210,12 +215,16 @@ def train_gan(windows, ms_params: MsNetParams, hyper: GanHyper,
             batch = GanBatch(
                 y=surfaces[idx], x=targets[idx],
                 z=rng.standard_normal((len(idx), 1, h, w)).astype(np.float32))
-            l_dxy, l_dx = d_losses(params, batch)
-            _step(l_dxy, params.parameters("dxy."), opt_dxy)
-            _step(l_dx, params.parameters("dx."), opt_dx)
-            l_g = g_loss(params, batch, hyper.lambda_l1)
-            _step(l_g, params.parameters("g."), opt_g)
-            vals = (l_dxy.item(), l_dx.item(), l_g.item())
+            x_fake = g_forward_t(params, Tensor(batch.y), Tensor(batch.z))
+            l_dxy, l_dx = d_losses(params, batch, x_fake)
+            v_dxy = _step(l_dxy, params.parameters("dxy."), opt_dxy)
+            del l_dxy
+            v_dx = _step(l_dx, params.parameters("dx."), opt_dx)
+            del l_dx
+            v_g = _step(g_loss(params, batch, x_fake, hyper.lambda_l1),
+                        params.parameters("g."), opt_g)
+            del x_fake
+            vals = (v_dxy, v_dx, v_g)
             if not all(np.isfinite(vals)):
                 raise DivergenceDetected(
                     f"non-finite loss {vals}", params=GanParams.from_arrays(last_good))
@@ -227,8 +236,10 @@ def train_gan(windows, ms_params: MsNetParams, hyper: GanHyper,
     return params, curves
 
 
-def _step(loss: Tensor, plist, state: ad.AdamState):
+def _step(loss: Tensor, plist, state: ad.AdamState) -> float:
+    """One Adam step on plist from loss; returns the loss value."""
     for p in plist:
         p.zero_grad()
     ad.backward(loss, plist)
     ad.adam_step(plist, state)
+    return loss.item()

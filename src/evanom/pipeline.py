@@ -14,7 +14,7 @@ import numpy as np
 from . import gan as gan_mod
 from .events import EventStream
 from .msnet import MsNetParams
-from .representation import sliding_windows
+from .representation import MODES, sliding_windows
 from .simulate import LabelTrack, label_frames
 
 
@@ -24,6 +24,17 @@ class SingleClass(ValueError):
 
 class EmptySeries(ValueError):
     pass
+
+
+# (keys, check, rule as reported) for PipelineConfig's numeric values.
+_CONFIG_RULES = (
+    (("bins", "bin_dt_us", "stride", "ms_filters", "ms_batch", "gan_ngf",
+      "gan_ndf", "gan_batch"), lambda v: v >= 1, ">= 1"),
+    (("cap", "ms_lr", "gan_lr"), lambda v: v > 0, "> 0"),
+    (("ms_epochs", "gan_epochs", "noise_samples", "ms_lambda_sparse",
+      "gan_lambda_l1"), lambda v: v >= 0, ">= 0"),
+    (("gan_beta1",), lambda v: 0 <= v < 1, "in [0, 1)"),
+)
 
 
 @dataclass
@@ -48,6 +59,15 @@ class PipelineConfig:
     gan_batch: int = 16
     gan_lambda_l1: float = 0.0
     noise_samples: int = 0  # 0 = deterministic zero-noise scoring
+
+    def __post_init__(self):
+        if self.mode not in MODES:
+            raise ValueError(f"config mode={self.mode!r}: must be one of {MODES}")
+        for keys, ok, rule in _CONFIG_RULES:
+            for key in keys:
+                if not ok(getattr(self, key)):
+                    raise ValueError(
+                        f"config {key}={getattr(self, key)!r}: must be {rule}")
 
     def ms_hyper(self):
         from .msnet import MsHyper
@@ -285,11 +305,28 @@ def write_label_csv(track: LabelTrack) -> str:
 
 
 def read_label_csv(text: str) -> LabelTrack:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or lines[0] != "t0_us,t1_us,label":
+    """Sorted, non-overlapping (t0, t1, label) rows with t0 < t1 and a
+    label of normal or anomaly; any other row is a ValueError naming its
+    line."""
+    lines = [(no, ln) for no, ln in enumerate(text.splitlines(), start=1)
+             if ln.strip()]
+    if not lines or lines[0][1] != "t0_us,t1_us,label":
         raise ValueError("missing label CSV header")
     intervals = []
-    for ln in lines[1:]:
-        a, b, lab = ln.split(",")
-        intervals.append((int(a), int(b), lab))
+    for lineno, ln in lines[1:]:
+        try:
+            a, b, lab = ln.split(",")
+            a, b = int(a), int(b)
+        except ValueError as e:
+            raise ValueError(f"line {lineno}: {e}") from None
+        if lab not in ("normal", "anomaly"):
+            raise ValueError(
+                f"line {lineno}: label {lab!r} is not normal or anomaly")
+        if b <= a:
+            raise ValueError(f"line {lineno}: interval end {b} is not after "
+                             f"its start {a}")
+        if intervals and a < intervals[-1][1]:
+            raise ValueError(f"line {lineno}: interval starts at {a}, before "
+                             f"the previous one ends at {intervals[-1][1]}")
+        intervals.append((a, b, lab))
     return LabelTrack(tuple(intervals))

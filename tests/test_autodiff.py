@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -170,6 +172,84 @@ def test_conv_transpose_inverts_spatial_reduction(rng):
     assert out.shape == (1, 2, 8, 8)
 
 
+# --- elementwise kernels against their reference formulas -----------------
+
+_UINT = {np.dtype(np.float32): np.uint32, np.dtype(np.float64): np.uint64}
+
+
+def _bits(a):
+    return np.asarray(a).view(_UINT[np.asarray(a).dtype])
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_sigmoid_matches_expit(dtype):
+    from scipy.special import expit
+    x = np.linspace(-120, 120, 100_001).astype(dtype)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = ad.sigmoid(Tensor(x)).data
+    want = expit(x)
+    assert got.dtype == want.dtype == dtype
+    # both in [0, 1], where the bit patterns order like the values
+    ulps = np.abs(_bits(got).astype(np.int64) - _bits(want).astype(np.int64))
+    assert ulps.max() <= 4
+    np.testing.assert_array_equal(got == 0, want == 0)
+    np.testing.assert_array_equal(got == 1, want == 1)
+    assert (want == 1).any() and (dtype == np.float64 or (want == 0).any())
+
+
+def _special_values(rng, dtype):
+    """Random values plus +-0, +-inf, NaN and subnormals, in one array."""
+    x = rng.standard_normal(64).astype(dtype)
+    tiny = np.finfo(dtype).smallest_subnormal
+    x[:8] = [0.0, -0.0, np.inf, -np.inf, np.nan, tiny, -tiny, -3 * tiny]
+    return x
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("alpha", [0.2, 1.0, 0.01, 1e-30])
+def test_leaky_relu_bit_equal_to_where_formulas(rng, dtype, alpha):
+    x = _special_values(rng, dtype)
+    g = _special_values(rng, dtype)[::-1].copy()
+    t = Tensor(x, requires_grad=True)
+    y = ad.leaky_relu(t, alpha)
+    np.testing.assert_array_equal(
+        _bits(y.data), _bits(np.where(x > 0, x, alpha * x)))
+    y._back(g)
+    np.testing.assert_array_equal(
+        _bits(t.grad), _bits(g * np.where(x > 0, 1.0, alpha).astype(dtype)))
+
+
+def test_leaky_relu_rejects_alpha_outside_unit_interval():
+    for alpha in (0.0, -0.1, 1.5, float("nan")):
+        with pytest.raises(ValueError):
+            ad.leaky_relu(Tensor(np.ones(3)), alpha)
+
+
+@pytest.mark.parametrize("dtype, rel", [(np.float64, 1e-12),
+                                        (np.float32, 1e-5)])
+@pytest.mark.parametrize("n, c, h, w, o", [(2, 1, 3, 4, 5), (3, 4, 2, 5, 1),
+                                           (5, 3, 1, 1, 4), (1, 1, 1, 1, 1),
+                                           (4, 6, 2, 3, 2)])
+def test_channel_mix_matches_einsum(rng, dtype, rel, n, c, h, w, o):
+    x = rng.standard_normal((n, c, h, w))
+    wt = rng.standard_normal((o, c))
+    b = rng.standard_normal(o)
+    g = rng.standard_normal((n, o, h, w))
+    tx, tw, tb = (Tensor(a.astype(dtype), requires_grad=True)
+                  for a in (x, wt, b))
+    out = ad.channel_mix(tx, tw, tb)
+    out._back(g.astype(dtype))
+    want = {"out": np.einsum("nchw,oc->nohw", x, wt) + b[None, :, None, None],
+            "x": np.einsum("nohw,oc->nchw", g, wt),
+            "w": np.einsum("nohw,nchw->oc", g, x),
+            "b": np.einsum("nohw->o", g)}
+    got = {"out": out.data, "x": tx.grad, "w": tw.grad, "b": tb.grad}
+    for key in want:
+        assert got[key].shape == want[key].shape and got[key].dtype == dtype
+        _assert_close_relative(got[key], want[key], rel)
+
+
 def test_shape_mismatch_reports_both_shapes():
     with pytest.raises(ad.ShapeMismatch) as e:
         ad.add(Tensor(np.zeros((2, 3))), Tensor(np.zeros((3, 2))))
@@ -216,6 +296,20 @@ def test_grad_accumulates_over_shared_subexpression():
     ad.backward(loss)
     # d/dx (x^2+3x)^2 / 1 = 2*(x^2+3x)*(2x+3) = 2*10*7
     assert x.grad[0] == pytest.approx(140.0)
+
+
+@pytest.mark.parametrize("c_first", [True, False])
+def test_gradient_handed_to_two_inputs_is_not_shared(rng, c_first):
+    # add() hands one gradient to a and b; if both kept that array, the
+    # later 2a term would leak into b's gradient
+    a = Tensor(rng.standard_normal((2, 3)), requires_grad=True)
+    b = Tensor(rng.standard_normal((2, 3)), requires_grad=True)
+    c, m = ad.add(a, b), ad.mul(a, 2.0)
+    e = ad.add(c, m) if c_first else ad.add(m, c)     # 3a + b
+    ad.backward(ad.mse_loss(e, Tensor(np.zeros((2, 3)))))
+    g_e = 2 * (3 * a.data + b.data) / 6
+    np.testing.assert_allclose(a.grad, 3 * g_e, rtol=1e-12)
+    np.testing.assert_allclose(b.grad, g_e, rtol=1e-12)
 
 
 def test_sum_of_losses_backward_linearity(rng):

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+import evanom.autodiff as ad
+from evanom import gan as gan_mod
 from evanom import io
 from evanom.autodiff import ShapeMismatch, Tensor
 from evanom.gan import (DivergenceDetected, GanBatch, GanHyper, GanParams,
@@ -27,6 +29,11 @@ def tiny_batch(rng, n=2, h=8, w=8):
         y=rng.random((n, 1, h, w)).astype(np.float32),
         x=np.tanh(rng.standard_normal((n, 1, h, w))).astype(np.float32),
         z=rng.standard_normal((n, 1, h, w)).astype(np.float32))
+
+
+def generated(params, batch):
+    """The generator's frames for a batch, as train_gan feeds both losses."""
+    return g_forward_t(params, Tensor(batch.y), Tensor(batch.z))
 
 
 def test_init_rejects_bad_geometry(rng):
@@ -81,7 +88,8 @@ def test_d_loss_is_2log2_at_indifference(rng):
     params = tiny_params(rng)
     for p in params.parameters("dxy.") + params.parameters("dx."):
         p.data[...] = 0.0
-    l_dxy, l_dx = d_losses(params, tiny_batch(rng))
+    batch = tiny_batch(rng)
+    l_dxy, l_dx = d_losses(params, batch, generated(params, batch))
     assert l_dxy.item() == pytest.approx(2 * LOG2, abs=1e-6)
     assert l_dx.item() == pytest.approx(2 * LOG2, abs=1e-6)
 
@@ -90,22 +98,23 @@ def test_g_loss_decreases_when_discriminator_fooled(rng):
     # raising the fc bias raises D(fake) and must lower the generator loss
     params = tiny_params(rng)
     batch = tiny_batch(rng)
-    base = g_loss(params, batch).item()
+    base = g_loss(params, batch, generated(params, batch)).item()
     params["dxy.fc.b"].data[...] = 5.0
     params["dx.fc.b"].data[...] = 5.0
-    assert g_loss(params, batch).item() < base
+    assert g_loss(params, batch, generated(params, batch)).item() < base
 
 
 def test_g_loss_lambda_l1(rng):
     params = tiny_params(rng)
     batch = tiny_batch(rng)
-    plain = g_loss(params, batch, lambda_l1=0.0).item()
-    with_l1 = g_loss(params, batch, lambda_l1=10.0).item()
+    x_fake = generated(params, batch)
+    plain = g_loss(params, batch, x_fake, lambda_l1=0.0).item()
+    with_l1 = g_loss(params, batch, x_fake, lambda_l1=10.0).item()
     fake = g_forward(params, batch.y, batch.z)
     l1 = np.mean(np.abs(fake - batch.x))
     assert with_l1 == pytest.approx(plain + 10.0 * l1, rel=1e-5)
     with pytest.raises(ValueError):
-        g_loss(params, batch, lambda_l1=-1.0)
+        g_loss(params, batch, x_fake, lambda_l1=-1.0)
 
 
 def _float64(params):
@@ -118,7 +127,6 @@ def _check_param_grads(loss_fn, params, plist, rng, h=1e-5, rel=1e-4):
     loss = loss_fn()
     for p in plist:
         p.zero_grad()
-    import evanom.autodiff as ad
     ad.backward(loss, plist)
     for p in plist:
         flat = p.data.reshape(-1)
@@ -141,9 +149,11 @@ def test_d_loss_gradients_match_finite_differences(rng):
     batch = tiny_batch(rng)
     batch.y, batch.x, batch.z = (a.astype(np.float64)
                                  for a in (batch.y, batch.x, batch.z))
-    _check_param_grads(lambda: d_losses(params, batch)[0],
+    def losses():
+        return d_losses(params, batch, generated(params, batch))
+    _check_param_grads(lambda: losses()[0],
                        params, params.parameters("dxy."), rng)
-    _check_param_grads(lambda: d_losses(params, batch)[1],
+    _check_param_grads(lambda: losses()[1],
                        params, params.parameters("dx."), rng)
 
 
@@ -152,15 +162,16 @@ def test_g_loss_gradients_match_finite_differences(rng):
     batch = tiny_batch(rng)
     batch.y, batch.x, batch.z = (a.astype(np.float64)
                                  for a in (batch.y, batch.x, batch.z))
-    _check_param_grads(lambda: g_loss(params, batch, lambda_l1=1.0),
+    _check_param_grads(lambda: g_loss(params, batch, generated(params, batch),
+                                      lambda_l1=1.0),
                        params, params.parameters("g."), rng)
 
 
 def test_g_loss_computes_no_discriminator_grads(rng):
     # D is held fixed in the G step: only G's parameters get gradients
-    import evanom.autodiff as ad
     params = tiny_params(rng)
-    ad.backward(g_loss(params, tiny_batch(rng), lambda_l1=1.0),
+    batch = tiny_batch(rng)
+    ad.backward(g_loss(params, batch, generated(params, batch), lambda_l1=1.0),
                 params.parameters("g."))
     for p in params.parameters("g."):
         assert p.grad.any()
@@ -170,9 +181,9 @@ def test_g_loss_computes_no_discriminator_grads(rng):
 
 def test_d_loss_does_not_reach_generator(rng):
     # fakes are detached: discriminator training must leave G untouched
-    import evanom.autodiff as ad
     params = tiny_params(rng)
-    l_dxy, l_dx = d_losses(params, tiny_batch(rng))
+    batch = tiny_batch(rng)
+    l_dxy, l_dx = d_losses(params, batch, generated(params, batch))
     for p in params.parameters():
         p.zero_grad()
     with pytest.warns(UserWarning):
@@ -248,6 +259,58 @@ def test_train_gan_smoke_and_determinism(trained_setup):
     assert set(curves) == {"d_xy", "d_x", "g"}
     assert all(len(c) == 2 and np.isfinite(c).all()
                for c in curves.values())
+
+
+def _reference_train_gan(windows, ms_params, hyper, seed):
+    """train_gan's update sequence with the generator run twice per batch:
+    once for the D losses and again for the G loss, after the D steps."""
+    surfaces, targets = prepare_batches(windows, ms_params, hyper.cap)
+    n, _, h, w = surfaces.shape
+    rng = np.random.default_rng(seed)
+    params = GanParams.init(h, w, hyper, rng)
+    opts = {prefix: ad.AdamState(lr=hyper.lr, beta1=hyper.beta1)
+            for prefix in ("g.", "dxy.", "dx.")}
+
+    def step(loss, prefix):
+        plist = params.parameters(prefix)
+        for p in plist:
+            p.zero_grad()
+        ad.backward(loss, plist)
+        ad.adam_step(plist, opts[prefix])
+
+    for _ in range(hyper.epochs):
+        order = rng.permutation(n)
+        for start in range(0, n, hyper.batch):
+            idx = order[start:start + hyper.batch]
+            batch = GanBatch(
+                y=surfaces[idx], x=targets[idx],
+                z=rng.standard_normal((len(idx), 1, h, w)).astype(np.float32))
+            l_dxy, l_dx = d_losses(params, batch, generated(params, batch))
+            step(l_dxy, "dxy.")
+            step(l_dx, "dx.")
+            step(g_loss(params, batch, generated(params, batch),
+                        hyper.lambda_l1), "g.")
+    return params
+
+
+@pytest.mark.parametrize("lambda_l1", [0.0, 0.5])
+def test_train_gan_runs_generator_once_per_batch(trained_setup, monkeypatch,
+                                                 lambda_l1):
+    # The D steps leave G's arrays alone, so one G forward per batch must
+    # give the same checkpoint bytes as a fresh forward for each loss.
+    windows, ms_params = trained_setup
+    hyper = GanHyper(ngf=4, ndf=4, epochs=2, batch=8, lambda_l1=lambda_l1)
+    want = io.write_evck(
+        _reference_train_gan(windows, ms_params, hyper, seed=5).to_arrays())
+    calls = []
+
+    def counted(*args):
+        calls.append(1)
+        return g_forward_t(*args)
+    monkeypatch.setattr(gan_mod, "g_forward_t", counted)
+    params, _ = train_gan(windows, ms_params, hyper, seed=5)
+    assert io.write_evck(params.to_arrays()) == want
+    assert len(calls) == hyper.epochs * -(-len(windows) // hyper.batch)
 
 
 def test_train_gan_rejects_empty(trained_setup):

@@ -3,7 +3,7 @@ import pytest
 
 from evanom import io
 from evanom.cli import cli_main
-from evanom.gan import GanHyper, train_gan
+from evanom.gan import GanHyper, GanParams, train_gan
 from evanom.msnet import MsHyper, MsNetParams, train_ms
 from evanom.pipeline import (EmptySeries, EvalMetrics, PipelineConfig,
                              ScoreSeries, SingleClass, evaluate, plot_scores,
@@ -145,6 +145,43 @@ def test_pipeline_config_round_trip():
         PipelineConfig.from_text("unknown_key=3\n")
 
 
+# One case per rule: (key, a value the rule rejects, the boundary it allows).
+CONFIG_RULES = {
+    "at least 1": [(k, 0, 1) for k in (
+        "bins", "bin_dt_us", "stride", "ms_filters", "ms_batch", "gan_ngf",
+        "gan_ndf", "gan_batch")],
+    "a known mode": [("mode", "zzz", "count")],
+    "positive": [(k, v, 1e-9) for k in ("cap", "ms_lr", "gan_lr")
+                 for v in (0.0, -1.0, float("nan"))],
+    "non-negative": [(k, -1, 0) for k in (
+        "ms_epochs", "gan_epochs", "noise_samples", "ms_lambda_sparse",
+        "gan_lambda_l1")],
+    "beta1 in [0, 1)": [("gan_beta1", v, 0.0) for v in (1.0, -0.1, 1.5)],
+}
+
+
+@pytest.mark.parametrize("rule", sorted(CONFIG_RULES))
+def test_pipeline_config_rejects_bad_values(rule):
+    from dataclasses import replace
+    for key, bad, ok in CONFIG_RULES[rule]:
+        for make in (lambda v: PipelineConfig(**{key: v}),
+                     lambda v: replace(PipelineConfig(), **{key: v}),
+                     lambda v: PipelineConfig.from_text(f"{key}={v}\n")):
+            with pytest.raises(ValueError, match=key):
+                make(bad)
+            assert getattr(make(ok), key) == ok
+
+
+def test_cli_config_with_zero_bins(tmp_path, capsys):
+    ev, cfg = tmp_path / "events.csv", tmp_path / "pipe.cfg"
+    ev.write_text("t_us,x,y,p\n0,0,0,1\n")
+    cfg.write_text("bins=0\n")
+    assert cli_main(["train-ms", "--events", str(ev), "--width", "8",
+                     "--height", "8", "--config", str(cfg),
+                     "--out", str(tmp_path / "ms.evck")]) == 1
+    assert "bins" in capsys.readouterr().err
+
+
 # --------------------------------------------------------------------- plots
 
 def test_plot_structure_and_determinism(rng):
@@ -272,6 +309,24 @@ def test_cli_score_rejects_ms_checkpoint_as_gan(tmp_path, capsys):
                      "--height", "8", "--ms-ckpt", str(ms), "--gan-ckpt",
                      str(ms), "--out", str(tmp_path / "scores.csv")]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_cli_score_rejects_bad_label_file(tmp_path, capsys):
+    ev, ms, gp = (tmp_path / n for n in ("events.csv", "ms.evck", "gan.evck"))
+    ev.write_text("t_us,x,y,p\n0,0,0,1\n")
+    rng = np.random.default_rng(0)
+    ms.write_bytes(io.write_evck(MsNetParams.init(8, 4, rng).to_arrays()))
+    gp.write_bytes(io.write_evck(
+        GanParams.init(8, 8, GanHyper(ngf=2, ndf=2), rng).to_arrays()))
+    labels = tmp_path / "labels.csv"
+    for bad in ("0,300,anomoly", "200,100,anomaly",
+                "0,300,normal\n200,400,anomaly"):
+        labels.write_text(f"t0_us,t1_us,label\n{bad}\n")
+        assert cli_main(["score", "--events", str(ev), "--width", "8",
+                         "--height", "8", "--ms-ckpt", str(ms), "--gan-ckpt",
+                         str(gp), "--labels", str(labels),
+                         "--out", str(tmp_path / "scores.csv")]) == 1
+        assert "line" in capsys.readouterr().err
 
 
 def test_cli_verify_math(capsys):

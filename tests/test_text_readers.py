@@ -82,6 +82,30 @@ def test_mutated_text_parses_or_is_a_domain_error(text, read, data):
     _parses_or_domain_error(read, _mutate(data, text))
 
 
+@pytest.mark.parametrize("rows, line, match", [
+    ("0,300,anomoly", 2, "label 'anomoly'"),
+    ("0,300,normal\n300,400,Anomaly", 3, "label 'Anomaly'"),
+    ("0,300,", 2, "label ''"),
+    ("0,300", 2, "expected 3"),
+    ("0,300,normal\nx,400,anomaly", 3, "invalid literal"),
+    ("200,100,anomaly", 2, "end 100"),
+    ("0,300,normal\n300,300,anomaly", 3, "end 300"),
+    ("300,400,anomaly\n0,300,normal", 3, "before the previous"),
+    ("0,300,normal\n200,400,anomaly", 3, "before the previous"),
+])
+def test_label_csv_rejects_bad_rows(rows, line, match):
+    text = f"t0_us,t1_us,label\n{rows}\n"
+    with pytest.raises(ValueError, match=f"line {line}: .*{match}"):
+        read_label_csv(text)
+
+
+def test_label_csv_accepts_touching_and_gapped_intervals():
+    track = read_label_csv("t0_us,t1_us,label\n0,300,normal\n"
+                           "300,400,anomaly\n500,600,anomaly\n")
+    assert track.intervals == ((0, 300, "normal"), (300, 400, "anomaly"),
+                               (500, 600, "anomaly"))
+
+
 def test_scene_config_missing_object_key_is_a_config_error():
     text = "".join(ln + "\n" for ln in SCENE.splitlines()
                    if not ln.startswith("object.1.start="))

@@ -340,7 +340,8 @@ def bce_with_logits(logits: Tensor, targets: Tensor) -> Tensor:
     _check_same_shape("bce_with_logits", logits.data, targets.data)
     l, t = logits.data, targets.data
     n = l.size
-    val = np.mean(np.logaddexp(0.0, l) - t * l)
+    with np.errstate(invalid="ignore"):  # NaN logits give a NaN loss
+        val = np.mean(np.logaddexp(0.0, l) - t * l)
 
     def back(g):
         _acc(logits, g * (expit(l) - t) / n)
@@ -412,11 +413,12 @@ class AdamState:
 
 
 def adam_step(params: list[Tensor], state: AdamState):
-    """Standard Adam update with bias correction, in place on params."""
+    """Standard Adam update with bias correction, in place on params.
+    Every param needs a `.grad`; `backward(loss, params)` gives each one."""
     state.step += 1
     t = state.step
     for i, p in enumerate(params):
-        g = p.grad if p.grad is not None else np.zeros_like(p.data)
+        g = p.grad
         if i not in state.m:
             state.m[i] = np.zeros_like(p.data)
             state.v[i] = np.zeros_like(p.data)
@@ -429,14 +431,6 @@ def adam_step(params: list[Tensor], state: AdamState):
         vhat = state.v[i] / (1 - state.beta2 ** t)
         p.data = p.data - (state.lr * mhat /
                            (np.sqrt(vhat) + state.eps)).astype(p.data.dtype)
-
-
-def uniform_init(rng: np.random.Generator, shape, fan_in: int,
-                 dtype=np.float32) -> Tensor:
-    """uniform(-1/sqrt(fan_in), +1/sqrt(fan_in)) parameter tensor."""
-    bound = 1.0 / np.sqrt(fan_in)
-    return Tensor(rng.uniform(-bound, bound, size=shape).astype(dtype),
-                  requires_grad=True)
 
 
 class WrongParamNames(ValueError):
@@ -456,10 +450,14 @@ class Params(dict):
     @classmethod
     def init_layers(cls, rng: np.random.Generator, layers, dtype=np.float32):
         """layers: (name, weight shape, fan_in, bias length), in NAMES order.
-        Weights draw from `rng` in that order; biases start at zero."""
+        Weights draw uniform(-1/sqrt(fan_in), 1/sqrt(fan_in)) from `rng` in
+        that order; biases start at zero."""
         p = cls()
         for name, shape, fan_in, n_out in layers:
-            p[f"{name}.w"] = uniform_init(rng, shape, fan_in, dtype)
+            bound = 1.0 / np.sqrt(fan_in)
+            p[f"{name}.w"] = Tensor(
+                rng.uniform(-bound, bound, size=shape).astype(dtype),
+                requires_grad=True)
             p[f"{name}.b"] = Tensor(np.zeros(n_out, dtype=dtype),
                                     requires_grad=True)
         return p

@@ -6,6 +6,7 @@ Exit codes: 0 success, 1 domain error (bad data, shape mismatch, ...),
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 from pathlib import Path
 
@@ -33,9 +34,7 @@ def _load_cfg(path: str | None) -> pipeline.PipelineConfig:
 def cmd_simulate(args) -> int:
     cfg = simulate.parse_scene_config(Path(args.config).read_text())
     if args.seed is not None:
-        cfg = simulate.SceneConfig(cfg.width, cfg.height, cfg.duration,
-                                   cfg.micro_step, cfg.objects,
-                                   seed=args.seed, noise_rate=cfg.noise_rate)
+        cfg = dataclasses.replace(cfg, seed=args.seed)
     stream, track = simulate.render_scene(cfg)
     Path(args.out_events).write_text(events.write_event_csv(stream))
     Path(args.out_labels).write_text(pipeline.write_label_csv(track))

@@ -154,37 +154,18 @@ def _parse_canonical(body: str, width: int, height: int) -> EventStream | None:
     return EventStream.from_arrays(width, height, x, y, t, p)
 
 
-def _parse_rows(body: str, width: int, height: int, lenient: bool):
+def _parse_rows(body: str, width: int, height: int) -> EventStream:
     lines = body.split("\n")
     if lines[-1] == "":
         lines.pop()
     ts, xs, ys, ps = [], [], [], []
-    issues: list[EventError] = []
     for i, line in enumerate(lines, start=2):
-        try:
-            t, x, y, p = _parse_row(line.strip(), i, width, height)
-        except EventError as err:
-            if not lenient:
-                raise
-            issues.append(err)
-            continue
+        t, x, y, p = _parse_row(line.strip(), i, width, height)
         ts.append(t)
         xs.append(x)
         ys.append(y)
         ps.append(p)
-    stream = EventStream.from_arrays(width, height, xs, ys, ts, ps)
-    return stream, issues
-
-
-def _parse(text: str, width: int, height: int, lenient: bool):
-    header, _, body = text.partition("\n")
-    if header.strip() != HEADER:
-        raise MalformedRow(1, f"missing header {HEADER!r}")
-    if not lenient:
-        stream = _parse_canonical(body, width, height)
-        if stream is not None:
-            return stream, []
-    return _parse_rows(body, width, height, lenient)
+    return EventStream.from_arrays(width, height, xs, ys, ts, ps)
 
 
 def parse_event_csv(text: str, width: int, height: int) -> EventStream:
@@ -196,17 +177,13 @@ def parse_event_csv(text: str, width: int, height: int) -> EventStream:
     Rows out of time order are stably sorted; already-sorted input keeps
     its row order, including ties.
     """
-    stream, _ = _parse(text, width, height, lenient=False)
+    header, _, body = text.partition("\n")
+    if header.strip() != HEADER:
+        raise MalformedRow(1, f"missing header {HEADER!r}")
+    stream = _parse_canonical(body, width, height)
+    if stream is None:
+        stream = _parse_rows(body, width, height)
     return stream
-
-
-def parse_event_csv_lenient(text: str, width: int, height: int):
-    """Like parse_event_csv but skips bad rows, returning (stream, issues).
-
-    Every input row is accounted for: len(stream) + len(issues) equals the
-    number of data rows.
-    """
-    return _parse(text, width, height, lenient=True)
 
 
 def write_event_csv(stream: EventStream) -> str:

@@ -105,15 +105,10 @@ def d_forward_t(p: GanParams, part: str, x: Tensor) -> Tensor:
 
 
 def g_forward(params: GanParams, y: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """Predict next frames from surfaces y and noise z; output in (-1,1).
-
-    y, z: (H,W) or (N,1,H,W); returns matching shape with one channel.
-    """
-    single = np.asarray(y).ndim == 2
-    yb = np.asarray(y, dtype=np.float32).reshape(-1, 1, *np.asarray(y).shape[-2:])
-    zb = np.asarray(z, dtype=np.float32).reshape(yb.shape)
-    out = g_forward_t(params, Tensor(yb), Tensor(zb)).data
-    return out[0, 0] if single else out
+    """Predict next frames (N,1,H,W) in (-1,1) from surfaces y and noise z,
+    both (N,1,H,W)."""
+    return g_forward_t(params, Tensor(y, dtype=np.float32),
+                       Tensor(z, dtype=np.float32)).data
 
 
 def _ones_like(t: Tensor) -> Tensor:
@@ -160,20 +155,6 @@ def g_loss(params: GanParams, batch: GanBatch, x_fake: Tensor,
         resid = ad.add(x_fake, Tensor(-batch.x))
         loss = ad.add(loss, ad.mul(ad.l1_norm(resid), lambda_l1))
     return loss
-
-
-def minimax_value(logits_dd, logits_gd, logits_dx, logits_gx) -> float:
-    """Four-term adversarial objective evaluated from logit samples via the
-    same stable BCE path the training losses use (sample means, so exact
-    probability-weighted multisets give exact expectations)."""
-
-    def term(logits, target):
-        t = Tensor(np.asarray(logits, dtype=np.float64))
-        fill = np.ones_like(t.data) if target else np.zeros_like(t.data)
-        return ad.bce_with_logits(t, Tensor(fill)).item()
-
-    return -(term(logits_dd, 1) + term(logits_gd, 0)
-             + term(logits_dx, 1) + term(logits_gx, 0))
 
 
 def prepare_batches(windows, ms_params: MsNetParams, cap: float):

@@ -21,7 +21,6 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .representation import DiscretizedVolume
 
 
 class EmptyDataset(ValueError):
@@ -57,13 +56,6 @@ class MsNetParams(ad.Params):
         return self["ms.enc1.w"].shape[1]
 
 
-def _as_batch(vol) -> np.ndarray:
-    if isinstance(vol, DiscretizedVolume):
-        return vol.data[None]
-    a = np.asarray(vol)
-    return a if a.ndim == 4 else a[None]
-
-
 def _pixel_rows(batch: np.ndarray):
     """(N,B,H,W) -> ((N,H,W) mask of pixels with any non-zero bin, their
     B-vectors as an (R,B,1,1) array in mask order)."""
@@ -87,46 +79,26 @@ def decode_t(params: MsNetParams, ms: Tensor) -> Tensor:
     return _mix(params, "dec2", ad.sigmoid(_mix(params, "dec1", ms)))
 
 
-def encode(params: MsNetParams, vol) -> np.ndarray:
-    """Normalized volume(s) -> memory surface(s), entries in (0,1).
-
-    Accepts a DiscretizedVolume or an (N,B,H,W) array; returns (H,W) for
-    a single volume, (N,H,W) for a batch.
-    """
-    batch = _as_batch(vol)
+def _check_bins(params: MsNetParams, batch: np.ndarray):
     if batch.shape[1] != params.bins:
         raise ad.ShapeMismatch(
             f"volume has {batch.shape[1]} bins, net expects {params.bins}")
+
+
+def encode(params: MsNetParams, batch: np.ndarray) -> np.ndarray:
+    """(N,B,H,W) normalized volumes -> (N,H,W) memory surfaces in (0,1)."""
+    _check_bins(params, batch)
     mask, rows = _pixel_rows(batch)
     zero = encode_t(params, Tensor(_zero_row(batch))).data.reshape(())
     out = np.full(mask.shape, zero, dtype=zero.dtype)
     out[mask] = encode_t(params, Tensor(rows)).data.reshape(-1)
-    return out[0] if (isinstance(vol, DiscretizedVolume)
-                      or np.asarray(vol).ndim == 3) else out
+    return out
 
 
-def reconstruct(params: MsNetParams, vol) -> np.ndarray:
-    """decode(encode(vol)); deterministic, same shape as the input data."""
-    batch = _as_batch(vol)
-    if batch.shape[1] != params.bins:
-        raise ad.ShapeMismatch(
-            f"volume has {batch.shape[1]} bins, net expects {params.bins}")
-    out = decode_t(params, encode_t(params, Tensor(batch))).data
-    return out[0] if (isinstance(vol, DiscretizedVolume)
-                      or np.asarray(vol).ndim == 3) else out
-
-
-def ms_loss(vol: np.ndarray, vol_hat: np.ndarray, ms: np.ndarray,
-            lambda_sparse: float) -> float:
-    """mean||vol - vol_hat||^2 + lambda * mean|ms|."""
-    if lambda_sparse < 0:
-        raise ValueError("lambda_sparse must be >= 0")
-    vol = np.asarray(vol, dtype=np.float64)
-    vol_hat = np.asarray(vol_hat, dtype=np.float64)
-    if vol.shape != vol_hat.shape:
-        raise ad.ShapeMismatch(f"{vol.shape} vs {vol_hat.shape}")
-    return float(np.mean((vol - vol_hat) ** 2)
-                 + lambda_sparse * np.mean(np.abs(ms)))
+def reconstruct(params: MsNetParams, batch: np.ndarray) -> np.ndarray:
+    """decode(encode(batch)) on (N,B,H,W) volumes; same shape as batch."""
+    _check_bins(params, batch)
+    return decode_t(params, encode_t(params, Tensor(batch))).data
 
 
 def _loss_t(params: MsNetParams, batch: np.ndarray,
@@ -158,8 +130,6 @@ def train_ms(dataset, hyper: MsHyper, seed: int = 0,
     order are all driven by one seeded RNG.
     """
     data = np.asarray(dataset, dtype=np.float32)
-    if data.ndim == 3:
-        data = data[None]
     if data.ndim != 4 or data.shape[0] == 0:
         raise EmptyDataset(f"need a non-empty (N,B,H,W) dataset, got {data.shape}")
     rng = np.random.default_rng(seed)

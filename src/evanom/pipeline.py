@@ -13,7 +13,7 @@ import numpy as np
 
 from . import gan as gan_mod
 from .events import EventStream
-from .msnet import MsNetParams
+from .msnet import MsHyper, MsNetParams
 from .representation import MODES, sliding_windows
 from .simulate import LabelTrack, label_frames
 
@@ -70,7 +70,6 @@ class PipelineConfig:
                         f"config {key}={getattr(self, key)!r}: must be {rule}")
 
     def ms_hyper(self):
-        from .msnet import MsHyper
         return MsHyper(filters=self.ms_filters, epochs=self.ms_epochs,
                        lr=self.ms_lr, lambda_sparse=self.ms_lambda_sparse,
                        batch=self.ms_batch)
@@ -133,7 +132,6 @@ class EvalMetrics:
     auc: float
     best_f1: float
     threshold: float
-    curve: list  # (threshold, fpr, tpr, f1) per distinct score
 
 
 def windows_for(stream: EventStream, cfg: PipelineConfig):
@@ -181,7 +179,8 @@ def score_sequence(ms_params: MsNetParams, gan_params: gan_mod.GanParams,
 
 def evaluate(series: ScoreSeries) -> EvalMetrics:
     """ROC over every distinct score threshold (anomaly = score >= t),
-    trapezoidal AUC, and the best F1 along the sweep."""
+    trapezoidal AUC, and the best F1 along the sweep (on a tie, the
+    highest threshold)."""
     if series.labels is None:
         raise SingleClass("series has no labels")
     y = series.labels.astype(bool)
@@ -200,18 +199,14 @@ def evaluate(series: ScoreSeries) -> EvalMetrics:
     tpr = np.concatenate([[0.0], tp / pos])
     fpr = np.concatenate([[0.0], fp / neg])
     auc = float(np.trapezoid(tpr, fpr))
-    curve = []
-    best_f1, best_thr = 0.0, float(sorted_scores[0])
-    for i, cut in enumerate(cuts):
-        thr = float(sorted_scores[cut])
-        prec = tp[i] / (tp[i] + fp[i])
-        rec = tp[i] / pos
-        f1 = 0.0 if prec + rec == 0 else 2 * prec * rec / (prec + rec)
-        curve.append((thr, fpr[i + 1], tpr[i + 1], f1))
-        if f1 > best_f1:
-            best_f1, best_thr = f1, thr
-    return EvalMetrics(auc=auc, best_f1=best_f1, threshold=best_thr,
-                       curve=curve)
+    prec = tp / (tp + fp)
+    rec = tp / pos
+    denom = prec + rec
+    f1 = np.divide(2 * prec * rec, denom, out=np.zeros_like(denom),
+                   where=denom != 0)
+    best = int(np.argmax(f1))
+    return EvalMetrics(auc=auc, best_f1=float(f1[best]),
+                       threshold=float(sorted_scores[cuts[best]]))
 
 
 def write_score_csv(series: ScoreSeries) -> str:
@@ -222,22 +217,38 @@ def write_score_csv(series: ScoreSeries) -> str:
     return "\n".join(rows) + "\n"
 
 
-def read_score_csv(text: str) -> ScoreSeries:
+def _csv_rows(text: str, header: str, kind: str):
+    """Yield (line number, fields) for each non-blank row after `header`,
+    which must be the first non-blank line; a row with another number of
+    fields than the header is a ValueError naming its line."""
     lines = [(no, ln) for no, ln in enumerate(text.splitlines(), start=1)
              if ln.strip()]
-    if not lines or lines[0][1] != "frame,t0_us,mse,label":
-        raise ValueError("missing score CSV header")
-    if len(lines) == 1:
-        raise EmptySeries("score CSV has no frames")
-    t0s, scores, labels = [], [], []
+    if not lines or lines[0][1] != header:
+        raise ValueError(f"missing {kind} CSV header")
+    n = header.count(",") + 1
     for lineno, ln in lines[1:]:
-        _, t0, mse, lab = ln.split(",")
-        t0s.append(int(t0))
-        scores.append(float(mse))
-        label = int(lab) if lab else None
+        fields = ln.split(",")
+        if len(fields) != n:
+            raise ValueError(
+                f"line {lineno}: expected {n} fields, got {len(fields)}")
+        yield lineno, fields
+
+
+def read_score_csv(text: str) -> ScoreSeries:
+    t0s, scores, labels = [], [], []
+    for lineno, (_, t0, mse, lab) in _csv_rows(
+            text, "frame,t0_us,mse,label", "score"):
+        try:
+            t0s.append(int(t0))
+            scores.append(float(mse))
+            label = int(lab) if lab else None
+        except ValueError as e:
+            raise ValueError(f"line {lineno}: {e}") from None
         if label not in (None, 0, 1):
             raise ValueError(f"line {lineno}: label {lab!r} is not 0 or 1")
         labels.append(label)
+    if not t0s:
+        raise EmptySeries("score CSV has no frames")
     frame_dt = t0s[1] - t0s[0] if len(t0s) > 1 else 1
     labs = None if any(l is None for l in labels) else np.array(labels)
     return ScoreSeries(t0s[0], frame_dt, np.array(scores), labs)
@@ -308,14 +319,9 @@ def read_label_csv(text: str) -> LabelTrack:
     """Sorted, non-overlapping (t0, t1, label) rows with t0 < t1 and a
     label of normal or anomaly; any other row is a ValueError naming its
     line."""
-    lines = [(no, ln) for no, ln in enumerate(text.splitlines(), start=1)
-             if ln.strip()]
-    if not lines or lines[0][1] != "t0_us,t1_us,label":
-        raise ValueError("missing label CSV header")
     intervals = []
-    for lineno, ln in lines[1:]:
+    for lineno, (a, b, lab) in _csv_rows(text, "t0_us,t1_us,label", "label"):
         try:
-            a, b, lab = ln.split(",")
             a, b = int(a), int(b)
         except ValueError as e:
             raise ValueError(f"line {lineno}: {e}") from None

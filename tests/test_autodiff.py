@@ -262,6 +262,14 @@ def test_bce_with_logits_half():
         pytest.approx(np.log(2))
 
 
+def test_bce_with_logits_nan_logits_give_nan_without_warning():
+    logits = Tensor(np.array([0.5, np.nan, -2.0], dtype=np.float32))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        loss = ad.bce_with_logits(logits, Tensor(np.ones(3, np.float32)))
+    assert np.isnan(loss.item())
+
+
 def test_backward_simple_cases():
     w = Tensor(np.array([3.0]), requires_grad=True)
     loss = ad.mse_loss(w, Tensor(np.zeros(1)))
@@ -370,7 +378,7 @@ def test_no_grad_cases_cover_every_op():
     public = {name for name, f in vars(ad).items()
               if callable(f) and getattr(f, "__module__", "") == ad.__name__
               and not name.startswith("_") and name[0].islower()}
-    assert public - {"backward", "adam_step", "uniform_init"} == \
+    assert public - {"backward", "adam_step"} == \
         set(NO_GRAD_CASES)
 
 

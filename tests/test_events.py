@@ -8,8 +8,7 @@ from hypothesis import strategies as st
 from evanom import events
 from evanom.events import (BadPolarity, EventStream, InvalidRange,
                            MalformedRow, OutOfBounds, parse_event_csv,
-                           parse_event_csv_lenient, slice_time,
-                           write_event_csv)
+                           slice_time, write_event_csv)
 from conftest import random_stream
 
 
@@ -56,9 +55,6 @@ def test_parse_timestamp_beyond_int64():
     with pytest.raises(MalformedRow, match="exceeds int64") as e:
         parse_event_csv(text, 8, 8)
     assert e.value.line_no == 3
-    stream, issues = parse_event_csv_lenient(text, 8, 8)
-    assert len(stream) == 1
-    assert [(type(i), i.line_no) for i in issues] == [(MalformedRow, 3)]
 
 
 def test_parse_largest_int64_timestamp():
@@ -69,13 +65,6 @@ def test_parse_largest_int64_timestamp():
 def test_parse_missing_header():
     with pytest.raises(MalformedRow):
         parse_event_csv("100,3,4,1\n", 8, 8)
-
-
-def test_lenient_accounts_for_every_row():
-    text = "t_us,x,y,p\n100,0,0,1\nbogus\n200,9,9,1\n300,1,1,-1\n"
-    stream, issues = parse_event_csv_lenient(text, 8, 8)
-    assert len(stream) + len(issues) == 4
-    assert [i.line_no for i in issues] == [3, 4]
 
 
 def test_write_single_event():

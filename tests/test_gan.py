@@ -7,7 +7,7 @@ from evanom import io
 from evanom.autodiff import ShapeMismatch, Tensor
 from evanom.gan import (DivergenceDetected, GanBatch, GanHyper, GanParams,
                         d_forward_t, d_losses, g_forward, g_forward_t, g_loss,
-                        minimax_value, prepare_batches, train_gan)
+                        prepare_batches, train_gan)
 from evanom.msnet import MsHyper, MsNetParams, train_ms
 from evanom.oracle import (LOG2, DiscreteJoint, dual_objective, optimal_d_x,
                            optimal_d_xy)
@@ -47,11 +47,6 @@ def test_generator_output_shape_and_range(rng):
     out = g_forward(params, batch.y, batch.z)
     assert out.shape == (3, 1, 8, 8)
     assert (np.abs(out) < 1.0).all()  # tanh output
-    # 2-d convenience form
-    single = g_forward(params, batch.y[0, 0], batch.z[0, 0])
-    assert single.shape == (8, 8)
-    # batch size changes float32 reduction order; agree to rounding only
-    np.testing.assert_allclose(single, out[0, 0], atol=1e-6)
 
 
 def test_forward_deterministic(rng):
@@ -203,6 +198,20 @@ def _multiset(values, weights, denom):
     counts = np.round(np.asarray(weights) * denom).astype(int)
     assert counts.sum() == denom
     return np.repeat(np.asarray(values, dtype=np.float64), counts)
+
+
+def minimax_value(logits_dd, logits_gd, logits_dx, logits_gx) -> float:
+    """Four-term adversarial objective evaluated from logit samples via the
+    same stable BCE path the training losses use (sample means, so exact
+    probability-weighted multisets give exact expectations)."""
+
+    def term(logits, target):
+        t = Tensor(np.asarray(logits, dtype=np.float64))
+        fill = np.ones_like(t.data) if target else np.zeros_like(t.data)
+        return ad.bce_with_logits(t, Tensor(fill)).item()
+
+    return -(term(logits_dd, 1) + term(logits_gd, 0)
+             + term(logits_dx, 1) + term(logits_gx, 0))
 
 
 def test_minimax_value_matches_oracle_objective():

@@ -5,7 +5,7 @@ from evanom import autodiff as ad
 from evanom import io, msnet
 from evanom.autodiff import ShapeMismatch, Tensor
 from evanom.msnet import (EmptyDataset, MsHyper, MsNetParams, encode,
-                          encode_t, ms_loss, reconstruct, train_ms)
+                          encode_t, reconstruct, train_ms)
 
 
 @pytest.fixture
@@ -48,6 +48,20 @@ def test_reconstruct_is_decode_of_encode(params, rng):
     assert out.shape == vol.shape
     # composition: deterministic
     np.testing.assert_array_equal(out, reconstruct(params, vol))
+
+
+def ms_loss(vol: np.ndarray, vol_hat: np.ndarray, ms: np.ndarray,
+            lambda_sparse: float) -> float:
+    """Float64 reference of the training loss:
+    mean||vol - vol_hat||^2 + lambda * mean|ms|."""
+    if lambda_sparse < 0:
+        raise ValueError("lambda_sparse must be >= 0")
+    vol = np.asarray(vol, dtype=np.float64)
+    vol_hat = np.asarray(vol_hat, dtype=np.float64)
+    if vol.shape != vol_hat.shape:
+        raise ShapeMismatch(f"{vol.shape} vs {vol_hat.shape}")
+    return float(np.mean((vol - vol_hat) ** 2)
+                 + lambda_sparse * np.mean(np.abs(ms)))
 
 
 def test_ms_loss_cases(rng):

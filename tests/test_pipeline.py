@@ -84,6 +84,47 @@ def test_evaluate_matches_pair_count(rng):
                                      abs=1e-12)
 
 
+def _best_f1_loop(scores, labels):
+    """(best F1, its threshold) by a plain sweep over the distinct scores,
+    highest first (anomaly = score >= t); the first best wins."""
+    pos = sum(labels)
+    best_f1, best_thr = 0.0, max(scores)
+    for t in sorted(set(scores), reverse=True):
+        tp = float(sum(1 for s, lab in zip(scores, labels) if s >= t and lab))
+        fp = float(sum(1 for s, lab in zip(scores, labels)
+                       if s >= t and not lab))
+        prec = tp / (tp + fp)
+        rec = tp / pos
+        f1 = 0.0 if prec + rec == 0 else 2 * prec * rec / (prec + rec)
+        if f1 > best_f1:
+            best_f1, best_thr = f1, t
+    return best_f1, best_thr
+
+
+@pytest.mark.parametrize("kind", ["tied", "distinct", "single-positive"])
+def test_evaluate_best_f1_matches_loop_bit_for_bit(rng, kind):
+    for _ in range(5):
+        scores = rng.random(200)
+        labels = (rng.random(200) < 0.3).astype(int)
+        labels[:2] = [0, 1]
+        if kind == "tied":
+            scores = np.round(scores, 1)
+        elif kind == "single-positive":
+            labels[:] = 0
+            labels[rng.integers(0, 200)] = 1
+        m = evaluate(series(scores, labels))
+        want = _best_f1_loop(scores.tolist(), labels.tolist())
+        assert (m.best_f1, m.threshold) == want
+
+
+def test_evaluate_equal_best_f1_takes_highest_threshold():
+    # F1 is 2/3 at both t=0.9 (tp 1, fp 0) and t=0.6 (tp 2, fp 2)
+    scores, labels = [0.9, 0.8, 0.7, 0.6, 0.5], [1, 0, 0, 1, 0]
+    m = evaluate(series(scores, labels))
+    assert (m.best_f1, m.threshold) == _best_f1_loop(scores, labels)
+    assert m.threshold == 0.9
+
+
 def test_evaluate_requires_both_classes():
     with pytest.raises(SingleClass):
         evaluate(series([1.0, 2.0]))
@@ -120,6 +161,18 @@ def test_score_csv_without_labels(rng):
     assert back.labels is None
     with pytest.raises(ValueError):
         read_score_csv("bad header\n1,2,3,4\n")
+
+
+@pytest.mark.parametrize("row, match", [
+    ("1,200,0.25", "expected 4 fields, got 3"),
+    ("1,200,0.25,0,7", "expected 4 fields, got 5"),
+    ("1,abc,0.25,0", "invalid literal for int"),
+    ("1,200,abc,0", "could not convert string to float: 'abc'"),
+])
+def test_score_csv_bad_row_names_its_line(row, match):
+    text = f"frame,t0_us,mse,label\n0,100,0.5,0\n\n{row}\n"
+    with pytest.raises(ValueError, match=f"line 4: {match}"):
+        read_score_csv(text)
 
 
 def test_score_csv_label_must_be_0_or_1():

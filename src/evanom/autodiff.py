@@ -12,7 +12,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 from scipy.special import expit
 
 
@@ -175,37 +174,134 @@ def concat(tensors: list[Tensor], axis: int = 1) -> Tensor:
 
 # --- convolution ----------------------------------------------------------
 #
-# Each convolution is one 2-D matmul against a patch matrix whose rows run
-# over (channel, ki, kj) and whose columns run over (n, y, x), so the
-# weights enter as `w.reshape(O, -1)` or `w.reshape(C, -1)` without a copy.
-# Results come out channel-major; the returned NCHW arrays are views of
-# them, and the elementwise ops that follow keep that memory order.
+# A stride-s convolution with a kh x kw kernel is a stride-1 convolution
+# with a Kh x Kw kernel, K = ceil(k/s), on the space-to-depth form of its
+# zero-padded input (Shi et al., arXiv 1609.05158; Dumoulin & Visin, arXiv
+# 1603.07285). `_Layout` holds that geometry for one call:
+#
+# - The zero-padded (N,C,H,W) image is copied once, by s*s strided copies,
+#   into a grid of C*s*s rows, one per (channel, row phase, column phase).
+#   Its columns run over (n, i, j) for each image's Hs x Ws blocks of s x s
+#   pixels, Hs = ceil((H + 2*pad)/s) >= Ho + Kh - 1, then over a zero tail
+#   of (Kh-1)*Ws + Kw-1 columns.
+# - Output pixel (n, y, x) is column n*Hs*Ws + y*Ws + x, and kernel tap
+#   (u, v) reads the grid shifted by u*Ws + v columns. So the patch matrix
+#   is Kh*Kw contiguous slices of the grid, and each contraction is one 2-D
+#   matmul against the weights regrouped as (O, Kh*Kw*C*s*s).
+# - Output columns with y >= Ho or x >= Wo, whose shifted reads run into
+#   the next block row or image, are computed and then dropped.
+# - The input gradient is the adjoint: one matmul, Kh*Kw shift-adds of
+#   contiguous slices, then depth-to-space back to (N,C,H,W).
+#
+# conv_transpose2d is the adjoint of conv2d: its forward is conv2d's
+# input-gradient path, and its backward is conv2d's forward path for the
+# input gradient plus conv2d's weight-gradient product. Results come out
+# channel-major; the returned NCHW arrays are views of them, and the
+# elementwise ops that follow keep that memory order.
 
-def _im2col(xd, kh, kw, stride, pad):
-    """(N,C,H,W) -> (C*kh*kw, N*Ho*Wo) patch matrix, built in one copy."""
-    N, C, H, W = xd.shape
-    xp = np.pad(xd, ((0, 0), (0, 0), (pad, pad), (pad, pad))) if pad else xd
-    win = sliding_window_view(xp, (kh, kw), axis=(2, 3))
-    win = win[:, :, ::stride, ::stride]               # (N,C,Ho,Wo,kh,kw)
-    return win.transpose(1, 4, 5, 0, 2, 3).reshape(C * kh * kw, -1)
+class _Layout:
+    """Space-to-depth geometry of a conv with an (N,C,H,W) input, a
+    (kh, kw) kernel, stride s and zero padding `pad`: output size (Ho, Wo),
+    grid of (Hs, Ws) blocks of s x s pixels per image, (Kh, Kw) taps."""
 
+    def __init__(self, n, h, w, kh, kw, stride, pad):
+        s = stride
+        self.n, self.h, self.w, self.kh, self.kw = n, h, w, kh, kw
+        self.s, self.pad = s, pad
+        self.ho = (h + 2 * pad - kh) // s + 1
+        self.wo = (w + 2 * pad - kw) // s + 1
+        if min(h, w, self.ho, self.wo) < 1:
+            raise ShapeMismatch(f"{kh}x{kw} kernel, pad {pad}, stride {s}: "
+                                f"no output from a {h}x{w} image")
+        self.hs, self.ws = -(-(h + 2 * pad) // s), -(-(w + 2 * pad) // s)
+        self.taps_h, self.taps_w = -(-kh // s), -(-kw // s)
+        self.m = n * self.hs * self.ws
+        self.shifts = [u * self.ws + v for u in range(self.taps_h)
+                       for v in range(self.taps_w)]
 
-def _col2im(cols, out_hw, stride, pad):
-    """Sum (C,kh,kw,N,h,w) patches into an (N,C,H,W) view of a (C,N,H,W)
-    array; each slice-add reads one contiguous (N,h,w) block per channel."""
-    C, kh, kw, N, h, w = cols.shape
-    H, W = out_hw
-    xp = np.zeros((C, N, H + 2 * pad, W + 2 * pad), dtype=cols.dtype)
-    for i in range(kh):
-        for j in range(kw):
-            xp[:, :, i:i + stride * h:stride, j:j + stride * w:stride] += \
-                cols[:, i, j]
-    return xp[:, :, pad:pad + H, pad:pad + W].transpose(1, 0, 2, 3)
+    def phases(self):
+        """For each row phase a and column phase b: the block rows and
+        columns of the grid that hold image pixels, and those pixels' rows
+        and columns in the image (every s-th, from the first one at or
+        after the padding)."""
+        s, p = self.s, self.pad
+        for a in range(s):
+            r0 = -((a - p) // s)
+            xr = range(r0 * s + a - p, self.h, s)
+            for b in range(s):
+                c0 = -((b - p) // s)
+                xc = range(c0 * s + b - p, self.w, s)
+                yield a, b, (slice(r0, r0 + len(xr)), slice(c0, c0 + len(xc))), \
+                    (slice(xr.start, None, s), slice(xc.start, None, s))
 
+    def space_to_depth(self, xd):
+        """(N,C,H,W) -> (C*s*s, m + tail) grid of the zero-padded image."""
+        C, s = xd.shape[1], self.s
+        grid = np.zeros((C * s * s, self.m + self.shifts[-1]), dtype=xd.dtype)
+        blocks = grid[:, :self.m].reshape(C, s, s, self.n, self.hs, self.ws)
+        img = xd.transpose(1, 0, 2, 3)
+        for a, b, (gr, gc), (xr, xc) in self.phases():
+            blocks[:, a, b, :, gr, gc] = img[:, :, xr, xc]
+        return grid
 
-def _channels_first(a):
-    """(N,C,H,W) -> (C, N*H*W); free when `a` is already channel-major."""
-    return a.transpose(1, 0, 2, 3).reshape(a.shape[1], -1)
+    def depth_to_space(self, grid):
+        """Adjoint of `space_to_depth`: (C*s*s, m + tail) grid -> (N,C,H,W)
+        view of a channel-major image."""
+        s = self.s
+        C = grid.shape[0] // (s * s)
+        blocks = grid[:, :self.m].reshape(C, s, s, self.n, self.hs, self.ws)
+        img = np.empty((C, self.n, self.h, self.w), dtype=grid.dtype)
+        for a, b, (gr, gc), (xr, xc) in self.phases():
+            img[:, :, xr, xc] = blocks[:, a, b, :, gr, gc]
+        return img.transpose(1, 0, 2, 3)
+
+    def patches(self, grid):
+        """(R, m + tail) grid -> (taps*R, m): one contiguous slice per tap."""
+        cols = np.empty((len(self.shifts), grid.shape[0], self.m),
+                        dtype=grid.dtype)
+        for t, off in enumerate(self.shifts):
+            cols[t] = grid[:, off:off + self.m]
+        return cols.reshape(-1, self.m)
+
+    def shift_add(self, gcols):
+        """Adjoint of `patches`: (taps*R, m) -> (R, m + tail) grid."""
+        gcols = gcols.reshape(len(self.shifts), -1, self.m)
+        grid = np.empty((gcols.shape[1], self.m + self.shifts[-1]),
+                        dtype=gcols.dtype)
+        grid[:, :self.m] = gcols[0]                    # shifts[0] is 0
+        grid[:, self.m:] = 0
+        for t, off in enumerate(self.shifts[1:], start=1):
+            grid[:, off:off + self.m] += gcols[t]
+        return grid
+
+    def out_cols(self, g):
+        """(N,O,Ho,Wo) -> (O, m), zero in the columns outside the output."""
+        O = g.shape[1]
+        cols = np.zeros((O, self.n, self.hs, self.ws), dtype=g.dtype)
+        cols[:, :, :self.ho, :self.wo] = g.transpose(1, 0, 2, 3)
+        return cols.reshape(O, self.m)
+
+    def out_view(self, cols):
+        """Adjoint of `out_cols`: (O, m) -> (N,O,Ho,Wo) view."""
+        return cols.reshape(-1, self.n, self.hs, self.ws)[
+            :, :, :self.ho, :self.wo].transpose(1, 0, 2, 3)
+
+    def regroup(self, w):
+        """(O,C,kh,kw) weights -> (O, taps*C*s*s), rows in `patches` order."""
+        O, C = w.shape[:2]
+        s, th, tw = self.s, self.taps_h, self.taps_w
+        wp = np.zeros((O, C, th * s, tw * s), dtype=w.dtype)
+        wp[:, :, :self.kh, :self.kw] = w
+        return wp.reshape(O, C, th, s, tw, s).transpose(0, 2, 4, 1, 3, 5) \
+            .reshape(O, -1)
+
+    def ungroup(self, w2):
+        """Adjoint of `regroup`: (O, taps*C*s*s) -> (O,C,kh,kw)."""
+        s, th, tw = self.s, self.taps_h, self.taps_w
+        O, C = w2.shape[0], w2.shape[1] // (th * tw * s * s)
+        wp = w2.reshape(O, th, tw, C, s, s).transpose(0, 3, 1, 4, 2, 5) \
+            .reshape(O, C, th * s, tw * s)
+        return wp[:, :, :self.kh, :self.kw]
 
 
 def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1,
@@ -215,22 +311,24 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1,
     O, Cw, kh, kw = w.shape
     if C != Cw or b.shape != (O,):
         raise ShapeMismatch(f"conv2d: x {x.shape} w {w.shape} b {b.shape}")
-    Ho = (H + 2 * pad - kh) // stride + 1
-    Wo = (W + 2 * pad - kw) // stride + 1
-    cols = _im2col(x.data, kh, kw, stride, pad)
-    out = w.data.reshape(O, -1) @ cols
-    out += b.data[:, None]
-    out = out.reshape(O, N, Ho, Wo).transpose(1, 0, 2, 3)
+    lay = _Layout(N, H, W, kh, kw, stride, pad)
+    w2 = lay.regroup(w.data)                           # (O, taps*C*s*s)
+    cols = lay.patches(lay.space_to_depth(x.data))     # (taps*C*s*s, m)
+    out = w2 @ cols
+    # adding the bias also crops the output into a channel-major array
+    out = np.add(lay.out_view(out), b.data.reshape(1, O, 1, 1),
+                 dtype=out.dtype)
 
     def back(g):
-        g2 = _channels_first(g)                        # (O, N*Ho*Wo)
         if b.requires_grad:
             _acc(b, g.sum(axis=(0, 2, 3)))
+        if not (w.requires_grad or x.requires_grad):
+            return
+        g2 = lay.out_cols(g)                           # (O, m)
         if w.requires_grad:
-            _acc(w, (g2 @ cols.T).reshape(w.shape))
+            _acc(w, lay.ungroup(g2 @ cols.T))
         if x.requires_grad:
-            gcols = (w.data.reshape(O, -1).T @ g2).reshape(C, kh, kw, N, Ho, Wo)
-            _acc(x, _col2im(gcols, (H, W), stride, pad))
+            _acc(x, lay.depth_to_space(lay.shift_add(w2.T @ g2)))
     return _result(out, (x, w, b), back, "conv2d")
 
 
@@ -241,11 +339,12 @@ def conv_transpose2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 2,
     Cw, O, kh, kw = w.shape
     if C != Cw or b.shape != (O,):
         raise ShapeMismatch(f"conv_transpose2d: x {x.shape} w {w.shape} b {b.shape}")
-    Ho = (H - 1) * stride - 2 * pad + kh
-    Wo = (W - 1) * stride - 2 * pad + kw
-    x2 = _channels_first(x.data)                       # (C, N*H*W)
-    cols = (w.data.reshape(C, -1).T @ x2).reshape(O, kh, kw, N, H, W)
-    out = _col2im(cols, (Ho, Wo), stride, pad)
+    # the conv2d from (N,O,Ho,Wo) to (N,C,H,W) whose adjoint this is
+    lay = _Layout(N, (H - 1) * stride - 2 * pad + kh,
+                  (W - 1) * stride - 2 * pad + kw, kh, kw, stride, pad)
+    w2 = lay.regroup(w.data)                           # (C, taps*O*s*s)
+    x2 = lay.out_cols(x.data)                          # (C, m)
+    out = lay.depth_to_space(lay.shift_add(w2.T @ x2))
     out += b.data.reshape(1, O, 1, 1)
 
     def back(g):
@@ -253,12 +352,11 @@ def conv_transpose2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 2,
             _acc(b, g.sum(axis=(0, 2, 3)))
         if not (w.requires_grad or x.requires_grad):
             return
-        gcols = _im2col(g, kh, kw, stride, pad)        # (O*kh*kw, N*H*W)
+        cols = lay.patches(lay.space_to_depth(g))      # (taps*O*s*s, m)
         if w.requires_grad:
-            _acc(w, (x2 @ gcols.T).reshape(w.shape))
+            _acc(w, lay.ungroup(x2 @ cols.T))
         if x.requires_grad:
-            gx = (w.data.reshape(C, -1) @ gcols).reshape(C, N, H, W)
-            _acc(x, gx.transpose(1, 0, 2, 3))
+            _acc(x, lay.out_view(w2 @ cols))
     return _result(out, (x, w, b), back, "conv_transpose2d")
 
 
@@ -437,23 +535,30 @@ class WrongParamNames(ValueError):
     pass
 
 
+class WrongParamShapes(ValueError):
+    pass
+
+
 class Params(dict):
     """A network's parameter tensors keyed by checkpoint name, in NAMES order.
 
     Each layer `l` owns `l.w` and `l.b`. Subclasses set NAMES and build
     their layers with `init_layers`, so a checkpoint written from
     `to_arrays` lists tensors in NAMES order.
+
+    A layer table lists, in NAMES order, one (name, weight shape, fan_in,
+    bias length, settings) row per layer, where settings names the
+    configuration values that fix the layer's shapes.
     """
 
     NAMES: tuple[str, ...] = ()
 
     @classmethod
     def init_layers(cls, rng: np.random.Generator, layers, dtype=np.float32):
-        """layers: (name, weight shape, fan_in, bias length), in NAMES order.
-        Weights draw uniform(-1/sqrt(fan_in), 1/sqrt(fan_in)) from `rng` in
-        that order; biases start at zero."""
+        """Weights draw uniform(-1/sqrt(fan_in), 1/sqrt(fan_in)) from `rng`
+        in table order; biases start at zero."""
         p = cls()
-        for name, shape, fan_in, n_out in layers:
+        for name, shape, fan_in, n_out, _ in layers:
             bound = 1.0 / np.sqrt(fan_in)
             p[f"{name}.w"] = Tensor(
                 rng.uniform(-bound, bound, size=shape).astype(dtype),
@@ -469,11 +574,21 @@ class Params(dict):
         return {name: t.data for name, t in self.items()}
 
     @classmethod
-    def from_arrays(cls, arrays: dict[str, np.ndarray]):
+    def from_arrays(cls, arrays: dict[str, np.ndarray], layers=None):
+        """Tensors from checkpoint arrays, which must hold exactly NAMES.
+        Given a layer table, each tensor must also have the table's shape,
+        else WrongParamShapes names the first that has not."""
         if set(arrays) != set(cls.NAMES):
             missing = sorted(set(cls.NAMES) - set(arrays))
             extra = sorted(set(arrays) - set(cls.NAMES))
             raise WrongParamNames(f"{cls.__name__}: missing {missing}, "
                                   f"unexpected {extra}")
+        for name, shape, _, n_out, settings in layers or ():
+            for key, want in ((f"{name}.w", tuple(shape)),
+                              (f"{name}.b", (n_out,))):
+                if arrays[key].shape != want:
+                    raise WrongParamShapes(
+                        f"{cls.__name__}: {key} has shape "
+                        f"{arrays[key].shape}, expected {want} for {settings}")
         return cls((name, Tensor(arrays[name].astype(np.float32),
                                  requires_grad=True)) for name in cls.NAMES)

@@ -53,19 +53,22 @@ class GanParams(ad.Params):
         "dxy.c1", "dxy.c2", "dxy.c3", "dxy.fc",
         "dx.c1", "dx.c2", "dx.c3", "dx.fc") for s in "wb")
 
-    @classmethod
-    def init(cls, h: int, w: int, hyper: GanHyper,
-             rng: np.random.Generator) -> "GanParams":
+    @staticmethod
+    def layers(h: int, w: int, hyper: GanHyper):
+        """The layer table (see `ad.Params`) of the nets on HxW frames."""
         if h % 8 or w % 8:
             raise ad.ShapeMismatch(f"H and W must be divisible by 8, got {h}x{w}")
+        g, d = hyper.ngf, hyper.ndf
+
+        def settings(name):
+            return f"gan_ngf={g}" if name.startswith("g.") else f"gan_ndf={d}"
 
         def conv(name, cin, cout):
-            return name, (cout, cin, 4, 4), cin * 16, cout
+            return name, (cout, cin, 4, 4), cin * 16, cout, settings(name)
 
         def up(name, cin, cout):  # transposed-conv weights are (in, out, k, k)
-            return name, (cin, cout, 4, 4), cin * 16, cout
+            return name, (cin, cout, 4, 4), cin * 16, cout, settings(name)
 
-        g, d = hyper.ngf, hyper.ndf
         feat = 4 * d * (h // 8) * (w // 8)
         layers = [conv("g.d1", 2, g), conv("g.d2", g, 2 * g),
                   conv("g.d3", 2 * g, 4 * g), up("g.u1", 4 * g, 2 * g),
@@ -73,8 +76,14 @@ class GanParams(ad.Params):
         for part, cin in (("dxy", 2), ("dx", 1)):
             layers += [conv(f"{part}.c1", cin, d), conv(f"{part}.c2", d, 2 * d),
                        conv(f"{part}.c3", 2 * d, 4 * d),
-                       (f"{part}.fc", (feat, 1), feat, 1)]
-        return cls.init_layers(rng, layers)
+                       (f"{part}.fc", (feat, 1), feat, 1,
+                        f"{settings(part)}, height={h}, width={w}")]
+        return layers
+
+    @classmethod
+    def init(cls, h: int, w: int, hyper: GanHyper,
+             rng: np.random.Generator) -> "GanParams":
+        return cls.init_layers(rng, cls.layers(h, w, hyper))
 
 
 def g_forward_t(p: GanParams, y: Tensor, z: Tensor) -> Tensor:

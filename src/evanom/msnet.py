@@ -42,14 +42,20 @@ class MsNetParams(ad.Params):
     NAMES = ("ms.enc1.w", "ms.enc1.b", "ms.enc2.w", "ms.enc2.b",
              "ms.dec1.w", "ms.dec1.b", "ms.dec2.w", "ms.dec2.b")
 
+    @staticmethod
+    def layers(bins: int, filters: int):
+        """The layer table (see `ad.Params`) of a net on `bins`-bin volumes."""
+        f = f"ms_filters={filters}"
+        bf = f"bins={bins}, {f}"
+        return [("ms.enc1", (filters, bins), bins, filters, bf),
+                ("ms.enc2", (1, filters), filters, 1, f),
+                ("ms.dec1", (filters, 1), 1, filters, f),
+                ("ms.dec2", (bins, filters), filters, bins, bf)]
+
     @classmethod
     def init(cls, bins: int, filters: int, rng: np.random.Generator,
              dtype=np.float32) -> "MsNetParams":
-        return cls.init_layers(rng, [
-            ("ms.enc1", (filters, bins), bins, filters),
-            ("ms.enc2", (1, filters), filters, 1),
-            ("ms.dec1", (filters, 1), 1, filters),
-            ("ms.dec2", (bins, filters), filters, bins)], dtype)
+        return cls.init_layers(rng, cls.layers(bins, filters), dtype)
 
     @property
     def bins(self) -> int:

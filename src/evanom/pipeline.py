@@ -235,17 +235,28 @@ def _csv_rows(text: str, header: str, kind: str):
 
 
 def read_score_csv(text: str) -> ScoreSeries:
+    """Frames must count 0, 1, 2, ... and start frame_dt apart, frame_dt
+    being the gap between the first two; mse must be finite and >= 0."""
     t0s, scores, labels = [], [], []
-    for lineno, (_, t0, mse, lab) in _csv_rows(
-            text, "frame,t0_us,mse,label", "score"):
+    for i, (lineno, (frame, t0, mse, lab)) in enumerate(_csv_rows(
+            text, "frame,t0_us,mse,label", "score")):
         try:
-            t0s.append(int(t0))
-            scores.append(float(mse))
+            frame, t0, score = int(frame), int(t0), float(mse)
             label = int(lab) if lab else None
         except ValueError as e:
             raise ValueError(f"line {lineno}: {e}") from None
+        if frame != i:
+            raise ValueError(f"line {lineno}: frame {frame}, expected {i}")
+        want = t0s[0] + i * (t0s[1] - t0s[0]) if i > 1 else t0
+        if t0 != want:
+            raise ValueError(f"line {lineno}: t0_us {t0}, expected {want}")
+        if not (np.isfinite(score) and score >= 0):
+            raise ValueError(f"line {lineno}: mse {mse!r} is not finite "
+                             "and non-negative")
         if label not in (None, 0, 1):
             raise ValueError(f"line {lineno}: label {lab!r} is not 0 or 1")
+        t0s.append(t0)
+        scores.append(score)
         labels.append(label)
     if not t0s:
         raise EmptySeries("score CSV has no frames")

@@ -165,6 +165,34 @@ def test_conv_transpose2d_matches_brute_force(rng, dtype, rel, k, stride, pad):
     _assert_close_relative(out, ref, rel)
 
 
+@pytest.mark.parametrize("dtype, rel", [(np.float64, 1e-12),
+                                        (np.float32, 1e-5)])
+@pytest.mark.parametrize("pad", [0, 1, 2])
+@pytest.mark.parametrize("k, stride", [(3, 2), (5, 3), (1, 2)])
+def test_conv_matches_brute_force_when_stride_does_not_divide_k(
+        rng, dtype, rel, k, stride, pad):
+    # odd H and W: the last block of stride x stride pixels is part padding
+    x = rng.standard_normal((2, 3, 7, 9)).astype(dtype)
+    b = rng.standard_normal(4).astype(dtype)
+    for op, ref_op, w_shape in (
+            (ad.conv2d, _conv2d_reference, (4, 3, k, k)),
+            (ad.conv_transpose2d, _conv_transpose2d_reference, (3, 4, k, k))):
+        w = rng.standard_normal(w_shape).astype(dtype)
+        out = op(Tensor(x), Tensor(w), Tensor(b), stride=stride, pad=pad).data
+        ref = ref_op(x, w, stride, pad) + b.reshape(1, 4, 1, 1)
+        assert out.dtype == dtype and out.shape == ref.shape
+        _assert_close_relative(out, ref, rel)
+
+
+def test_conv_kernel_larger_than_padded_input_raises():
+    x, b = Tensor(np.ones((1, 1, 2, 2))), Tensor(np.zeros(1))
+    with pytest.raises(ad.ShapeMismatch, match="no output"):
+        ad.conv2d(x, Tensor(np.ones((1, 1, 5, 5))), b, pad=1)
+    with pytest.raises(ad.ShapeMismatch, match="no output"):
+        ad.conv_transpose2d(Tensor(np.ones((1, 1, 1, 1))),
+                            Tensor(np.ones((1, 1, 2, 2))), b, stride=2, pad=1)
+
+
 def test_conv_transpose_inverts_spatial_reduction(rng):
     x = Tensor(rng.standard_normal((1, 3, 4, 4)))
     w = Tensor(rng.standard_normal((3, 2, 4, 4)))
@@ -467,6 +495,25 @@ def test_grad_conv_transpose2d(rng):
             lambda xx, ww, bb: _sum_loss(
                 lambda s, t, u: ad.conv_transpose2d(s, t, u, stride=2, pad=1)
             )(xx, ww, bb), [x, w, b])
+
+
+@pytest.mark.parametrize("op, k, stride, pad", [
+    (ad.conv2d, 4, 2, 1),              # the GAN's layer
+    (ad.conv_transpose2d, 3, 2, 0),
+    (ad.conv_transpose2d, 3, 2, 1),
+])
+def test_grad_strided_conv_geometries(rng, op, k, stride, pad):
+    for _ in range(N_SHAPES // 2):
+        n, cin, cout = rng.integers(1, 3), rng.integers(1, 4), rng.integers(1, 4)
+        h, w = (int(rng.integers(3, 8)) for _ in range(2))
+        x = rng.standard_normal((n, cin, h, w))
+        wt = rng.standard_normal((cout, cin, k, k) if op is ad.conv2d
+                                 else (cin, cout, k, k))
+        b = rng.standard_normal(cout)
+        check_gradients(
+            lambda xx, ww, bb: _sum_loss(
+                lambda s, t, u: op(s, t, u, stride=stride, pad=pad)
+            )(xx, ww, bb), [x, wt, b])
 
 
 def test_grad_channel_mix(rng):

@@ -70,6 +70,20 @@ def test_params_follow_checkpoint_names(rng):
         GanParams.from_arrays(arrays)
 
 
+def test_params_shapes_checked_against_layer_table(rng):
+    hyper = GanHyper(ngf=2, ndf=2)
+    arrays = GanParams.init(16, 16, hyper, rng).to_arrays()
+    GanParams.from_arrays(arrays, GanParams.layers(16, 16, hyper))
+    with pytest.raises(ad.WrongParamShapes,
+                       match=r"g\.d1\.w has shape \(2, 2, 4, 4\), expected "
+                             r"\(3, 2, 4, 4\) for gan_ngf=3"):
+        GanParams.from_arrays(arrays, GanParams.layers(
+            16, 16, GanHyper(ngf=3, ndf=2)))
+    arrays["dx.c3.b"] = arrays["dx.c3.b"][:1]
+    with pytest.raises(ad.WrongParamShapes, match=r"dx\.c3\.b .* \(8,\)"):
+        GanParams.from_arrays(arrays, GanParams.layers(16, 16, hyper))
+
+
 def test_discriminator_logit_shape(rng):
     params = tiny_params(rng)
     batch = tiny_batch(rng, n=4)

@@ -175,6 +175,19 @@ def test_score_csv_bad_row_names_its_line(row, match):
         read_score_csv(text)
 
 
+@pytest.mark.parametrize("rows, match", [
+    ("0,100,0.5,0\n1,200,0.5,0\n7,900,0.5,0", "line 4: frame 7, expected 2"),
+    ("1,100,0.5,0", "line 2: frame 1, expected 0"),
+    ("0,100,0.5,0\n1,200,0.5,0\n2,350,0.5,0", "line 4: t0_us 350, expected 300"),
+    ("0,1,nan,0", "line 2: mse 'nan' is not finite and non-negative"),
+    ("0,1,0.5,0\n1,2,inf,0", "line 3: mse 'inf' is not finite"),
+    ("0,1,-0.25,0", "line 2: mse '-0.25' is not finite and non-negative"),
+])
+def test_score_csv_checks_frames_times_and_mse(rows, match):
+    with pytest.raises(ValueError, match=match):
+        read_score_csv(f"frame,t0_us,mse,label\n{rows}\n")
+
+
 def test_score_csv_label_must_be_0_or_1():
     head = "frame,t0_us,mse,label\n0,100,0.5,0\n"
     for lab in ("300", "2", "-1", "1" * 23):
@@ -380,6 +393,39 @@ def test_cli_score_rejects_bad_label_file(tmp_path, capsys):
                          str(gp), "--labels", str(labels),
                          "--out", str(tmp_path / "scores.csv")]) == 1
         assert "line" in capsys.readouterr().err
+
+
+def test_cli_score_rejects_checkpoint_of_other_frame_size(tmp_path, capsys):
+    ev, ms, gp = (tmp_path / n for n in ("events.csv", "ms.evck", "gan.evck"))
+    ev.write_text("t_us,x,y,p\n0,0,0,1\n")
+    rng = np.random.default_rng(0)
+    ms.write_bytes(io.write_evck(MsNetParams.init(8, 4, rng).to_arrays()))
+    gp.write_bytes(io.write_evck(
+        GanParams.init(64, 64, GanHyper(ngf=2, ndf=2), rng).to_arrays()))
+    assert cli_main(["score", "--events", str(ev), "--width", "32",
+                     "--height", "32", "--ms-ckpt", str(ms), "--gan-ckpt",
+                     str(gp), "--out", str(tmp_path / "scores.csv")]) == 1
+    err = capsys.readouterr().err
+    assert "dxy.fc.w has shape (512, 1), expected (128, 1)" in err
+    assert "gan_ndf=2, height=32, width=32" in err
+
+
+@pytest.mark.parametrize("command", ["score", "train-gan"])
+def test_cli_rejects_ms_checkpoint_of_other_bins(tmp_path, capsys, command):
+    ev, ms, cfg = (tmp_path / n for n in ("events.csv", "ms.evck", "p.cfg"))
+    ev.write_text("t_us,x,y,p\n0,0,0,1\n")
+    cfg.write_text("bins=4\n")
+    ms.write_bytes(io.write_evck(
+        MsNetParams.init(8, 4, np.random.default_rng(0)).to_arrays()))
+    args = [command, "--events", str(ev), "--width", "8", "--height", "8",
+            "--config", str(cfg), "--ms-ckpt", str(ms),
+            "--out", str(tmp_path / "out")]
+    if command == "score":
+        args += ["--gan-ckpt", str(ms)]
+    assert cli_main(args) == 1
+    err = capsys.readouterr().err
+    assert "ms.enc1.w has shape (4, 8), expected (4, 4)" in err
+    assert "bins=4, ms_filters=4" in err
 
 
 def test_cli_verify_math(capsys):

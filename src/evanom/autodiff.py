@@ -313,8 +313,8 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1,
         raise ShapeMismatch(f"conv2d: x {x.shape} w {w.shape} b {b.shape}")
     lay = _Layout(N, H, W, kh, kw, stride, pad)
     w2 = lay.regroup(w.data)                           # (O, taps*C*s*s)
-    cols = lay.patches(lay.space_to_depth(x.data))     # (taps*C*s*s, m)
-    out = w2 @ cols
+    grid = lay.space_to_depth(x.data)                  # (C*s*s, m + tail)
+    out = w2 @ lay.patches(grid)
     # adding the bias also crops the output into a channel-major array
     out = np.add(lay.out_view(out), b.data.reshape(1, O, 1, 1),
                  dtype=out.dtype)
@@ -326,7 +326,11 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1,
             return
         g2 = lay.out_cols(g)                           # (O, m)
         if w.requires_grad:
-            _acc(w, lay.ungroup(g2 @ cols.T))
+            # g2 @ patches.T one tap at a time, so backward keeps only
+            # the grid, 1/taps the size of the patch matrix
+            _acc(w, lay.ungroup(np.concatenate(
+                [g2 @ grid[:, off:off + lay.m].T for off in lay.shifts],
+                axis=1)))
         if x.requires_grad:
             _acc(x, lay.depth_to_space(lay.shift_add(w2.T @ g2)))
     return _result(out, (x, w, b), back, "conv2d")

@@ -109,6 +109,8 @@ class ScoreSeries:
     labels: np.ndarray | None = None  # per-frame {0,1}
 
     def __post_init__(self):
+        if self.frame_dt < 1:
+            raise ValueError(f"frame_dt must be >= 1 us, got {self.frame_dt}")
         self.scores = np.asarray(self.scores, dtype=np.float64)
         if not np.all(np.isfinite(self.scores)) or (self.scores < 0).any():
             raise ValueError("scores must be finite and non-negative")
@@ -236,7 +238,9 @@ def _csv_rows(text: str, header: str, kind: str):
 
 def read_score_csv(text: str) -> ScoreSeries:
     """Frames must count 0, 1, 2, ... and start frame_dt apart, frame_dt
-    being the gap between the first two; mse must be finite and >= 0."""
+    being the gap between the first two, which must be positive; mse must
+    be finite and >= 0. A one-row CSV loads with frame_dt 1, which
+    `frame_start(0)` does not use."""
     t0s, scores, labels = [], [], []
     for i, (lineno, (frame, t0, mse, lab)) in enumerate(_csv_rows(
             text, "frame,t0_us,mse,label", "score")):
@@ -247,6 +251,9 @@ def read_score_csv(text: str) -> ScoreSeries:
             raise ValueError(f"line {lineno}: {e}") from None
         if frame != i:
             raise ValueError(f"line {lineno}: frame {frame}, expected {i}")
+        if i == 1 and t0 <= t0s[0]:
+            raise ValueError(f"line {lineno}: t0_us {t0} is not after "
+                             f"frame 0's {t0s[0]}")
         want = t0s[0] + i * (t0s[1] - t0s[0]) if i > 1 else t0
         if t0 != want:
             raise ValueError(f"line {lineno}: t0_us {t0}, expected {want}")

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -131,48 +136,97 @@ def test_checkpoint_round_trip(params, rng):
     np.testing.assert_array_equal(encode(params, vol), encode(back, vol))
 
 
-# The loss and encode run on non-zero pixel rows plus one all-zero row;
-# the dense 4-D forward on the whole batch is their reference.
+# The loss and encode run on non-zero pixel rows, in blocks of
+# msnet.BLOCK, plus one all-zero row; the dense 4-D forward on the whole
+# batch is their reference. The (2,4,48,48) batch has 4608 non-zero rows:
+# two full blocks and a partial one.
 
-def _sparse_batch(rng, active):
-    """(3,4,6,5) float32 batch whose pixels are non-zero with prob. `active`."""
-    batch = rng.standard_normal((3, 4, 6, 5)).astype(np.float32)
-    return batch * (rng.random((3, 1, 6, 5)) < active)
-
-
-def _dense_loss_t(params, batch, lambda_sparse):
-    x = Tensor(batch)
-    ms = encode_t(params, x)
-    loss = ad.mse_loss(msnet.decode_t(params, ms), x)
-    return ad.add(loss, ad.mul(ad.l1_norm(ms), lambda_sparse))
+BATCHES = [((3, 4, 6, 5), 0.3), ((3, 4, 6, 5), 0.0), ((3, 4, 6, 5), 1.0),
+           ((2, 4, 48, 48), 1.0)]
+BATCH_IDS = ["some-zero", "all-zero", "none-zero", "three-blocks"]
 
 
-def _loss_and_grads(loss_fn, params, batch):
+def _sparse_batch(rng, shape, active):
+    """float32 batch whose pixels are non-zero with prob. `active`."""
+    n, _, h, w = shape
+    batch = rng.standard_normal(shape).astype(np.float32)
+    return batch * (rng.random((n, 1, h, w)) < active)
+
+
+def _dense_loss_and_grads(params, batch, lambda_sparse):
     plist = params.parameters()
     for p in plist:
         p.zero_grad()
-    loss = loss_fn(params, batch, 1e-2)
+    x = Tensor(batch)
+    ms = encode_t(params, x)
+    loss = ad.mse_loss(msnet.decode_t(params, ms), x)
+    loss = ad.add(loss, ad.mul(ad.l1_norm(ms), lambda_sparse))
     ad.backward(loss, plist)
     return loss.item(), [p.grad.copy() for p in plist]
 
 
-@pytest.mark.parametrize("active", [0.3, 0.0, 1.0],
-                         ids=["some-zero", "all-zero", "none-zero"])
-def test_row_loss_matches_dense_loss(params, rng, active):
-    batch = _sparse_batch(rng, active)
+def _row_loss_and_grads(params, batch, lambda_sparse):
+    """The blocked loss: the sum of the per-block terms, and its gradient."""
+    plist = params.parameters()
+    loss = msnet._loss_and_grads(params, plist, batch, lambda_sparse)
+    return loss, [p.grad.copy() for p in plist]
+
+
+@pytest.mark.parametrize("shape, active", BATCHES, ids=BATCH_IDS)
+def test_row_loss_matches_dense_loss(params, rng, shape, active):
+    batch = _sparse_batch(rng, shape, active)
     assert batch.any(axis=1).mean() == pytest.approx(active, abs=0.2)
-    value, grads = _loss_and_grads(msnet._loss_t, params, batch)
-    ref_value, ref_grads = _loss_and_grads(_dense_loss_t, params, batch)
+    value, grads = _row_loss_and_grads(params, batch, 1e-2)
+    ref_value, ref_grads = _dense_loss_and_grads(params, batch, 1e-2)
     assert value == pytest.approx(ref_value, rel=1e-6)
     for name, g, ref in zip(params, grads, ref_grads):
         np.testing.assert_allclose(g, ref, rtol=1e-5,
                                    atol=1e-6 * np.abs(ref).max(), err_msg=name)
 
 
-@pytest.mark.parametrize("active", [0.3, 0.0, 1.0],
-                         ids=["some-zero", "all-zero", "none-zero"])
-def test_encode_matches_dense_encode(params, rng, active):
-    batch = _sparse_batch(rng, active)
+@pytest.mark.parametrize("shape, active", BATCHES, ids=BATCH_IDS)
+def test_encode_matches_dense_encode(params, rng, shape, active):
+    batch = _sparse_batch(rng, shape, active)
     np.testing.assert_allclose(encode(params, batch),
                                encode_t(params, Tensor(batch)).data[:, 0],
                                rtol=0, atol=1e-6)
+
+
+def test_blocked_encode_equals_one_pass(params, rng):
+    batch = _sparse_batch(rng, (3, 4, 48, 48), 0.8)
+    mask, rows = msnet._pixel_rows(batch)
+    assert len(rows) > 2 * msnet.BLOCK and len(rows) % msnet.BLOCK
+    one_pass = encode_t(params, Tensor(rows)).data.reshape(-1)
+    np.testing.assert_array_equal(encode(params, batch)[mask], one_pass)
+
+
+# Trains with ~8.3k non-zero rows per batch, four full blocks and a partial
+# one, and writes the EVCK checkpoint to stdout.
+_TINY_RECIPE = """
+import sys
+import numpy as np
+from evanom import io, msnet
+rng = np.random.default_rng(0)
+data = rng.random((8, 8, 48, 48), dtype=np.float32)
+data *= rng.random((8, 1, 48, 48)) < 0.9
+params, _ = msnet.train_ms(data, msnet.MsHyper(filters=32, epochs=2, batch=4),
+                           seed=1)
+sys.stdout.buffer.write(io.write_evck(params.to_arrays()))
+"""
+
+
+def test_checkpoint_bytes_do_not_depend_on_blas_threads():
+    # Unblocked, OpenBLAS splits the weight gradients' long reductions
+    # differently at one thread and at two, and the checkpoints differ.
+    src = str(Path(msnet.__file__).resolve().parent.parent)
+    procs = [subprocess.Popen(
+        [sys.executable, "-c", _TINY_RECIPE], stdout=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": n})
+        for n in ("1", "2")]
+    try:
+        ckpts = [p.communicate(timeout=300)[0] for p in procs]
+    finally:
+        for p in procs:
+            p.kill()
+    assert [p.returncode for p in procs] == [0, 0]
+    assert ckpts[0][:4] == b"EVCK" and ckpts[0] == ckpts[1]

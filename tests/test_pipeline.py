@@ -182,10 +182,25 @@ def test_score_csv_bad_row_names_its_line(row, match):
     ("0,1,nan,0", "line 2: mse 'nan' is not finite and non-negative"),
     ("0,1,0.5,0\n1,2,inf,0", "line 3: mse 'inf' is not finite"),
     ("0,1,-0.25,0", "line 2: mse '-0.25' is not finite and non-negative"),
+    ("0,100,0.5,0\n1,100,0.5,0\n2,100,0.5,0",
+     "line 3: t0_us 100 is not after frame 0's 100"),
+    ("0,300,0.5,0\n1,200,0.5,0\n2,100,0.5,0",
+     "line 3: t0_us 200 is not after frame 0's 300"),
 ])
 def test_score_csv_checks_frames_times_and_mse(rows, match):
     with pytest.raises(ValueError, match=match):
         read_score_csv(f"frame,t0_us,mse,label\n{rows}\n")
+
+
+def test_score_csv_one_row_loads_with_frame_dt_1():
+    back = read_score_csv("frame,t0_us,mse,label\n0,200000,0.5,\n")
+    assert (back.t0, back.frame_dt, back.frame_start(0)) == (200000, 1, 200000)
+
+
+@pytest.mark.parametrize("frame_dt", [0, -100])
+def test_score_series_rejects_frame_dt_below_1(frame_dt):
+    with pytest.raises(ValueError, match="frame_dt must be >= 1"):
+        ScoreSeries(100, frame_dt, np.array([0.5, 0.5]))
 
 
 def test_score_csv_label_must_be_0_or_1():
@@ -347,6 +362,16 @@ def test_cli_eval_rejects_label_outside_0_1(tmp_path, capsys):
                           f"1,200,0.9,{lab}\n")
         assert cli_main(["eval", "--scores", str(scores)]) == 1
         assert "line 3" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("t0s", [(100, 100, 100), (300, 200, 100)],
+                         ids=["equal", "decreasing"])
+def test_cli_eval_rejects_non_increasing_t0(tmp_path, capsys, t0s):
+    scores = tmp_path / "scores.csv"
+    scores.write_text("frame,t0_us,mse,label\n" + "".join(
+        f"{i},{t0},0.5,{i % 2}\n" for i, t0 in enumerate(t0s)))
+    assert cli_main(["eval", "--scores", str(scores)]) == 1
+    assert "line 3: t0_us" in capsys.readouterr().err
 
 
 def test_cli_train_ms_header_only_events(tmp_path, capsys):

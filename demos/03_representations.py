@@ -11,8 +11,7 @@ import numpy as np
 from evanom import io
 from evanom.events import EventStream
 from evanom.representation import (baseline_exp_surface, baseline_histogram,
-                                   discretize, normalize_volume,
-                                   sliding_windows)
+                                   discretize, normalize, sliding_windows)
 from evanom.simulate import render_scene, walking_scene
 
 # --- one event, three modes ---------------------------------------------
@@ -31,12 +30,13 @@ print("\ncount-mode total", vol.data.sum(), "== events in [0, 200ms):",
       len(stream.t[stream.t < 8 * 25_000]))
 
 # --- normalization and windows ------------------------------------------
-# Training uses sliding windows of B input bins plus 1 target bin.
+# Training uses sliding windows of B+1 bins: B input bins, then the
+# target bin the GAN learns to predict.
 windows = sliding_windows(stream, bin_dt=25_000, bins=8, stride=2)
-print("windows:", len(windows), "input shape", windows[0].input.data.shape,
-      "target shape", windows[0].target.shape)
-norm = normalize_volume(windows[0].input, cap=5.0)
-print("normalized range: [%.3f, %.3f]" % (norm.data.min(), norm.data.max()))
+print("windows:", len(windows), "window shape", windows[0].shape,
+      "input shape", windows[0][:-1].shape, "target shape", windows[0][-1].shape)
+norm = normalize(windows[0][:-1], cap=5.0)
+print("normalized range: [%.3f, %.3f]" % (norm.min(), norm.max()))
 
 # --- baselines -----------------------------------------------------------
 hist = baseline_histogram(stream, t0=0, dt=200_000)

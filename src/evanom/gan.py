@@ -185,8 +185,7 @@ def train_gan(windows, ms_params: MsNetParams, hyper: GanHyper,
     DivergenceDetected (carrying the last finite parameters) if any loss
     goes non-finite.
     """
-    windows = list(windows)
-    if not windows:
+    if len(windows) == 0:
         raise EmptyDataset("no training windows")
     surfaces, targets = prepare_batches(windows, ms_params, hyper.cap)
     n, _, h, w = surfaces.shape

@@ -26,7 +26,12 @@ class FormatError(ValueError):
 
 def write_evol(vol: DiscretizedVolume) -> bytes:
     """Serialize: magic, version u32, B/H/W u32, mode u8, t0/bin_dt u64,
-    then B*H*W float32 values in bin-major, row-major order."""
+    then B*H*W float32 values in bin-major, row-major order. Raises
+    FormatError if t0 or bin_dt does not fit its u64 field."""
+    for name, value in (("t0", vol.t0), ("bin_dt", vol.bin_dt)):
+        if not 0 <= value < 2**64:
+            raise FormatError(
+                f"EVOL stores {name} as u64; {value} is out of range")
     head = EVOL_MAGIC + struct.pack(
         "<IIIIBQQ", FORMAT_VERSION, vol.bins, vol.height, vol.width,
         MODES.index(vol.mode), vol.t0, vol.bin_dt)

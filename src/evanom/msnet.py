@@ -114,7 +114,11 @@ def _check_bins(params: MsNetParams, batch: np.ndarray):
 
 
 def encode(params: MsNetParams, batch: np.ndarray) -> np.ndarray:
-    """(N,B,H,W) normalized volumes -> (N,H,W) memory surfaces in (0,1)."""
+    """(N,B,H,W) normalized volumes -> (N,H,W) memory surfaces in (0,1).
+
+    The non-zero rows run BLOCK at a time, so the bits are those of the
+    blocked pass, which need not equal one pass over all rows at once.
+    """
     _check_bins(params, batch)
     mask, rows = _pixel_rows(batch)
     zero = encode_t(params, Tensor(_zero_row(batch))).data.reshape(())

@@ -169,7 +169,7 @@ def score_sequence(ms_params: MsNetParams, gan_params: gan_mod.GanParams,
             d = pred - targets[sl]
             scores[sl] += d.reshape(d.shape[0], -1).__pow__(2).mean(axis=1)
     scores /= len(zs)
-    t0 = windows[0].t0 + cfg.bins * cfg.bin_dt_us
+    t0 = cfg.bins * cfg.bin_dt_us  # windows_for starts window 0 at t=0
     frame_dt = cfg.stride * cfg.bin_dt_us
     labels = None
     if track is not None:

@@ -3,11 +3,13 @@
 The main representation is a B x H x W accumulation grid over a time
 window, in one of three modes: per-pixel event counts, signed polarity
 sums, or bilinear interpolation of each event's polarity between the two
-nearest temporal bins.
+nearest temporal bins. A training or scoring window is one such grid
+with B+1 bins: the first B are the input volume, the last is the frame
+to predict.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,19 +42,6 @@ class DiscretizedVolume:
         if self.data.shape != (self.bins, self.height, self.width):
             raise ValueError(f"data shape {self.data.shape} != "
                              f"{(self.bins, self.height, self.width)}")
-
-    @property
-    def duration(self) -> int:
-        return self.bins * self.bin_dt
-
-
-@dataclass(frozen=True)
-class WindowSample:
-    """B input bins plus the following bin as prediction target."""
-
-    input: DiscretizedVolume       # bins 0..B-1
-    target: np.ndarray             # (H, W), bin B, same mode/normalization
-    t0: int
 
 
 def discretize(stream: EventStream, t0: int, bin_dt: int, bins: int,
@@ -106,26 +95,23 @@ def normalize(array: np.ndarray, cap: float) -> np.ndarray:
                                                                 copy=False)
 
 
-def normalize_volume(vol: DiscretizedVolume, cap: float) -> DiscretizedVolume:
-    """The volume with `normalize` applied to its data."""
-    return replace(vol, data=normalize(vol.data, cap))
-
-
 def window_arrays(windows, cap: float) -> tuple[np.ndarray, np.ndarray]:
-    """Windows -> (normalized inputs (N,B,H,W), normalized targets (N,H,W))."""
-    return (normalize(np.stack([w.input.data for w in windows]), cap),
-            normalize(np.stack([w.target for w in windows]), cap))
+    """Windows -> (normalized inputs (N,B,H,W), normalized targets (N,H,W)),
+    two separate arrays: holding the targets does not hold the inputs."""
+    w = np.asarray(windows)
+    return normalize(w[:, :-1], cap), normalize(w[:, -1], cap)
 
 
 def sliding_windows(stream: EventStream, bin_dt: int, bins: int,
                     stride: int = 1, mode: str = "bilinear",
                     t0: int | None = None,
-                    duration: int | None = None) -> list[WindowSample]:
-    """Cut (B input bins, 1 target bin) samples every `stride` bins.
+                    duration: int | None = None) -> list[np.ndarray]:
+    """Cut a (B+1, H, W) float32 window every `stride` bins.
 
-    Window k starts at t0 + k*stride*bin_dt; its first B bins form the
-    input volume, bin B the target frame. t0 defaults to the first event
-    timestamp, duration to the stream's time extent from t0.
+    Window k is `discretize(stream, t0 + k*stride*bin_dt, bin_dt, B+1,
+    mode).data`: its first B bins form the input volume, bin B the
+    target frame. t0 defaults to the first event timestamp, duration to
+    the stream's time extent from t0.
     """
     if stride < 1:
         raise ValueError("stride must be >= 1")
@@ -139,14 +125,8 @@ def sliding_windows(stream: EventStream, bin_dt: int, bins: int,
     if duration < span:
         raise TooShort(f"duration {duration} < (B+1)*bin_dt = {span}")
     n = (duration - span) // (stride * bin_dt) + 1
-    out = []
-    for k in range(n):
-        start = t0 + k * stride * bin_dt
-        vol = discretize(stream, start, bin_dt, bins + 1, mode)
-        inp = DiscretizedVolume(bins, vol.height, vol.width, start, bin_dt,
-                                mode, vol.data[:bins].copy())
-        out.append(WindowSample(inp, vol.data[bins].copy(), start))
-    return out
+    return [discretize(stream, t0 + k * stride * bin_dt, bin_dt, bins + 1,
+                       mode).data for k in range(n)]
 
 
 def baseline_histogram(stream: EventStream, t0: int, dt: int) -> np.ndarray:

@@ -95,6 +95,8 @@ class SceneConfig:
     noise_rate: float = 0.0  # background events / pixel / second
 
     def __post_init__(self):
+        if self.duration <= 0:
+            raise ConfigError("duration must be positive")
         if self.micro_step <= 0:
             raise ConfigError("micro_step must be positive")
         if self.duration % self.micro_step != 0:

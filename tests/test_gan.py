@@ -254,7 +254,7 @@ def trained_setup():
     stream, _ = render_scene(walking_scene(3, duration=500_000, size=16))
     windows = sliding_windows(stream, bin_dt=25_000, bins=4, stride=2,
                               mode="bilinear")
-    vols = np.stack([np.clip(w.input.data, -5, 5) / 5.0 for w in windows])
+    vols = np.stack([np.clip(w[:-1], -5, 5) / 5.0 for w in windows])
     ms_params, _ = train_ms(vols, MsHyper(filters=8, epochs=5, batch=8),
                             seed=1)
     return windows, ms_params
@@ -345,8 +345,9 @@ def test_train_gan_rejects_empty(trained_setup):
 
 def test_divergence_carries_last_params(trained_setup):
     windows, ms_params = trained_setup
-    bad = [type(w)(input=w.input, target=np.full_like(w.target, np.nan),
-                   t0=w.t0) for w in windows]
+    bad = [w.copy() for w in windows]
+    for w in bad:
+        w[-1] = np.nan
     with pytest.raises(DivergenceDetected) as exc:
         train_gan(bad, ms_params, GanHyper(ngf=4, ndf=4, epochs=1, batch=8),
                   seed=0)

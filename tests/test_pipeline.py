@@ -300,7 +300,7 @@ def tiny_models():
     stream, track = render_scene(walking_scene(2, duration=500_000, size=16))
     windows = sliding_windows(stream, cfg.bin_dt_us, cfg.bins,
                               stride=cfg.stride, mode=cfg.mode)
-    vols = np.stack([np.clip(w.input.data, -5, 5) / 5.0 for w in windows])
+    vols = np.stack([np.clip(w[:-1], -5, 5) / 5.0 for w in windows])
     ms_params, _ = train_ms(vols, cfg.ms_hyper(), seed=1)
     gan_params, _ = train_gan(windows, ms_params, cfg.gan_hyper(), seed=1)
     return cfg, stream, track, ms_params, gan_params
@@ -389,6 +389,31 @@ def test_cli_timestamp_beyond_int64(tmp_path, capsys):
                      "--height", "8", "--t0", "0", "--bin-dt", "10", "--bins",
                      "2", "--out", str(tmp_path / "v.evol")]) == 1
     assert "line 2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("t0", ["-1", str(2**64)])
+def test_cli_voxelize_rejects_t0_outside_u64(tmp_path, capsys, t0):
+    ev, out = tmp_path / "events.csv", tmp_path / "v.evol"
+    ev.write_text("t_us,x,y,p\n0,1,1,1\n100,2,2,-1\n")
+    assert cli_main(["voxelize", "--events", str(ev), "--width", "8",
+                     "--height", "8", "--t0", t0, "--bin-dt", "10", "--bins",
+                     "2", "--out", str(out)]) == 1
+    assert "t0" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("duration", [0, -5000])
+def test_cli_simulate_rejects_non_positive_duration(tmp_path, capsys,
+                                                    duration):
+    scene, ev, lab = (tmp_path / n for n in ("s.cfg", "ev.csv", "lab.csv"))
+    scene.write_text("width=8\nheight=8\nmicro_step_us=1000\n"
+                     f"duration_us={duration}\n"
+                     "object.0.shape=rect:2x2\nobject.0.start=0,0\n"
+                     "object.0.velocity=0:10,0\nobject.0.active=0,1000\n")
+    assert cli_main(["simulate", "--config", str(scene), "--out-events",
+                     str(ev), "--out-labels", str(lab)]) == 1
+    assert "duration" in capsys.readouterr().err
+    assert not lab.exists()
 
 
 def test_cli_score_rejects_ms_checkpoint_as_gan(tmp_path, capsys):

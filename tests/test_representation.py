@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from evanom.events import EventStream, slice_time
-from evanom.representation import (DiscretizedVolume, EmptyGeometry, TooShort,
-                                   baseline_exp_surface, baseline_histogram,
-                                   discretize, normalize_volume,
-                                   sliding_windows)
+from evanom.representation import (MODES, DiscretizedVolume, EmptyGeometry,
+                                   TooShort, baseline_exp_surface,
+                                   baseline_histogram, discretize, normalize,
+                                   sliding_windows, window_arrays)
 from evanom import io
 from conftest import random_stream
 
@@ -105,18 +105,17 @@ def test_normalize_cases():
     data[0, 0, 0] = 5.0
     data[0, 0, 1] = 7.0
     data[0, 1, 0] = -9.0
-    vol = DiscretizedVolume(1, 2, 2, 0, 100, "count", data)
-    out = normalize_volume(vol, 5.0)
-    assert out.data[0, 0, 0] == 1.0
-    assert out.data[0, 0, 1] == 1.0   # clamped
-    assert out.data[0, 1, 0] == -1.0
-    assert out.data[0, 1, 1] == 0.0
+    out = normalize(data, 5.0)
+    assert out.dtype == np.float32
+    assert out[0, 0, 0] == 1.0
+    assert out[0, 0, 1] == 1.0   # clamped
+    assert out[0, 1, 0] == -1.0
+    assert out[0, 1, 1] == 0.0
 
 
 def test_normalize_rejects_bad_cap():
-    vol = discretize(EventStream.empty(2, 2), 0, 1, 1, "count")
     with pytest.raises(ValueError):
-        normalize_volume(vol, 0)
+        normalize(np.zeros((1, 2, 2), dtype=np.float32), 0)
 
 
 def test_window_count_boundary():
@@ -146,16 +145,29 @@ def test_windows_match_slice_restriction(rng):
                             duration=60_000)
     assert len(wins) == len(wins2)
     for a, b in zip(wins, wins2):
-        np.testing.assert_array_equal(a.input.data, b.input.data)
-        np.testing.assert_array_equal(a.target, b.target)
+        np.testing.assert_array_equal(a, b)
 
 
-def test_window_shapes_and_target_bin():
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("stride", [1, 2, 3])
+def test_window_shapes_and_target_bin(stride, mode):
     s = random_stream(np.random.default_rng(0), n=300, t_max=50_000)
-    wins = sliding_windows(s, 5000, 4, stride=2, t0=0, duration=50_000)
-    full = discretize(s, wins[0].t0, 5000, 5, "bilinear")
-    np.testing.assert_array_equal(wins[0].input.data, full.data[:4])
-    np.testing.assert_array_equal(wins[0].target, full.data[4])
+    t0, bin_dt, bins = 1000, 5000, 4
+    wins = sliding_windows(s, bin_dt, bins, stride=stride, mode=mode, t0=t0,
+                           duration=49_000)
+    assert len(wins) == (49_000 - 5 * bin_dt) // (stride * bin_dt) + 1
+    for k, w in enumerate(wins):
+        full = discretize(s, t0 + k * stride * bin_dt, bin_dt, bins + 1, mode)
+        assert w.shape == (bins + 1, 12, 16) and w.dtype == np.float32
+        assert w.tobytes() == full.data.tobytes()
+    inputs, targets = window_arrays(wins, 2.0)
+    assert inputs.shape == (len(wins), bins, 12, 16)
+    assert targets.shape == (len(wins), 12, 16)
+    stacked = np.stack(wins)
+    assert inputs.tobytes() == normalize(stacked[:, :bins], 2.0).tobytes()
+    assert targets.tobytes() == normalize(stacked[:, bins], 2.0).tobytes()
+    # Separate arrays: keeping the targets must not keep the inputs alive.
+    assert not np.shares_memory(inputs, targets)
 
 
 def test_histogram_polarity_channels():

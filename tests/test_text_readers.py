@@ -111,3 +111,15 @@ def test_scene_config_missing_object_key_is_a_config_error():
                    if not ln.startswith("object.1.start="))
     with pytest.raises(ConfigError, match="object.1.start"):
         parse_scene_config(text)
+
+
+# An explicit object.0.active keeps ObjectSpec's own check from firing,
+# so only SceneConfig can reject the duration.
+@pytest.mark.parametrize("duration", [0, -5000])
+def test_scene_config_rejects_non_positive_duration(duration):
+    text = ("width=8\nheight=8\nmicro_step_us=1000\n"
+            f"duration_us={duration}\n"
+            "object.0.shape=rect:2x2\nobject.0.start=0,0\n"
+            "object.0.velocity=0:10,0\nobject.0.active=0,1000\n")
+    with pytest.raises(ConfigError, match="duration"):
+        parse_scene_config(text)

@@ -195,12 +195,18 @@ def write_event_csv(stream: EventStream) -> str:
     return "\n".join(rows) + "\n"
 
 
+def time_index(t: np.ndarray, v: int) -> int:
+    """Index of the first timestamp >= v in sorted int64 `t`, for any
+    Python int v: numpy would compare a v beyond int64 as a float, and
+    2**63 + 19 rounds down to 2**63, the same float as 2**63 - 1."""
+    return len(t) if v > _T_MAX else int(np.searchsorted(t, max(v, 0)))
+
+
 def slice_time(stream: EventStream, t0: int, t1: int) -> EventStream:
     """Events with t0 <= t < t1 (half-open); geometry preserved."""
     if t0 > t1:
         raise InvalidRange(f"t0={t0} > t1={t1}")
-    lo = int(np.searchsorted(stream.t, t0, side="left"))
-    hi = int(np.searchsorted(stream.t, t1, side="left"))
+    lo, hi = time_index(stream.t, t0), time_index(stream.t, t1)
     return EventStream(stream.width, stream.height,
                        stream.x[lo:hi].copy(), stream.y[lo:hi].copy(),
                        stream.t[lo:hi].copy(), stream.p[lo:hi].copy())

@@ -163,8 +163,10 @@ def score_sequence(ms_params: MsNetParams, gan_params: gan_mod.GanParams,
               for _ in range(cfg.noise_samples)]
     scores = np.zeros(n, dtype=np.float64)
     for z in zs:
-        for start in range(0, n, 32):
-            sl = slice(start, min(start + 32, n))
+        # Each frame's score has the same bits at any batch size; 16
+        # frames a call ran faster than 32 on 2 vCPUs.
+        for start in range(0, n, 16):
+            sl = slice(start, min(start + 16, n))
             pred = gan_mod.g_forward(gan_params, surfaces[sl], z[sl])
             d = pred - targets[sl]
             scores[sl] += d.reshape(d.shape[0], -1).__pow__(2).mean(axis=1)

@@ -6,6 +6,23 @@ sums, or bilinear interpolation of each event's polarity between the two
 nearest temporal bins. A training or scoring window is one such grid
 with B+1 bins: the first B are the input volume, the last is the frame
 to predict.
+
+Every window of a stream comes from one binning pass over its events.
+Bin centre j of the pass is the interval [t0 + j*bin_dt, t0 +
+(j+1)*bin_dt). An event in interval j = (t - t0) // bin_dt has the
+fraction f = float32(((t - t0) mod bin_dt) / bin_dt); count gives 1 and
+signed p to centre j. Bilinear gives p*(1 - f) to centre j and p*f to
+centre j + 1, except that a window's first bin takes nothing from before
+the window and its last bin takes the full p of its own interval, so a
+bilinear window bin is one of three per-centre grids:
+
+- first: own p*(1 - f) only;
+- mid: own p*(1 - f), then the previous interval's p*f;
+- last: own p, then the previous interval's p*f.
+
+Each grid is accumulated in float32 with `np.add.at` in event order,
+own terms before carried ones, so a window's bytes do not depend on
+where it starts or on how many other windows share the pass.
 """
 from __future__ import annotations
 
@@ -13,9 +30,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .events import EventStream, slice_time
+from .events import EventStream, slice_time, time_index
 
 MODES = ("count", "signed", "bilinear")
+_T_MAX = np.iinfo(np.int64).max
+_I32_MAX = np.iinfo(np.int32).max
 
 
 class EmptyGeometry(ValueError):
@@ -44,6 +63,73 @@ class DiscretizedVolume:
                              f"{(self.bins, self.height, self.width)}")
 
 
+def _check(stream: EventStream, bin_dt: int, bins: int, mode: str):
+    if stream.width == 0 or stream.height == 0:
+        raise EmptyGeometry("stream has zero-sized geometry")
+    if bins < 1 or bin_dt <= 0:
+        raise ValueError("need bins >= 1 and bin_dt > 0")
+    if mode not in MODES:
+        raise ValueError(f"unknown mode {mode!r}")
+
+
+def _grids(stream: EventStream, t0: int, bin_dt: int, bins: int, n: int,
+           stride: int, mode: str):
+    """One binning pass for n windows of `bins` bins, one every `stride`
+    centres: the (centres, H*W) grid the windows are cut from and, in
+    bilinear mode with bins > 1, the (n, H*W) first and last bins that
+    replace each window's ends (None otherwise)."""
+    hw = stream.height * stream.width
+    centres = (n - 1) * stride + bins
+    t = stream.t
+    lo, hi = time_index(t, t0), time_index(t, t0 + centres * bin_dt)
+    # with no event selected, t0 may lie beyond int64
+    rel = t[lo:hi] - t0 if hi > lo else t[:0]
+    if bin_dt > _T_MAX:  # every offset is below bin_dt, which int64 cannot hold
+        j, r = np.zeros_like(rel), rel
+    else:
+        j, r = np.divmod(rel, bin_dt)
+    itype = np.int32 if (centres + 1) * hw <= _I32_MAX else np.int64
+    j = j.astype(itype, copy=False)
+    pix = stream.y[lo:hi] * stream.width + stream.x[lo:hi]
+    idx = j * hw + pix
+    p = stream.p[lo:hi].astype(np.float32)
+    if mode != "bilinear" or bins == 1:  # a one-bin window clamps to own p
+        grid = np.zeros((centres, hw), dtype=np.float32)
+        np.add.at(grid.ravel(), idx, np.float32(1) if mode == "count" else p)
+        return grid, None, None
+    f = (r / float(bin_dt)).astype(np.float32)
+    del rel, r
+    carry = p * f
+    # Row `centres` takes the carry out of the last interval; no window reads it.
+    grid = np.zeros((centres + 1, hw), dtype=np.float32)
+    np.add.at(grid.ravel(), idx, p * (1 - f))
+    first = grid[np.arange(n) * stride]
+    np.add.at(grid.ravel(), idx + hw, carry)
+    q, m = np.divmod(j - (bins - 1), stride)
+    own = (q >= 0) & (m == 0)
+    carried = (m == stride - 1) & (q >= -1) & (q < n - 1)
+    last = np.zeros((n, hw), dtype=np.float32)
+    np.add.at(last.ravel(), q[own] * hw + pix[own], p[own])
+    np.add.at(last.ravel(), (q[carried] + 1) * hw + pix[carried],
+              carry[carried])
+    return grid, first, last
+
+
+def _windows(stream: EventStream, t0: int, bin_dt: int, bins: int, n: int,
+             stride: int, mode: str) -> list[np.ndarray]:
+    """n (bins, H, W) float32 arrays; window k starts at t0 + k*stride*bin_dt.
+    Each is its own array: one shared block raised peak RSS when scoring."""
+    grid, first, last = _grids(stream, t0, bin_dt, bins, n, stride, mode)
+    windows = []
+    for k in range(n):
+        w = grid[k * stride:k * stride + bins].copy()
+        if first is not None:
+            w[0] = first[k]
+            w[-1] = last[k]
+        windows.append(w.reshape(bins, stream.height, stream.width))
+    return windows
+
+
 def discretize(stream: EventStream, t0: int, bin_dt: int, bins: int,
                mode: str = "bilinear") -> DiscretizedVolume:
     """Accumulate events in [t0, t0 + bins*bin_dt) into a (B, H, W) grid.
@@ -51,40 +137,16 @@ def discretize(stream: EventStream, t0: int, bin_dt: int, bins: int,
     count: per-pixel event counts per bin. signed: polarity sums.
     bilinear: each event at normalized time t* = (t - t0)/bin_dt spreads
     polarity-weighted mass (1 - |t* - b|) over the two nearest bins,
-    clamped at the volume edges.
+    clamped at the volume edges: the first bin takes nothing from before
+    t0 and the last keeps the full polarity of its own events. The
+    volume is the one-window case of the module's binning pass, so its
+    fraction is the remainder rule f = ((t - t0) mod bin_dt) / bin_dt in
+    float32, and own terms are added before carried ones.
     """
-    if stream.width == 0 or stream.height == 0:
-        raise EmptyGeometry("stream has zero-sized geometry")
-    if bins < 1 or bin_dt <= 0:
-        raise ValueError("need bins >= 1 and bin_dt > 0")
-    if mode not in MODES:
-        raise ValueError(f"unknown mode {mode!r}")
-    H, W = stream.height, stream.width
-    grid = np.zeros((bins, H, W), dtype=np.float32)
-    window = slice_time(stream, t0, t0 + bins * bin_dt)
-    if len(window) == 0:
-        return DiscretizedVolume(bins, H, W, t0, bin_dt, mode, grid)
-
-    flat = grid.ravel()
-    pix = window.y.astype(np.int64) * W + window.x.astype(np.int64)
-    if mode in ("count", "signed"):
-        b = (window.t - t0) // bin_dt
-        w = np.ones(len(window), dtype=np.float32) if mode == "count" \
-            else window.p.astype(np.float32)
-        np.add.at(flat, b * H * W + pix, w)
-    else:
-        # Mass at bin centers b=0..bins-1; t* in [0, bins) maps to [0, bins-1]
-        # by clamping so edge events keep full weight.
-        ts = (window.t - t0).astype(np.float64) / bin_dt
-        ts = np.clip(ts, 0.0, bins - 1.0)
-        lo = np.floor(ts).astype(np.int64)
-        frac = (ts - lo).astype(np.float32)
-        pol = window.p.astype(np.float32)
-        np.add.at(flat, lo * H * W + pix, pol * (1.0 - frac))
-        hi = lo + 1
-        ok = hi < bins
-        np.add.at(flat, hi[ok] * H * W + pix[ok], pol[ok] * frac[ok])
-    return DiscretizedVolume(bins, H, W, t0, bin_dt, mode, grid)
+    _check(stream, bin_dt, bins, mode)
+    data = _windows(stream, t0, bin_dt, bins, 1, 1, mode)[0]
+    return DiscretizedVolume(bins, stream.height, stream.width, t0, bin_dt,
+                             mode, data)
 
 
 def normalize(array: np.ndarray, cap: float) -> np.ndarray:
@@ -108,15 +170,19 @@ def sliding_windows(stream: EventStream, bin_dt: int, bins: int,
                     duration: int | None = None) -> list[np.ndarray]:
     """Cut a (B+1, H, W) float32 window every `stride` bins.
 
-    Window k is `discretize(stream, t0 + k*stride*bin_dt, bin_dt, B+1,
-    mode).data`: its first B bins form the input volume, bin B the
-    target frame. t0 defaults to the first event timestamp, duration to
-    the stream's time extent from t0.
+    Window k has the bytes of `discretize(stream, t0 + k*stride*bin_dt,
+    bin_dt, B+1, mode).data`: its first B bins form the input volume,
+    bin B the target frame. All windows come from one binning pass, so
+    each event is binned once however many windows it falls in; bilinear
+    windows take their first bin, middle bins and last bin from the
+    module's first, mid and last grids. t0 defaults to the first event
+    timestamp, duration to the stream's time extent from t0.
     """
     if stride < 1:
         raise ValueError("stride must be >= 1")
     if len(stream) == 0:
         raise TooShort("empty stream")
+    _check(stream, bin_dt, bins + 1, mode)
     if t0 is None:
         t0 = int(stream.t[0])
     if duration is None:
@@ -125,8 +191,7 @@ def sliding_windows(stream: EventStream, bin_dt: int, bins: int,
     if duration < span:
         raise TooShort(f"duration {duration} < (B+1)*bin_dt = {span}")
     n = (duration - span) // (stride * bin_dt) + 1
-    return [discretize(stream, t0 + k * stride * bin_dt, bin_dt, bins + 1,
-                       mode).data for k in range(n)]
+    return _windows(stream, t0, bin_dt, bins + 1, n, stride, mode)
 
 
 def baseline_histogram(stream: EventStream, t0: int, dt: int) -> np.ndarray:

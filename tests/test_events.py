@@ -111,6 +111,15 @@ def test_slice_identity():
     assert slice_time(s, 0, 151) == s
 
 
+def test_slice_bounds_beyond_int64():
+    last = 2**63 - 1
+    s = EventStream.from_arrays(4, 4, [0, 1], [0, 0], [5, last], [1, -1])
+    assert [e.t for e in slice_time(s, last, last + 20)] == [last]
+    assert [e.t for e in slice_time(s, 0, 2**63)] == [5, last]
+    assert len(slice_time(s, 2**63, 2**64)) == 0
+    assert slice_time(s, -2**64, 6) == slice_time(s, 0, 6)
+
+
 def test_slice_invalid_range():
     with pytest.raises(InvalidRange):
         slice_time(EventStream.empty(4, 4), 10, 5)

@@ -402,6 +402,39 @@ def test_cli_voxelize_rejects_t0_outside_u64(tmp_path, capsys, t0):
     assert not out.exists()
 
 
+BIG_T = 2**63 - 1   # the last int64 microsecond
+
+
+@pytest.mark.parametrize("t0, bin_dt, mode, cells", [
+    (BIG_T, 10, "bilinear", {(0, 3, 3): 1}),
+    (2**64 - 1, 10, "bilinear", {}),
+    (0, 2**62, "bilinear", {(0, 1, 1): 1, (0, 2, 2): -1,
+                            (1, 2, 2): -np.float32(100 / 2**62),
+                            (1, 3, 3): 1}),
+    (0, 2**64 - 1, "bilinear", {(0, 1, 1): 1, (0, 2, 2): -1,
+                                (1, 2, 2): -np.float32(100 / 2**64),
+                                (0, 3, 3): 0.5, (1, 3, 3): 0.5}),
+    (0, 2**64 - 1, "count", {(0, 1, 1): 1, (0, 2, 2): 1, (0, 3, 3): 1}),
+    (0, 2**64 - 1, "signed", {(0, 1, 1): 1, (0, 2, 2): -1, (0, 3, 3): 1}),
+])
+def test_cli_voxelize_integer_range(tmp_path, t0, bin_dt, mode, cells):
+    """t0 and bin_dt anywhere in EVOL's u64 fields: a bin_dt beyond int64
+    puts every event in interval 0, and a t0 beyond every event gives an
+    empty volume."""
+    ev, out = tmp_path / "events.csv", tmp_path / "v.evol"
+    ev.write_text(f"t_us,x,y,p\n0,1,1,1\n100,2,2,-1\n{BIG_T},3,3,1\n")
+    assert cli_main(["voxelize", "--events", str(ev), "--width", "8",
+                     "--height", "8", "--t0", str(t0), "--bin-dt",
+                     str(bin_dt), "--bins", "2", "--mode", mode,
+                     "--out", str(out)]) == 0
+    vol = io.read_evol(out.read_bytes())
+    expected = np.zeros((2, 8, 8), dtype=np.float32)
+    for cell, value in cells.items():
+        expected[cell] = value
+    assert (vol.t0, vol.bin_dt, vol.mode) == (t0, bin_dt, mode)
+    assert vol.data.tobytes() == expected.tobytes()
+
+
 @pytest.mark.parametrize("duration", [0, -5000])
 def test_cli_simulate_rejects_non_positive_duration(tmp_path, capsys,
                                                     duration):

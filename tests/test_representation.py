@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from evanom.events import EventStream, slice_time
 from evanom.representation import (MODES, DiscretizedVolume, EmptyGeometry,
@@ -21,6 +23,28 @@ def brute_force_bilinear(stream, t0, bin_dt, bins):
             w = max(0.0, 1.0 - abs(ts - b))
             grid[b, e.y, e.x] += e.p * w
     return grid
+
+
+def per_window_reference(stream, t0, bin_dt, bins, mode):
+    """One window binned on its own by the float rule: t* = (t - t0)/bin_dt
+    clamped to [0, bins-1], own terms in one np.add.at and carried terms
+    in a second. Oracle for the bytes of the one-pass windows."""
+    hw = stream.height * stream.width
+    grid = np.zeros(bins * hw, dtype=np.float32)
+    w = slice_time(stream, t0, t0 + bins * bin_dt)
+    pix = w.y.astype(np.int64) * stream.width + w.x
+    pol = w.p.astype(np.float32)
+    if mode != "bilinear":
+        np.add.at(grid, (w.t - t0) // bin_dt * hw + pix,
+                  np.ones_like(pol) if mode == "count" else pol)
+    else:
+        ts = np.clip((w.t - t0) / bin_dt, 0.0, bins - 1.0)
+        lo = np.floor(ts).astype(np.int64)
+        frac = (ts - lo).astype(np.float32)
+        np.add.at(grid, lo * hw + pix, pol * (1 - frac))
+        ok = lo + 1 < bins
+        np.add.at(grid, (lo[ok] + 1) * hw + pix[ok], pol[ok] * frac[ok])
+    return grid.reshape(bins, stream.height, stream.width)
 
 
 def test_empty_stream_all_zero():
@@ -168,6 +192,85 @@ def test_window_shapes_and_target_bin(stride, mode):
     assert targets.tobytes() == normalize(stacked[:, bins], 2.0).tobytes()
     # Separate arrays: keeping the targets must not keep the inputs alive.
     assert not np.shares_memory(inputs, targets)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_every_window_is_discretize_at_its_offset(data):
+    bin_dt = data.draw(st.integers(2, 5000))
+    bins = data.draw(st.integers(1, 9))
+    stride = data.draw(st.integers(1, 3))
+    mode = data.draw(st.sampled_from(MODES))
+    # t0 off the bin grid, with events before it
+    t0 = data.draw(st.integers(0, 3)) * bin_dt + data.draw(
+        st.integers(1, bin_dt - 1))
+    duration = (bins + 1) * bin_dt + data.draw(
+        st.integers(0, 4 * stride * bin_dt))
+    width, height = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 6))
+    n = data.draw(st.integers(0, 60))
+    ts = data.draw(st.lists(st.integers(0, t0 + duration + bin_dt),
+                            min_size=n, max_size=n))
+    s = EventStream.from_arrays(
+        width, height, data.draw(st.lists(st.integers(0, width - 1),
+                                          min_size=n + 1, max_size=n + 1)),
+        data.draw(st.lists(st.integers(0, height - 1), min_size=n + 1,
+                           max_size=n + 1)),
+        [t0 - 1] + ts,
+        data.draw(st.lists(st.sampled_from([1, -1]), min_size=n + 1,
+                           max_size=n + 1)))
+    wins = sliding_windows(s, bin_dt, bins, stride=stride, mode=mode, t0=t0,
+                           duration=duration)
+    assert isinstance(wins, list)
+    assert len(wins) == (duration - (bins + 1) * bin_dt) // (stride * bin_dt) + 1
+    for k, w in enumerate(wins):
+        offset = t0 + k * stride * bin_dt
+        assert w.tobytes() == discretize(s, offset, bin_dt, bins + 1,
+                                         mode).data.tobytes()
+        assert w.tobytes() == per_window_reference(s, offset, bin_dt,
+                                                   bins + 1, mode).tobytes()
+        if mode == "bilinear":
+            np.testing.assert_allclose(
+                w, brute_force_bilinear(s, offset, bin_dt, bins + 1),
+                atol=1e-5)
+    np.testing.assert_allclose(
+        discretize(s, t0, bin_dt, bins, "bilinear").data,
+        brute_force_bilinear(s, t0, bin_dt, bins), atol=1e-5)
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_crowded_pixels_match_reference(mode):
+    """Thousands of events on four pixels: every cell sums many own and
+    carried terms, so the float32 order of the sums shows in the bytes."""
+    s = random_stream(np.random.default_rng(3), n=4000, width=2, height=2,
+                      t_max=20_000)
+    for stride in (1, 2, 3):
+        wins = sliding_windows(s, 1000, 4, stride=stride, mode=mode, t0=0,
+                               duration=20_000)
+        for k, w in enumerate(wins):
+            ref = per_window_reference(s, k * stride * 1000, 1000, 5, mode)
+            assert w.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_window_edges_by_hand(mode):
+    t0, bin_dt, bins = 1037, 1000, 3   # windows of 4 bins, span 4000
+    s = EventStream.from_arrays(
+        4, 1, [0, 1, 2, 3],
+        [0, 0, 0, 0],
+        [t0 - 537,                  # before the window
+         t0 + 2 * bin_dt,           # exactly on the edge of bin 2
+         t0 + 4 * bin_dt - 1,       # the window's last microsecond
+         t0 + 4 * bin_dt],          # one past the window: excluded
+        [1, -1, 1, 1])
+    expected = np.zeros((4, 1, 4), dtype=np.float32)
+    expected[2, 0, 1] = 1 if mode == "count" else -1
+    expected[3, 0, 2] = 1
+    win = sliding_windows(s, bin_dt, bins, mode=mode, t0=t0,
+                          duration=4 * bin_dt)
+    assert len(win) == 1
+    assert win[0].tobytes() == expected.tobytes()
+    assert discretize(s, t0, bin_dt, 4, mode).data.tobytes() == \
+        expected.tobytes()
 
 
 def test_histogram_polarity_channels():

@@ -1,7 +1,8 @@
 """Minimal dense-tensor engine with reverse-mode automatic differentiation.
 
-Only the ops the two networks need. Tensors wrap numpy arrays; every op
-returns a new tensor carrying a backward closure, and `backward` walks
+Only the ops the two networks need. Tensors wrap numpy arrays; an op
+on inputs of which some need a gradient returns a new tensor carrying a
+backward closure (on no such input, a plain tensor), and `backward` walks
 the recorded DAG once in reverse topological order, so gradients are
 bit-deterministic for a fixed graph. No op mutates its inputs. Training
 code uses float32 storage; gradient checks run the same ops in float64.
@@ -70,9 +71,12 @@ def _acc(t: Tensor, g: np.ndarray, fresh: bool = True):
 
 
 def _result(data, inputs, back, op) -> Tensor:
+    """The op's output; it records its inputs and backward closure only
+    if some input needs a gradient, so inference holds no graph."""
     prev = tuple(x for x in inputs if isinstance(x, Tensor))
-    return Tensor(data, requires_grad=any(p.requires_grad for p in prev),
-                  _prev=prev, _back=back, _op=op)
+    if not any(p.requires_grad for p in prev):
+        return Tensor(data, _op=op)
+    return Tensor(data, requires_grad=True, _prev=prev, _back=back, _op=op)
 
 
 def _check_same_shape(op, a, b):
@@ -573,6 +577,10 @@ class Params(dict):
 
     def parameters(self, prefix: str = "") -> list[Tensor]:
         return [t for name, t in self.items() if name.startswith(prefix)]
+
+    def detach(self):
+        """The same arrays, as tensors that need no gradient."""
+        return type(self)((name, t.detach()) for name, t in self.items())
 
     def to_arrays(self) -> dict[str, np.ndarray]:
         return {name: t.data for name, t in self.items()}

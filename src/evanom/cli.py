@@ -68,6 +68,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_voxelize(args) -> int:
+    io.check_evol_times(args.t0, args.bin_dt)   # before binning uses them
     stream = _read_stream(args)
     vol = representation.discretize(stream, args.t0, args.bin_dt, args.bins,
                                     args.mode)

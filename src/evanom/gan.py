@@ -115,8 +115,8 @@ def d_forward_t(p: GanParams, part: str, x: Tensor) -> Tensor:
 
 def g_forward(params: GanParams, y: np.ndarray, z: np.ndarray) -> np.ndarray:
     """Predict next frames (N,1,H,W) in (-1,1) from surfaces y and noise z,
-    both (N,1,H,W)."""
-    return g_forward_t(params, Tensor(y, dtype=np.float32),
+    both (N,1,H,W), recording no graph."""
+    return g_forward_t(params.detach(), Tensor(y, dtype=np.float32),
                        Tensor(z, dtype=np.float32)).data
 
 
@@ -154,7 +154,7 @@ def g_loss(params: GanParams, batch: GanBatch, x_fake: Tensor,
     """
     if lambda_l1 < 0:
         raise ValueError("lambda_l1 must be >= 0")
-    fixed = GanParams((name, t.detach()) for name, t in params.items())
+    fixed = params.detach()
     y = Tensor(batch.y)
     lf_xy = d_forward_t(fixed, "dxy", ad.concat([x_fake, y]))
     lf_x = d_forward_t(fixed, "dx", x_fake)

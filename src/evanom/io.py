@@ -24,14 +24,19 @@ class FormatError(ValueError):
     pass
 
 
+def check_evol_times(t0: int, bin_dt: int) -> None:
+    """Raise FormatError unless t0 and bin_dt fit EVOL's u64 fields."""
+    for name, value in (("t0", t0), ("bin_dt", bin_dt)):
+        if not 0 <= value < 2**64:
+            raise FormatError(
+                f"EVOL stores {name} as u64; {value} is out of range")
+
+
 def write_evol(vol: DiscretizedVolume) -> bytes:
     """Serialize: magic, version u32, B/H/W u32, mode u8, t0/bin_dt u64,
     then B*H*W float32 values in bin-major, row-major order. Raises
     FormatError if t0 or bin_dt does not fit its u64 field."""
-    for name, value in (("t0", vol.t0), ("bin_dt", vol.bin_dt)):
-        if not 0 <= value < 2**64:
-            raise FormatError(
-                f"EVOL stores {name} as u64; {value} is out of range")
+    check_evol_times(vol.t0, vol.bin_dt)
     head = EVOL_MAGIC + struct.pack(
         "<IIIIBQQ", FORMAT_VERSION, vol.bins, vol.height, vol.width,
         MODES.index(vol.mode), vol.t0, vol.bin_dt)

@@ -113,12 +113,6 @@ class LabelTrack:
 
     intervals: tuple[tuple[int, int, str], ...]
 
-    def label_at(self, t_us: int) -> str:
-        for a, b, lab in self.intervals:
-            if a <= t_us < b:
-                return lab
-        return "normal"
-
     def overlaps_anomaly(self, a: int, b: int) -> bool:
         return any(lab == "anomaly" and t0 < b and a < t1
                    for t0, t1, lab in self.intervals)

@@ -411,7 +411,7 @@ def test_no_grad_cases_cover_every_op():
 
 
 @pytest.mark.parametrize("op", sorted(NO_GRAD_CASES))
-def test_input_without_grad_gets_none(op):
+def test_input_without_grad_gets_none(op, monkeypatch):
     build, x_shape, p_shapes = NO_GRAD_CASES[op]
     rng = np.random.default_rng(3)
     x_data = rng.standard_normal(x_shape)
@@ -432,6 +432,13 @@ def test_input_without_grad_gets_none(op):
     assert ref_x_grad is not None
     for got, want in zip(p_grads, ref_p_grads):
         np.testing.assert_array_equal(got, want)
+
+    # with no input needing a gradient, no op records a graph
+    made = []
+    monkeypatch.setattr(ad, "_result",
+                        lambda *a, f=ad._result: made.append(f(*a)) or made[-1])
+    build(Tensor(x_data), *(Tensor(a) for a in p_data))
+    assert made and all(t._prev == () and t._back is None for t in made)
 
 
 # --- gradient checks, 10 random shapes per op -----------------------------

@@ -1,14 +1,23 @@
+import functools
+import os
+import subprocess
+import sys
+import time
+from dataclasses import replace
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from evanom import io
+from evanom import io, pipeline
 from evanom.cli import cli_main
-from evanom.gan import GanHyper, GanParams, train_gan
+from evanom.events import EventStream, write_event_csv
+from evanom.gan import GanHyper, GanParams, g_forward, prepare_batches, train_gan
 from evanom.msnet import MsHyper, MsNetParams, train_ms
 from evanom.pipeline import (EmptySeries, EvalMetrics, PipelineConfig,
                              ScoreSeries, SingleClass, evaluate, plot_scores,
                              read_label_csv, read_score_csv, score_sequence,
-                             write_label_csv, write_score_csv)
+                             windows_for, write_label_csv, write_score_csv)
 from evanom.representation import sliding_windows
 from evanom.simulate import LabelTrack, render_scene, walking_scene
 
@@ -333,6 +342,128 @@ def test_score_sequence_no_track_means_no_labels(tiny_models):
     assert s.labels is None
 
 
+def _stream_of(n_frames, cfg):
+    """Random events on 16x16 whose last one gives exactly n_frames windows."""
+    rng = np.random.default_rng(n_frames)
+    last = (cfg.bins + 1 + (n_frames - 1) * cfg.stride) * cfg.bin_dt_us
+    t = np.sort(rng.integers(0, last, 40 * n_frames))
+    t[-1] = last
+    return EventStream.from_arrays(16, 16, rng.integers(0, 16, len(t)),
+                                   rng.integers(0, 16, len(t)), t,
+                                   rng.choice([1, -1], len(t)))
+
+
+def _one_frame_per_call(ms_params, gan_params, stream, cfg, seed):
+    surfaces, targets = prepare_batches(windows_for(stream, cfg), ms_params,
+                                        cfg.cap)
+    n, _, h, w = surfaces.shape
+    rng = np.random.default_rng(seed)
+    zs = ([np.zeros((n, 1, h, w), dtype=np.float32)] if cfg.noise_samples == 0
+          else [rng.standard_normal((n, 1, h, w)).astype(np.float32)
+                for _ in range(cfg.noise_samples)])
+    scores = np.zeros(n)
+    for z in zs:
+        for i in range(n):
+            d = g_forward(gan_params, surfaces[i:i + 1], z[i:i + 1]) \
+                - targets[i:i + 1]
+            scores[i] += (d.reshape(1, -1) ** 2).mean(axis=1)[0]
+    return scores / len(zs)
+
+
+@pytest.mark.parametrize("noise_samples", [0, 2])
+@pytest.mark.parametrize("n", [1, 7, 8, 9, 17, 33])
+@pytest.mark.parametrize("workers", [1, 2])
+def test_score_sequence_bits_do_not_depend_on_workers(
+        tiny_models, monkeypatch, workers, n, noise_samples):
+    cfg, _, _, ms_params, gan_params = tiny_models
+    cfg = replace(cfg, noise_samples=noise_samples)
+    stream = _stream_of(n, cfg)
+    monkeypatch.setattr(pipeline, "_split_frames", functools.partial(
+        pipeline._split_frames, workers=workers))
+    got = score_sequence(ms_params, gan_params, stream, cfg, seed=5)
+    want = _one_frame_per_call(ms_params, gan_params, stream, cfg, seed=5)
+    assert len(got) == n
+    assert got.scores.tobytes() == want.tobytes()
+
+
+def test_split_frames_scores_each_frame_once_with_more_workers_than_cpus():
+    n, workers, rounds = 7 * pipeline._G_FRAMES - 3, 7, 20
+    counts = np.zeros(n, dtype=np.int64)
+
+    def run(frames):
+        for start in frames:
+            sl = slice(start, min(start + frames.step, frames.stop))
+            for _ in range(rounds):   # read-modify-write of its own frames
+                counts[sl] = counts[sl] + 1
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        pipeline._split_frames(run, n, workers=workers)
+    finally:
+        sys.setswitchinterval(interval)
+    assert (counts == rounds).all()
+
+
+@pytest.mark.parametrize("failing", [(0,), (2,), (0, 2)])
+def test_split_frames_raises_after_every_range_finished(failing):
+    """Ranges 0 and 1 run in the pool, range 2 in the calling thread; the
+    first failing range's error is raised once the others are done."""
+    finished = []
+
+    def run(frames):
+        k = frames.start // pipeline._G_FRAMES
+        if k in failing:
+            raise ValueError(k)
+        time.sleep(0.2)
+        finished.append(k)
+
+    with pytest.raises(ValueError) as err:
+        pipeline._split_frames(run, 3 * pipeline._G_FRAMES, workers=3)
+    assert err.value.args == (failing[0],)
+    assert sorted(finished) == sorted(set(range(3)) - set(failing))
+
+
+def test_cli_score_bytes_do_not_depend_on_cpu_affinity(tiny_models, tmp_path):
+    """At one BLAS thread scoring splits frames across the usable CPUs;
+    pinned to one CPU it runs one range. The score CSVs are equal."""
+    cpus = sorted(os.sched_getaffinity(0))
+    if len(cpus) < 2:
+        pytest.skip("only one CPU is usable, so scoring never splits")
+    cfg, stream, track, ms_params, gan_params = tiny_models
+    ev, ms, gp, cf = (tmp_path / n for n in ("ev.csv", "ms.evck", "gan.evck",
+                                             "pipe.cfg"))
+    ev.write_text(write_event_csv(stream))
+    ms.write_bytes(io.write_evck(ms_params.to_arrays()))
+    gp.write_bytes(io.write_evck(gan_params.to_arrays()))
+    cf.write_text(cfg.to_text())
+    script = ("import os, sys\n"
+              "from evanom import cli, pipeline\n"
+              "if sys.argv[1] != 'all':\n"
+              "    os.sched_setaffinity(0, {int(sys.argv[1])})\n"
+              "print(pipeline._usable_cpus())\n"
+              "sys.exit(cli.cli_main(sys.argv[2:]))\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+           "PYTHONPATH": os.pathsep.join(
+               [src] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
+    ranges, csvs = [], []
+    for pin in (str(cpus[0]), "all"):
+        out = tmp_path / f"scores-{pin}.csv"
+        run = subprocess.run(
+            [sys.executable, "-c", script, pin, "score", "--events", str(ev),
+             "--width", "16", "--height", "16", "--ms-ckpt", str(ms),
+             "--gan-ckpt", str(gp), "--config", str(cf), "--out", str(out)],
+            env=env, capture_output=True, text=True, timeout=300)
+        assert run.returncode == 0, run.stderr
+        ranges.append(int(run.stdout.split()[0]))
+        csvs.append(out.read_bytes())
+    if ranges[1] == 1:
+        pytest.skip("no OpenBLAS thread count found, so scoring never splits")
+    assert ranges == [1, len(cpus)]
+    assert csvs[0] == csvs[1]
+
+
 # ----------------------------------------------------------------------- CLI
 
 def test_cli_usage_errors(capsys):
@@ -391,13 +522,19 @@ def test_cli_timestamp_beyond_int64(tmp_path, capsys):
     assert "line 2" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("t0", ["-1", str(2**64)])
-def test_cli_voxelize_rejects_t0_outside_u64(tmp_path, capsys, t0):
+@pytest.mark.parametrize("t0, bin_dt, bins", [
+    pytest.param("-1", "10", "2", id="-1"),
+    pytest.param(str(2**64), "10", "2", id=str(2**64)),
+    # a window reaching the events from below int64: binning it overflowed
+    pytest.param(str(-2**63 - 1), str(2**62), "4", id="below-int64"),
+])
+def test_cli_voxelize_rejects_t0_outside_u64(tmp_path, capsys, t0, bin_dt,
+                                             bins):
     ev, out = tmp_path / "events.csv", tmp_path / "v.evol"
     ev.write_text("t_us,x,y,p\n0,1,1,1\n100,2,2,-1\n")
     assert cli_main(["voxelize", "--events", str(ev), "--width", "8",
-                     "--height", "8", "--t0", t0, "--bin-dt", "10", "--bins",
-                     "2", "--out", str(out)]) == 1
+                     "--height", "8", "--t0", t0, "--bin-dt", bin_dt,
+                     "--bins", bins, "--out", str(out)]) == 1
     assert "t0" in capsys.readouterr().err
     assert not out.exists()
 

@@ -108,9 +108,9 @@ def test_label_track_anomaly_when_on_screen():
                        active=(0, 50_000), label="anomaly"),
         ))
     _, track = render_scene(cfg)
-    assert track.label_at(0) == "normal"       # still off-screen
-    assert track.label_at(30_000) == "anomaly"
-    assert track.label_at(60_000) == "normal"  # past t_off
+    assert not track.overlaps_anomaly(0, 1)       # still off-screen
+    assert track.overlaps_anomaly(30_000, 30_001)
+    assert not track.overlaps_anomaly(60_000, 60_001)  # past t_off
 
 
 def test_label_frames_all_normal():

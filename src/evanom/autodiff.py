@@ -189,13 +189,13 @@ def concat(tensors: list[Tensor], axis: int = 1) -> Tensor:
 #   pixels, Hs = ceil((H + 2*pad)/s) >= Ho + Kh - 1, then over a zero tail
 #   of (Kh-1)*Ws + Kw-1 columns.
 # - Output pixel (n, y, x) is column n*Hs*Ws + y*Ws + x, and kernel tap
-#   (u, v) reads the grid shifted by u*Ws + v columns. So the patch matrix
-#   is Kh*Kw contiguous slices of the grid, and each contraction is one 2-D
-#   matmul against the weights regrouped as (O, Kh*Kw*C*s*s).
+#   (u, v) reads the m grid columns shifted by u*Ws + v. With the weights
+#   regrouped as one (O, C*s*s) block w2_t per tap t, a conv is one 2-D
+#   matmul per tap, summed in tap order (kn2row; Vasudevan et al. 2017).
 # - Output columns with y >= Ho or x >= Wo, whose shifted reads run into
 #   the next block row or image, are computed and then dropped.
-# - The input gradient is the adjoint: one matmul, Kh*Kw shift-adds of
-#   contiguous slices, then depth-to-space back to (N,C,H,W).
+# - Its adjoints are one matmul per tap too: w2_t.T @ cols added into a
+#   zero grid at tap t's shift, and cols @ (tap t's columns).T.
 #
 # conv_transpose2d is the adjoint of conv2d: its forward is conv2d's
 # input-gradient path, and its backward is conv2d's forward path for the
@@ -259,24 +259,25 @@ class _Layout:
             img[:, :, xr, xc] = blocks[:, a, b, :, gr, gc]
         return img.transpose(1, 0, 2, 3)
 
-    def patches(self, grid):
-        """(R, m + tail) grid -> (taps*R, m): one contiguous slice per tap."""
-        cols = np.empty((len(self.shifts), grid.shape[0], self.m),
-                        dtype=grid.dtype)
-        for t, off in enumerate(self.shifts):
-            cols[t] = grid[:, off:off + self.m]
-        return cols.reshape(-1, self.m)
+    def product(self, w2, grid):
+        """(taps, O, R) weights, (R, m + tail) grid -> (O, m) conv columns."""
+        out = w2[0] @ grid[:, :self.m]                 # shifts[0] is 0
+        for w2_t, off in zip(w2[1:], self.shifts[1:]):
+            out += w2_t @ grid[:, off:off + self.m]
+        return out
 
-    def shift_add(self, gcols):
-        """Adjoint of `patches`: (taps*R, m) -> (R, m + tail) grid."""
-        gcols = gcols.reshape(len(self.shifts), -1, self.m)
-        grid = np.empty((gcols.shape[1], self.m + self.shifts[-1]),
-                        dtype=gcols.dtype)
-        grid[:, :self.m] = gcols[0]                    # shifts[0] is 0
-        grid[:, self.m:] = 0
-        for t, off in enumerate(self.shifts[1:], start=1):
-            grid[:, off:off + self.m] += gcols[t]
+    def grid_adjoint(self, w2, cols):
+        """Adjoint of `product` in the grid: (O, m) -> (R, m + tail)."""
+        grid = np.zeros((w2.shape[2], self.m + self.shifts[-1]),
+                        dtype=np.result_type(w2, cols))
+        for w2_t, off in zip(w2, self.shifts):
+            grid[:, off:off + self.m] += w2_t.T @ cols
         return grid
+
+    def weight_adjoint(self, cols, grid):
+        """Adjoint of `product` in the weights: (O, m) -> (taps, O, R)."""
+        return np.stack([cols @ grid[:, off:off + self.m].T
+                         for off in self.shifts])
 
     def out_cols(self, g):
         """(N,O,Ho,Wo) -> (O, m), zero in the columns outside the output."""
@@ -291,19 +292,19 @@ class _Layout:
             :, :, :self.ho, :self.wo].transpose(1, 0, 2, 3)
 
     def regroup(self, w):
-        """(O,C,kh,kw) weights -> (O, taps*C*s*s), rows in `patches` order."""
+        """(O,C,kh,kw) weights -> (taps, O, C*s*s), one block w2_t per tap."""
         O, C = w.shape[:2]
         s, th, tw = self.s, self.taps_h, self.taps_w
         wp = np.zeros((O, C, th * s, tw * s), dtype=w.dtype)
         wp[:, :, :self.kh, :self.kw] = w
-        return wp.reshape(O, C, th, s, tw, s).transpose(0, 2, 4, 1, 3, 5) \
-            .reshape(O, -1)
+        return wp.reshape(O, C, th, s, tw, s).transpose(2, 4, 0, 1, 3, 5) \
+            .reshape(th * tw, O, C * s * s)
 
     def ungroup(self, w2):
-        """Adjoint of `regroup`: (O, taps*C*s*s) -> (O,C,kh,kw)."""
+        """Adjoint of `regroup`: (taps, O, C*s*s) -> (O,C,kh,kw)."""
         s, th, tw = self.s, self.taps_h, self.taps_w
-        O, C = w2.shape[0], w2.shape[1] // (th * tw * s * s)
-        wp = w2.reshape(O, th, tw, C, s, s).transpose(0, 3, 1, 4, 2, 5) \
+        O, C = w2.shape[1], w2.shape[2] // (s * s)
+        wp = w2.reshape(th, tw, O, C, s, s).transpose(2, 3, 0, 4, 1, 5) \
             .reshape(O, C, th * s, tw * s)
         return wp[:, :, :self.kh, :self.kw]
 
@@ -316,9 +317,9 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1,
     if C != Cw or b.shape != (O,):
         raise ShapeMismatch(f"conv2d: x {x.shape} w {w.shape} b {b.shape}")
     lay = _Layout(N, H, W, kh, kw, stride, pad)
-    w2 = lay.regroup(w.data)                           # (O, taps*C*s*s)
+    w2 = lay.regroup(w.data)                           # (taps, O, C*s*s)
     grid = lay.space_to_depth(x.data)                  # (C*s*s, m + tail)
-    out = w2 @ lay.patches(grid)
+    out = lay.product(w2, grid)
     # adding the bias also crops the output into a channel-major array
     out = np.add(lay.out_view(out), b.data.reshape(1, O, 1, 1),
                  dtype=out.dtype)
@@ -330,13 +331,9 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1,
             return
         g2 = lay.out_cols(g)                           # (O, m)
         if w.requires_grad:
-            # g2 @ patches.T one tap at a time, so backward keeps only
-            # the grid, 1/taps the size of the patch matrix
-            _acc(w, lay.ungroup(np.concatenate(
-                [g2 @ grid[:, off:off + lay.m].T for off in lay.shifts],
-                axis=1)))
+            _acc(w, lay.ungroup(lay.weight_adjoint(g2, grid)))
         if x.requires_grad:
-            _acc(x, lay.depth_to_space(lay.shift_add(w2.T @ g2)))
+            _acc(x, lay.depth_to_space(lay.grid_adjoint(w2, g2)))
     return _result(out, (x, w, b), back, "conv2d")
 
 
@@ -350,9 +347,9 @@ def conv_transpose2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 2,
     # the conv2d from (N,O,Ho,Wo) to (N,C,H,W) whose adjoint this is
     lay = _Layout(N, (H - 1) * stride - 2 * pad + kh,
                   (W - 1) * stride - 2 * pad + kw, kh, kw, stride, pad)
-    w2 = lay.regroup(w.data)                           # (C, taps*O*s*s)
+    w2 = lay.regroup(w.data)                           # (taps, C, O*s*s)
     x2 = lay.out_cols(x.data)                          # (C, m)
-    out = lay.depth_to_space(lay.shift_add(w2.T @ x2))
+    out = lay.depth_to_space(lay.grid_adjoint(w2, x2))
     out += b.data.reshape(1, O, 1, 1)
 
     def back(g):
@@ -360,11 +357,11 @@ def conv_transpose2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 2,
             _acc(b, g.sum(axis=(0, 2, 3)))
         if not (w.requires_grad or x.requires_grad):
             return
-        cols = lay.patches(lay.space_to_depth(g))      # (taps*O*s*s, m)
+        grid = lay.space_to_depth(g)                   # (O*s*s, m + tail)
         if w.requires_grad:
-            _acc(w, lay.ungroup(x2 @ cols.T))
+            _acc(w, lay.ungroup(lay.weight_adjoint(x2, grid)))
         if x.requires_grad:
-            _acc(x, lay.out_view(w2 @ cols))
+            _acc(x, lay.out_view(lay.product(w2, grid)))
     return _result(out, (x, w, b), back, "conv_transpose2d")
 
 

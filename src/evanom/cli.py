@@ -15,7 +15,7 @@ from . import events, gan, io, msnet, oracle, pipeline, representation, simulate
 DOMAIN_ERRORS = (
     events.EventError, representation.EmptyGeometry, representation.TooShort,
     simulate.ConfigError, io.FormatError, msnet.EmptyDataset,
-    gan.DivergenceDetected, pipeline.SingleClass, pipeline.EmptySeries,
+    msnet.DivergenceDetected, pipeline.SingleClass, pipeline.EmptySeries,
     ValueError, OSError,
 )
 

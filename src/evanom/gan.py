@@ -13,14 +13,8 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .msnet import EmptyDataset, MsNetParams, encode
+from .msnet import DivergenceDetected, EmptyDataset, MsNetParams, encode
 from .representation import window_arrays
-
-
-class DivergenceDetected(RuntimeError):
-    def __init__(self, msg, params=None):
-        super().__init__(msg)
-        self.params = params
 
 
 @dataclass

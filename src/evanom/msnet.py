@@ -6,12 +6,12 @@ bottleneck is a single H x W image squeezed through a sigmoid. Loss is
 reconstruction MSE plus an L1 sparsity term on the bottleneck.
 
 With 1x1 kernels the net is a per-pixel B -> F -> 1 -> F -> B MLP, and
-every pixel with no events in its window gives the same output. `encode`
-and `train_ms` therefore run only the pixels' non-zero B-vectors, as an
-(R,B,1,1) batch, plus the one all-zero vector. Training weights the
-zero vector's terms by its count, so the loss equals the dense mean over
-every pixel; `encode_t`/`decode_t` on a whole (N,B,H,W) batch give the
-same values and serve as the reference in the tests.
+every pixel with no events in its window gives the same output. `encode`,
+`reconstruct` and `train_ms` therefore run only the pixels' non-zero
+B-vectors, as an (R,B,1,1) batch, plus the one all-zero vector. Training
+weights the zero vector's terms by its count, so the loss equals the
+dense mean over every pixel; `encode_t`/`decode_t` on a whole (N,B,H,W)
+batch give the same values and serve as the reference in the tests.
 
 The non-zero rows run in consecutive blocks of `BLOCK` rows. A training
 step runs each block's forward and backward in turn, its term weighted
@@ -42,6 +42,12 @@ BLOCK = 2048
 
 class EmptyDataset(ValueError):
     pass
+
+
+class DivergenceDetected(RuntimeError):
+    def __init__(self, msg, params=None):
+        super().__init__(msg)
+        self.params = params
 
 
 @dataclass
@@ -113,25 +119,29 @@ def _check_bins(params: MsNetParams, batch: np.ndarray):
             f"volume has {batch.shape[1]} bins, net expects {params.bins}")
 
 
-def encode(params: MsNetParams, batch: np.ndarray) -> np.ndarray:
-    """(N,B,H,W) normalized volumes -> (N,H,W) memory surfaces in (0,1).
-
-    The non-zero rows run BLOCK at a time, so the bits are those of the
-    blocked pass, which need not equal one pass over all rows at once.
-    """
+def _per_pixel(params: MsNetParams, batch: np.ndarray, net) -> np.ndarray:
+    """`net`, an (R,B,1,1) -> (R,K,1,1) Tensor function, on each pixel of an
+    (N,B,H,W) batch -> (N,H,W,K). The non-zero rows run BLOCK at a time, so
+    the bits are the blocked pass's, which need not equal one pass over all
+    rows; the all-zero row runs once and its output fills the rest."""
     _check_bins(params, batch)
     mask, rows = _pixel_rows(batch)
-    zero = encode_t(params, Tensor(_zero_row(batch))).data.reshape(())
-    out = np.full(mask.shape, zero, dtype=zero.dtype)
-    out[mask] = np.concatenate([encode_t(params, Tensor(x)).data.reshape(-1)
-                                for x in _blocks(rows)])
+    zero = net(params, Tensor(_zero_row(batch))).data.reshape(-1)
+    out = np.full(mask.shape + zero.shape, zero, dtype=zero.dtype)
+    out[mask] = np.concatenate([net(params, Tensor(x)).data
+                                for x in _blocks(rows)]).reshape(-1, len(zero))
     return out
+
+
+def encode(params: MsNetParams, batch: np.ndarray) -> np.ndarray:
+    """(N,B,H,W) normalized volumes -> (N,H,W) memory surfaces in (0,1)."""
+    return _per_pixel(params, batch, encode_t)[..., 0]
 
 
 def reconstruct(params: MsNetParams, batch: np.ndarray) -> np.ndarray:
     """decode(encode(batch)) on (N,B,H,W) volumes; same shape as batch."""
-    _check_bins(params, batch)
-    return decode_t(params, encode_t(params, Tensor(batch))).data
+    return np.moveaxis(_per_pixel(
+        params, batch, lambda p, x: decode_t(p, encode_t(p, x))), -1, 1)
 
 
 def _term_grads(params: MsNetParams, plist: list[Tensor], x: np.ndarray,
@@ -164,12 +174,15 @@ def _loss_and_grads(params: MsNetParams, plist: list[Tensor],
                for x, count in parts if count)
 
 
+# a diverging run reports DivergenceDetected, not numpy's overflow warnings
+@np.errstate(over="ignore", invalid="ignore")
 def train_ms(dataset, hyper: MsHyper, seed: int = 0,
              params: MsNetParams | None = None):
     """Train on (N,B,H,W) normalized volumes; returns (params, loss curve).
 
     Deterministic for a fixed seed: init, minibatch shuffling, and update
-    order are all driven by one seeded RNG.
+    order are all driven by one seeded RNG. Raises DivergenceDetected if
+    a loss or, after a step, a parameter is non-finite.
     """
     data = np.asarray(dataset, dtype=np.float32)
     if data.ndim != 4 or data.shape[0] == 0:
@@ -189,6 +202,9 @@ def train_ms(dataset, hyper: MsHyper, seed: int = 0,
             loss = _loss_and_grads(params, plist, data[idx],
                                    hyper.lambda_sparse)
             ad.adam_step(plist, state)
+            if not (np.isfinite(loss)
+                    and all(np.isfinite(p.data).all() for p in plist)):
+                raise DivergenceDetected(f"non-finite loss {loss} or weights")
             total += loss * len(idx)
         curve.append(total / n)
     return params, curve

@@ -36,9 +36,9 @@ class EmptySeries(ValueError):
 _CONFIG_RULES = (
     (("bins", "bin_dt_us", "stride", "ms_filters", "ms_batch", "gan_ngf",
       "gan_ndf", "gan_batch"), lambda v: v >= 1, ">= 1"),
-    (("cap", "ms_lr", "gan_lr"), lambda v: v > 0, "> 0"),
+    (("cap", "ms_lr", "gan_lr"), lambda v: 0 < v < np.inf, "finite and > 0"),
     (("ms_epochs", "gan_epochs", "noise_samples", "ms_lambda_sparse",
-      "gan_lambda_l1"), lambda v: v >= 0, ">= 0"),
+      "gan_lambda_l1"), lambda v: 0 <= v < np.inf, "finite and >= 0"),
     (("gan_beta1",), lambda v: 0 <= v < 1, "in [0, 1)"),
 )
 

@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -198,6 +199,31 @@ def test_conv_transpose_inverts_spatial_reduction(rng):
     w = Tensor(rng.standard_normal((3, 2, 4, 4)))
     out = ad.conv_transpose2d(x, w, Tensor(np.zeros(2)), stride=2, pad=1)
     assert out.shape == (1, 2, 8, 8)
+
+
+# Each conv contraction is one matmul per tap on the space-to-depth grid,
+# so no array taps (here 4) times the grid is built. At this GAN-sized
+# stride-2 conv from (16,32,32,32) to 64 channels, and in the backward of
+# its transpose, the grid is 2.27 MiB.
+def test_conv_peak_memory_stays_near_grid(rng):
+    f32 = lambda *shape: rng.standard_normal(shape).astype(np.float32)
+    x, w, b = f32(16, 32, 32, 32), f32(64, 32, 4, 4), f32(64)
+    grid = ad._Layout(16, 32, 32, 4, 4, 2, 1).space_to_depth(x).nbytes
+    tracemalloc.start()
+    try:
+        ad.conv2d(Tensor(x), Tensor(w), Tensor(b), stride=2, pad=1)
+        fwd = tracemalloc.get_traced_memory()[1]
+        y = ad.conv_transpose2d(
+            Tensor(f32(16, 64, 16, 16), requires_grad=True),
+            Tensor(w, requires_grad=True), Tensor(f32(32)), stride=2, pad=1)
+        g = np.ones(y.shape, np.float32)
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        y._back(g)                    # its backward: the (16,32,32,32) grid
+        bwd = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert fwd < 3 * grid and bwd < 3 * grid, (fwd / grid, bwd / grid)
 
 
 # --- elementwise kernels against their reference formulas -----------------

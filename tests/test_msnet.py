@@ -53,6 +53,13 @@ def test_reconstruct_is_decode_of_encode(params, rng):
     assert out.shape == vol.shape
     # composition: deterministic
     np.testing.assert_array_equal(out, reconstruct(params, vol))
+    # past one block of rows it still matches the dense 4-D forward
+    batch = _sparse_batch(rng, (2, 4, 48, 48), 0.6)
+    assert batch.any(axis=1).sum() > msnet.BLOCK
+    np.testing.assert_allclose(
+        reconstruct(params, batch),
+        msnet.decode_t(params, encode_t(params, Tensor(batch))).data,
+        rtol=0, atol=1e-6)
 
 
 def ms_loss(vol: np.ndarray, vol_hat: np.ndarray, ms: np.ndarray,

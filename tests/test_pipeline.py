@@ -3,7 +3,7 @@ import os
 import subprocess
 import sys
 import time
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -247,6 +247,9 @@ CONFIG_RULES = {
         "ms_epochs", "gan_epochs", "noise_samples", "ms_lambda_sparse",
         "gan_lambda_l1")],
     "beta1 in [0, 1)": [("gan_beta1", v, 0.0) for v in (1.0, -0.1, 1.5)],
+    "finite": [(f.name, v, getattr(PipelineConfig(), f.name))
+               for f in fields(PipelineConfig) if f.type == "float"
+               for v in (float("inf"), float("nan"))],
 }
 
 
@@ -260,6 +263,21 @@ def test_pipeline_config_rejects_bad_values(rule):
             with pytest.raises(ValueError, match=key):
                 make(bad)
             assert getattr(make(ok), key) == ok
+
+
+@pytest.mark.parametrize("setting", ["ms_lr=1e30", "ms_lambda_sparse=1e40"])
+def test_cli_train_ms_divergence_writes_no_checkpoint(tmp_path, capsys,
+                                                      setting):
+    ev, cfg, out = (tmp_path / "events.csv", tmp_path / "pipe.cfg",
+                    tmp_path / "ms.evck")
+    stream, _ = render_scene(walking_scene(1, duration=500_000, size=16))
+    ev.write_text(write_event_csv(stream))
+    cfg.write_text(f"bins=4\nms_filters=4\nms_epochs=3\n{setting}\n")
+    assert cli_main(["train-ms", "--events", str(ev), "--width", "16",
+                     "--height", "16", "--config", str(cfg),
+                     "--out", str(out)]) == 1
+    assert "non-finite" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_config_with_zero_bins(tmp_path, capsys):

@@ -12,12 +12,7 @@ from pathlib import Path
 
 from . import events, gan, io, msnet, oracle, pipeline, representation, simulate
 
-DOMAIN_ERRORS = (
-    events.EventError, representation.EmptyGeometry, representation.TooShort,
-    simulate.ConfigError, io.FormatError, msnet.EmptyDataset,
-    msnet.DivergenceDetected, pipeline.SingleClass, pipeline.EmptySeries,
-    ValueError, OSError,
-)
+DOMAIN_ERRORS = (ValueError, OSError, msnet.DivergenceDetected)
 
 
 def _read_stream(args) -> events.EventStream:

@@ -88,12 +88,12 @@ class EventStream:
             a.flags.writeable = False
 
     @classmethod
-    def from_arrays(cls, width, height, x, y, t, p, sort=True) -> "EventStream":
+    def from_arrays(cls, width, height, x, y, t, p) -> "EventStream":
         x = np.asarray(x, dtype=np.int32)
         y = np.asarray(y, dtype=np.int32)
         t = np.asarray(t, dtype=np.int64)
         p = np.asarray(p, dtype=np.int8)
-        if sort and len(t) and np.any(np.diff(t) < 0):
+        if len(t) and np.any(np.diff(t) < 0):
             order = np.argsort(t, kind="stable")
             x, y, t, p = x[order], y[order], t[order], p[order]
         return cls(width, height, x.copy(), y.copy(), t.copy(), p.copy())

@@ -167,6 +167,7 @@ def prepare_batches(windows, ms_params: MsNetParams, cap: float):
     return surfaces, targets[:, None]
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def train_gan(windows, ms_params: MsNetParams, hyper: GanHyper,
               seed: int = 0):
     """Alternating D_xy / D_x / G updates; deterministic for a fixed seed.
@@ -176,8 +177,8 @@ def train_gan(windows, ms_params: MsNetParams, hyper: GanHyper,
     is dropped once its step is done.
 
     Returns (GanParams, curves) with per-epoch mean losses. Raises
-    DivergenceDetected (carrying the last finite parameters) if any loss
-    goes non-finite.
+    DivergenceDetected (carrying the last finite parameters) if a loss
+    or, after a step, a parameter is non-finite.
     """
     if len(windows) == 0:
         raise EmptyDataset("no training windows")
@@ -208,12 +209,15 @@ def train_gan(windows, ms_params: MsNetParams, hyper: GanHyper,
                         params.parameters("g."), opt_g)
             del x_fake
             vals = (v_dxy, v_dx, v_g)
-            if not all(np.isfinite(vals)):
+            arrays = params.to_arrays()
+            if not (all(np.isfinite(vals))
+                    and all(np.isfinite(a).all() for a in arrays.values())):
                 raise DivergenceDetected(
-                    f"non-finite loss {vals}", params=GanParams.from_arrays(last_good))
+                    f"non-finite loss {vals} or weights",
+                    params=GanParams.from_arrays(last_good))
             for k, v in zip(("d_xy", "d_x", "g"), vals):
                 sums[k] += v * len(idx)
-            last_good = params.to_arrays()
+            last_good = arrays
         for k in curves:
             curves[k].append(sums[k] / n)
     return params, curves

@@ -176,8 +176,7 @@ def _loss_and_grads(params: MsNetParams, plist: list[Tensor],
 
 # a diverging run reports DivergenceDetected, not numpy's overflow warnings
 @np.errstate(over="ignore", invalid="ignore")
-def train_ms(dataset, hyper: MsHyper, seed: int = 0,
-             params: MsNetParams | None = None):
+def train_ms(dataset, hyper: MsHyper, seed: int = 0):
     """Train on (N,B,H,W) normalized volumes; returns (params, loss curve).
 
     Deterministic for a fixed seed: init, minibatch shuffling, and update
@@ -188,8 +187,7 @@ def train_ms(dataset, hyper: MsHyper, seed: int = 0,
     if data.ndim != 4 or data.shape[0] == 0:
         raise EmptyDataset(f"need a non-empty (N,B,H,W) dataset, got {data.shape}")
     rng = np.random.default_rng(seed)
-    if params is None:
-        params = MsNetParams.init(data.shape[1], hyper.filters, rng)
+    params = MsNetParams.init(data.shape[1], hyper.filters, rng)
     state = ad.AdamState(lr=hyper.lr)
     plist = params.parameters()
     curve = []

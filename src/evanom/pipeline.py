@@ -10,8 +10,7 @@ from __future__ import annotations
 import ctypes
 import functools
 import os
-import threading
-from concurrent.futures import ThreadPoolExecutor, wait
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -168,8 +167,24 @@ def score_sequence(ms_params: MsNetParams, gan_params: gan_mod.GanParams,
         zs = [rng.standard_normal((n, 1, h, w)).astype(np.float32)
               for _ in range(cfg.noise_samples)]
     scores = np.zeros(n, dtype=np.float64)
-    _split_frames(lambda frames: _frame_mse(gan_params, surfaces, targets,
-                                            zs, scores, frames), n)
+
+    def run(starts: range):
+        for z in zs:
+            for a in starts:
+                sl = slice(a, a + _G_FRAMES)
+                d = gan_mod.g_forward(gan_params, surfaces[sl], z[sl]) \
+                    - targets[sl]
+                scores[sl] += d.reshape(d.shape[0], -1).__pow__(2).mean(axis=1)
+
+    calls = range(0, n, _G_FRAMES)
+    k = max(1, min(len(calls), _usable_cpus()))
+    parts = [calls[len(calls) * i // k:len(calls) * (i + 1) // k]
+             for i in range(k)]
+    with ThreadPoolExecutor(max(1, k - 1)) as pool:
+        futures = [pool.submit(run, part) for part in parts[1:]]
+        run(parts[0])
+    for f in futures:
+        f.result()
     scores /= len(zs)
     t0 = cfg.bins * cfg.bin_dt_us  # windows_for starts window 0 at t=0
     frame_dt = cfg.stride * cfg.bin_dt_us
@@ -182,28 +197,18 @@ def score_sequence(ms_params: MsNetParams, gan_params: gan_mod.GanParams,
 
 
 # A stream's frames are scored 16 a generator call, from frame 0, and
-# the calls are shared out in contiguous ranges, one per usable CPU, each
-# run by its own thread: numpy drops the GIL inside BLAS and the large
-# elementwise ops. A frame's prediction can change bits with the batch it
-# is computed in (at 16x16 frames, 8 a call moves the last of each call), so
-# ranges are cut between calls and each frame's call is the same at any
-# worker count. A BLAS that runs several threads per call serializes
-# concurrent calls: on 2 vCPUs, splitting at 2 OpenBLAS threads made the
-# median stream 29-41% slower than one range, so only a one-thread BLAS
-# is split.
+# the calls are shared out in contiguous parts, one per usable CPU: the
+# calling thread runs the first, a pool opened for the call the others
+# (numpy drops the GIL inside BLAS and the large elementwise ops). A
+# frame's prediction can change bits with the batch it is computed in (at
+# 16x16 frames, 8 a call moves the last of each call), so parts are cut
+# between calls and each frame's call is the same at any part count. A
+# BLAS that runs several threads per call serializes concurrent calls: on
+# 2 vCPUs, splitting at 2 OpenBLAS threads made the median stream 29-41%
+# slower than one part, so only a one-thread BLAS is split. The caller
+# runs a part itself because each further thread gets its own malloc arena,
+# which raises peak RSS.
 _G_FRAMES = 16
-_POOL: ThreadPoolExecutor | None = None
-_POOL_LOCK = threading.Lock()
-
-
-def _forget_pool():
-    """A forked child has none of its parent's pool threads, which may
-    have held the lock."""
-    global _POOL, _POOL_LOCK
-    _POOL, _POOL_LOCK = None, threading.Lock()
-
-
-os.register_at_fork(after_in_child=_forget_pool)
 
 
 @functools.cache
@@ -224,50 +229,10 @@ def _blas_get_num_threads():
 
 
 def _usable_cpus() -> int:
-    """Ranges to score a stream in: the CPUs this process may run on if
+    """Parts to score a stream in: the CPUs this process may run on if
     the loaded BLAS runs one thread per call, else 1."""
     fn = _blas_get_num_threads()
     return len(os.sched_getaffinity(0)) if fn is not None and fn() == 1 else 1
-
-
-def _split_frames(run, n: int, workers: int | None = None) -> None:
-    """Call run(range(a, b, _G_FRAMES)) on contiguous ranges [a, b) of
-    whole generator calls covering range(n), one per worker (default
-    `_usable_cpus()`) while there are calls to share: the last range in
-    the calling thread, the others in a shared pool. Every range finishes
-    before this returns or raises; then the error of the first range that
-    failed is raised."""
-    global _POOL
-    calls = -(-n // _G_FRAMES)
-    k = max(1, min(calls, _usable_cpus() if workers is None else workers))
-    ranges = [range(min(n, _G_FRAMES * (calls * i // k)),
-                    min(n, _G_FRAMES * (calls * (i + 1) // k)), _G_FRAMES)
-              for i in range(k)]
-    if k == 1:
-        run(ranges[0])
-        return
-    with _POOL_LOCK:
-        if _POOL is None:
-            _POOL = ThreadPoolExecutor(max(1, (os.cpu_count() or 1) - 1),
-                                       thread_name_prefix="evanom-score")
-        pool = _POOL
-    futures = [pool.submit(run, r) for r in ranges[:-1]]
-    try:
-        run(ranges[-1])
-    finally:
-        wait(futures)
-        for f in futures:
-            f.result()
-
-
-def _frame_mse(gan_params, surfaces, targets, zs, scores, frames: range):
-    """Add each noise draw's prediction MSE of the frames in `frames` to
-    scores, draw by draw, frames.step frames a generator call."""
-    for z in zs:
-        for start in frames:
-            sl = slice(start, min(start + frames.step, frames.stop))
-            d = gan_mod.g_forward(gan_params, surfaces[sl], z[sl]) - targets[sl]
-            scores[sl] += d.reshape(d.shape[0], -1).__pow__(2).mean(axis=1)
 
 
 def evaluate(series: ScoreSeries) -> EvalMetrics:

@@ -356,6 +356,29 @@ def test_divergence_carries_last_params(trained_setup):
         assert np.isfinite(arr).all()
 
 
+def test_divergence_on_non_finite_weights_after_last_step(trained_setup,
+                                                          monkeypatch):
+    """The last Adam step of a one-batch run leaves a NaN weight; its loss
+    was finite, so only the weight check can catch it."""
+    windows, ms_params = trained_setup
+    hyper = GanHyper(ngf=4, ndf=4, epochs=1, batch=len(windows))
+    steps, adam_step = [], ad.adam_step
+
+    def poisoned_step(plist, state):
+        adam_step(plist, state)
+        steps.append(plist)
+        if len(steps) == 3:   # the G step, after both D steps
+            plist[0].data = np.full_like(plist[0].data, np.nan)
+
+    monkeypatch.setattr(ad, "adam_step", poisoned_step)
+    with pytest.raises(DivergenceDetected, match="non-finite") as exc:
+        train_gan(windows, ms_params, hyper, seed=0)
+    assert len(steps) == 3
+    init = GanParams.init(16, 16, hyper, np.random.default_rng(0))
+    for name, arr in exc.value.params.to_arrays().items():
+        np.testing.assert_array_equal(arr, init[name].data)
+
+
 def test_checkpoint_round_trip(rng):
     params = tiny_params(rng)
     back = GanParams.from_arrays(io.read_evck(io.write_evck(params.to_arrays())))

@@ -1,15 +1,18 @@
-import functools
+import contextlib
 import os
+import signal
 import subprocess
 import sys
+import threading
 import time
+import warnings
 from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from evanom import io, pipeline
+from evanom import cli, events, io, msnet, pipeline, representation, simulate
 from evanom.cli import cli_main
 from evanom.events import EventStream, write_event_csv
 from evanom.gan import GanHyper, GanParams, g_forward, prepare_batches, train_gan
@@ -280,6 +283,41 @@ def test_cli_train_ms_divergence_writes_no_checkpoint(tmp_path, capsys,
     assert not out.exists()
 
 
+def test_cli_train_gan_divergence_writes_no_checkpoint(tmp_path, capsys):
+    ev, cfg, ms, out = (tmp_path / n for n in ("events.csv", "pipe.cfg",
+                                               "ms.evck", "gan.evck"))
+    stream, _ = render_scene(walking_scene(1, duration=500_000, size=16))
+    ev.write_text(write_event_csv(stream))
+    cfg.write_text("bins=4\nms_filters=4\nms_epochs=1\ngan_ngf=4\n"
+                   "gan_ndf=4\ngan_epochs=3\ngan_lr=1e30\n")
+    args = ["--events", str(ev), "--width", "16", "--height", "16",
+            "--config", str(cfg)]
+    assert cli_main(["train-ms", *args, "--out", str(ms)]) == 0
+    assert cli_main(["train-gan", *args, "--ms-ckpt", str(ms),
+                     "--out", str(out)]) == 1
+    assert "non-finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+EXIT_1_ERRORS = [
+    events.EventError, representation.EmptyGeometry, representation.TooShort,
+    simulate.ConfigError, io.FormatError, msnet.EmptyDataset,
+    msnet.DivergenceDetected, pipeline.SingleClass, pipeline.EmptySeries,
+    ValueError, OSError]
+
+
+@pytest.mark.parametrize("error", EXIT_1_ERRORS,
+                         ids=[e.__name__ for e in EXIT_1_ERRORS])
+def test_cli_domain_errors_exit_1(monkeypatch, capsys, error):
+    """Each error the package raises on bad data is a domain error."""
+    def cmd(args):
+        raise error("bad input")
+
+    monkeypatch.setattr(cli, "cmd_verify_math", cmd)
+    assert cli_main(["verify-math"]) == 1
+    assert "error: bad input" in capsys.readouterr().err
+
+
 def test_cli_config_with_zero_bins(tmp_path, capsys):
     ev, cfg = tmp_path / "events.csv", tmp_path / "pipe.cfg"
     ev.write_text("t_us,x,y,p\n0,0,0,1\n")
@@ -396,50 +434,123 @@ def test_score_sequence_bits_do_not_depend_on_workers(
     cfg, _, _, ms_params, gan_params = tiny_models
     cfg = replace(cfg, noise_samples=noise_samples)
     stream = _stream_of(n, cfg)
-    monkeypatch.setattr(pipeline, "_split_frames", functools.partial(
-        pipeline._split_frames, workers=workers))
+    monkeypatch.setattr(pipeline, "_usable_cpus", lambda: workers)
     got = score_sequence(ms_params, gan_params, stream, cfg, seed=5)
     want = _one_frame_per_call(ms_params, gan_params, stream, cfg, seed=5)
     assert len(got) == n
     assert got.scores.tobytes() == want.tobytes()
 
 
-def test_split_frames_scores_each_frame_once_with_more_workers_than_cpus():
-    n, workers, rounds = 7 * pipeline._G_FRAMES - 3, 7, 20
+def _first_frame(y):
+    """The surfaces row a generator call's input view starts at."""
+    offset = (y.__array_interface__["data"][0]
+              - y.base.__array_interface__["data"][0])
+    return offset // y.strides[0]
+
+
+def _score_with_fake_generator(tiny_models, monkeypatch, n, parts, forward):
+    """score_sequence on an n-frame stream split into `parts` parts, with
+    forward(first_frame, frames) in place of each generator call."""
+    cfg, _, _, ms_params, gan_params = tiny_models
+
+    def g_forward(params, y, z):
+        forward(_first_frame(y), len(y))
+        return np.zeros_like(z)
+
+    monkeypatch.setattr(pipeline, "_usable_cpus", lambda: parts)
+    monkeypatch.setattr(pipeline.gan_mod, "g_forward", g_forward)
+    return score_sequence(ms_params, gan_params, _stream_of(n, cfg), cfg)
+
+
+def test_score_sequence_scores_each_frame_once_with_more_parts_than_cpus(
+        tiny_models, monkeypatch):
+    n, parts, rounds = 7 * pipeline._G_FRAMES - 3, 7, 20
     counts = np.zeros(n, dtype=np.int64)
 
-    def run(frames):
-        for start in frames:
-            sl = slice(start, min(start + frames.step, frames.stop))
-            for _ in range(rounds):   # read-modify-write of its own frames
-                counts[sl] = counts[sl] + 1
+    def forward(start, frames):
+        for _ in range(rounds):   # read-modify-write of its own frames
+            counts[start:start + frames] = counts[start:start + frames] + 1
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        pipeline._split_frames(run, n, workers=workers)
+        _score_with_fake_generator(tiny_models, monkeypatch, n, parts, forward)
     finally:
         sys.setswitchinterval(interval)
     assert (counts == rounds).all()
 
 
 @pytest.mark.parametrize("failing", [(0,), (2,), (0, 2)])
-def test_split_frames_raises_after_every_range_finished(failing):
-    """Ranges 0 and 1 run in the pool, range 2 in the calling thread; the
-    first failing range's error is raised once the others are done."""
+def test_score_sequence_raises_after_every_part_finished(
+        tiny_models, monkeypatch, failing):
+    """Part 0 runs in the calling thread, parts 1 and 2 in the pool; the
+    first failing part's error is raised once the others are done."""
     finished = []
 
-    def run(frames):
-        k = frames.start // pipeline._G_FRAMES
+    def forward(start, frames):
+        k = start // pipeline._G_FRAMES
         if k in failing:
             raise ValueError(k)
         time.sleep(0.2)
         finished.append(k)
 
     with pytest.raises(ValueError) as err:
-        pipeline._split_frames(run, 3 * pipeline._G_FRAMES, workers=3)
+        _score_with_fake_generator(tiny_models, monkeypatch,
+                                   3 * pipeline._G_FRAMES, 3, forward)
     assert err.value.args == (failing[0],)
     assert sorted(finished) == sorted(set(range(3)) - set(failing))
+
+
+@pytest.mark.parametrize("fails", [False, True])
+def test_score_sequence_leaves_no_thread_running(tiny_models, monkeypatch,
+                                                 fails):
+    before, ran = set(threading.enumerate()), set()
+
+    def forward(start, frames):
+        ran.add(threading.current_thread())
+        if fails:
+            raise ValueError(start)
+
+    with pytest.raises(ValueError) if fails else contextlib.nullcontext():
+        _score_with_fake_generator(tiny_models, monkeypatch,
+                                   2 * pipeline._G_FRAMES, 2, forward)
+    helpers = ran - {threading.current_thread()}
+    assert len(helpers) == 1
+    assert not any(t.is_alive() for t in helpers)
+    assert set(threading.enumerate()) == before
+
+
+def test_score_sequence_in_forked_child_after_scoring(tiny_models,
+                                                      monkeypatch):
+    """A child forked after its parent scored at 2 parts scores the same
+    bytes at 2 parts."""
+    cfg, _, _, ms_params, gan_params = tiny_models
+    stream = _stream_of(3 * pipeline._G_FRAMES, cfg)
+    monkeypatch.setattr(pipeline, "_usable_cpus", lambda: 2)
+    want = score_sequence(ms_params, gan_params, stream, cfg).scores.tobytes()
+    read_fd, write_fd = os.pipe()
+    with warnings.catch_warnings():
+        # Python 3.12+ warns on fork while BLAS threads exist; forking is
+        # the point here.
+        warnings.filterwarnings("ignore", "This process", DeprecationWarning)
+        pid = os.fork()
+    if pid == 0:
+        status = 1
+        try:
+            os.close(read_fd)
+            signal.alarm(60)
+            got = score_sequence(ms_params, gan_params, stream, cfg)
+            with os.fdopen(write_fd, "wb") as out:
+                out.write(got.scores.tobytes())
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(write_fd)
+    with os.fdopen(read_fd, "rb") as f:
+        got = f.read()
+    _, status = os.waitpid(pid, 0)
+    assert os.waitstatus_to_exitcode(status) == 0
+    assert got == want
 
 
 def test_cli_score_bytes_do_not_depend_on_cpu_affinity(tiny_models, tmp_path):

@@ -464,7 +464,7 @@ def l1_norm(x: Tensor) -> Tensor:
 
 # --- backward pass --------------------------------------------------------
 
-def backward(loss: Tensor, params: list[Tensor] | None = None):
+def backward(loss: Tensor, params: list[Tensor] | None = None, grad=None):
     """Accumulate `.grad` of every requires_grad tensor reachable from loss.
 
     Visits each graph node exactly once, children before parents, in a
@@ -472,9 +472,18 @@ def backward(loss: Tensor, params: list[Tensor] | None = None):
     every node built only from such tensors, keeps `.grad` None and runs
     no backward code. If `params` is given, parameters not reached by the
     graph get a zero grad and a DisconnectedParameter warning.
+
+    `grad`, the gradient of some scalar with respect to `loss` and of
+    loss's shape, seeds the pass; without it the loss must be a scalar,
+    and its seed is 1.
     """
-    if loss.data.size != 1:
-        raise NotScalar(f"loss has shape {loss.shape}")
+    if grad is None:
+        if loss.data.size != 1:
+            raise NotScalar(f"loss has shape {loss.shape}")
+        grad = np.ones_like(loss.data)
+    elif np.shape(grad) != loss.shape:
+        raise ShapeMismatch(f"backward: grad {np.shape(grad)} vs loss "
+                            f"{loss.shape}")
     topo: list[Tensor] = []
     seen = set()
     stack = [(loss, False)]
@@ -489,7 +498,7 @@ def backward(loss: Tensor, params: list[Tensor] | None = None):
         stack.append((node, True))
         for p in node._prev:
             stack.append((p, False))
-    loss.grad = np.ones_like(loss.data)
+    loss.grad = np.asarray(grad, dtype=loss.data.dtype)
     for node in reversed(topo):
         if node._back is not None and node.grad is not None:
             node._back(node.grad)

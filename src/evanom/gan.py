@@ -7,11 +7,13 @@ through stable logits; the generator uses the non-saturating form.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import autodiff as ad
+from . import lanes
 from .autodiff import Tensor
 from .msnet import DivergenceDetected, EmptyDataset, MsNetParams, encode
 from .representation import window_arrays
@@ -114,50 +116,70 @@ def g_forward(params: GanParams, y: np.ndarray, z: np.ndarray) -> np.ndarray:
                        Tensor(z, dtype=np.float32)).data
 
 
-def _ones_like(t: Tensor) -> Tensor:
-    return Tensor(np.ones_like(t.data))
+_D_PARTS = ("dxy", "dx")   # the discriminators, in update order
 
 
-def _zeros_like(t: Tensor) -> Tensor:
-    return Tensor(np.zeros_like(t.data))
+def _bce(logits: Tensor, target: float) -> Tensor:
+    return ad.bce_with_logits(logits, Tensor(np.full_like(logits.data, target)))
+
+
+def _judged(part: str, x: Tensor, y: Tensor) -> Tensor:
+    """What discriminator `part` judges: (frame, surface) pairs for
+    "dxy", frames alone for "dx"."""
+    return ad.concat([x, y]) if part == "dxy" else x
+
+
+def d_loss(params: GanParams, part: str, batch: GanBatch,
+           x_fake: Tensor) -> Tensor:
+    """Loss of discriminator `part` ("dxy" or "dx") on this batch: BCE of
+    its logits against 1 on the true frames and against 0 on the
+    generator's frames `x_fake`, detached here so no gradient reaches the
+    generator."""
+    y = Tensor(batch.y)
+    real = d_forward_t(params, part, _judged(part, Tensor(batch.x), y))
+    fake = d_forward_t(params, part, _judged(part, x_fake.detach(), y))
+    return ad.add(_bce(real, 1.0), _bce(fake, 0.0))
 
 
 def d_losses(params: GanParams, batch: GanBatch, x_fake: Tensor):
-    """(L_Dxy, L_Dx) loss tensors on the generator's frames `x_fake` for
-    this batch, detached here so no gradient reaches the generator."""
-    y, x = Tensor(batch.y), Tensor(batch.x)
-    x_fake = x_fake.detach()
-    lr_xy = d_forward_t(params, "dxy", ad.concat([x, y]))
-    lf_xy = d_forward_t(params, "dxy", ad.concat([x_fake, y]))
-    l_dxy = ad.add(ad.bce_with_logits(lr_xy, _ones_like(lr_xy)),
-                   ad.bce_with_logits(lf_xy, _zeros_like(lf_xy)))
-    lr_x = d_forward_t(params, "dx", x)
-    lf_x = d_forward_t(params, "dx", x_fake)
-    l_dx = ad.add(ad.bce_with_logits(lr_x, _ones_like(lr_x)),
-                  ad.bce_with_logits(lf_x, _zeros_like(lf_x)))
-    return l_dxy, l_dx
+    """(L_Dxy, L_Dx) loss tensors on the generator's frames `x_fake`."""
+    return tuple(d_loss(params, part, batch, x_fake) for part in _D_PARTS)
+
+
+def g_adv_loss(params: GanParams, part: str, batch: GanBatch,
+               x_fake: Tensor) -> Tensor:
+    """Non-saturating adversarial term of discriminator `part` in the
+    generator loss, -mean log D(x_fake), with D's parameters held fixed
+    (detached tensors sharing the same arrays), so backward computes no
+    D gradients."""
+    return _bce(d_forward_t(params.detach(), part,
+                            _judged(part, x_fake, Tensor(batch.y))), 1.0)
+
+
+def l1_loss(batch: GanBatch, x_fake: Tensor, lambda_l1: float) -> Tensor:
+    """lambda * mean|x_fake - x|."""
+    return ad.mul(ad.l1_norm(ad.add(x_fake, Tensor(-batch.x))), lambda_l1)
+
+
+def _g_terms(params: GanParams, batch: GanBatch, lambda_l1: float):
+    """g_loss's terms, each a function of the generator's frames, in the
+    order g_loss adds them."""
+    if lambda_l1 < 0:
+        raise ValueError("lambda_l1 must be >= 0")
+    terms = [functools.partial(g_adv_loss, params, part, batch)
+             for part in _D_PARTS]
+    if lambda_l1 > 0:
+        terms.append(functools.partial(l1_loss, batch, lambda_l1=lambda_l1))
+    return terms
 
 
 def g_loss(params: GanParams, batch: GanBatch, x_fake: Tensor,
            lambda_l1: float = 0.0) -> Tensor:
     """Non-saturating generator loss on the generator's frames `x_fake`:
     -mean log D_xy(x_hat, y) - mean log D_x(x_hat) + lambda * mean|x_hat - x|.
-
-    Both discriminators run with their parameters held fixed (detached
-    tensors sharing the same arrays), so backward computes no D gradients.
     """
-    if lambda_l1 < 0:
-        raise ValueError("lambda_l1 must be >= 0")
-    fixed = params.detach()
-    y = Tensor(batch.y)
-    lf_xy = d_forward_t(fixed, "dxy", ad.concat([x_fake, y]))
-    lf_x = d_forward_t(fixed, "dx", x_fake)
-    loss = ad.add(ad.bce_with_logits(lf_xy, _ones_like(lf_xy)),
-                  ad.bce_with_logits(lf_x, _ones_like(lf_x)))
-    if lambda_l1 > 0:
-        resid = ad.add(x_fake, Tensor(-batch.x))
-        loss = ad.add(loss, ad.mul(ad.l1_norm(resid), lambda_l1))
-    return loss
+    return functools.reduce(ad.add, (term(x_fake) for term in
+                                     _g_terms(params, batch, lambda_l1)))
 
 
 def prepare_batches(windows, ms_params: MsNetParams, cap: float):
@@ -173,8 +195,11 @@ def train_gan(windows, ms_params: MsNetParams, hyper: GanHyper,
     """Alternating D_xy / D_x / G updates; deterministic for a fixed seed.
 
     The generator runs once per batch: the D steps only change D's arrays,
-    so its frames serve both the D losses and the G loss. Each loss graph
-    is dropped once its step is done.
+    so its frames serve both the D losses and the G loss. The D_xy and
+    D_x steps share nothing, so they run as two tasks (`lanes.run_tasks`:
+    at once under a one-thread BLAS on two or more CPUs, else in turn);
+    so do the G loss's two adversarial terms, each differentiated to its
+    own copy of the frames. The checkpoint bytes are the same either way.
 
     Returns (GanParams, curves) with per-epoch mean losses. Raises
     DivergenceDetected (carrying the last finite parameters) if a loss
@@ -186,9 +211,8 @@ def train_gan(windows, ms_params: MsNetParams, hyper: GanHyper,
     n, _, h, w = surfaces.shape
     rng = np.random.default_rng(seed)
     params = GanParams.init(h, w, hyper, rng)
-    opt_g = ad.AdamState(lr=hyper.lr, beta1=hyper.beta1)
-    opt_dxy = ad.AdamState(lr=hyper.lr, beta1=hyper.beta1)
-    opt_dx = ad.AdamState(lr=hyper.lr, beta1=hyper.beta1)
+    opts = {part: ad.AdamState(lr=hyper.lr, beta1=hyper.beta1)
+            for part in ("g", *_D_PARTS)}
     curves = {"d_xy": [], "d_x": [], "g": []}
     last_good = params.to_arrays()
     for _ in range(hyper.epochs):
@@ -200,15 +224,12 @@ def train_gan(windows, ms_params: MsNetParams, hyper: GanHyper,
                 y=surfaces[idx], x=targets[idx],
                 z=rng.standard_normal((len(idx), 1, h, w)).astype(np.float32))
             x_fake = g_forward_t(params, Tensor(batch.y), Tensor(batch.z))
-            l_dxy, l_dx = d_losses(params, batch, x_fake)
-            v_dxy = _step(l_dxy, params.parameters("dxy."), opt_dxy)
-            del l_dxy
-            v_dx = _step(l_dx, params.parameters("dx."), opt_dx)
-            del l_dx
-            v_g = _step(g_loss(params, batch, x_fake, hyper.lambda_l1),
-                        params.parameters("g."), opt_g)
+            v_dxy, v_dx = lanes.run_tasks([
+                functools.partial(_d_step, params, part, batch, x_fake,
+                                  opts[part]) for part in _D_PARTS])
+            vals = (v_dxy, v_dx,
+                    _g_step(params, batch, x_fake, hyper.lambda_l1, opts["g"]))
             del x_fake
-            vals = (v_dxy, v_dx, v_g)
             arrays = params.to_arrays()
             if not (all(np.isfinite(vals))
                     and all(np.isfinite(a).all() for a in arrays.values())):
@@ -223,10 +244,46 @@ def train_gan(windows, ms_params: MsNetParams, hyper: GanHyper,
     return params, curves
 
 
-def _step(loss: Tensor, plist, state: ad.AdamState) -> float:
-    """One Adam step on plist from loss; returns the loss value."""
+def _d_step(params: GanParams, part: str, batch: GanBatch, x_fake: Tensor,
+            state: ad.AdamState) -> float:
+    """One Adam step on discriminator `part`; returns its loss value."""
+    loss = d_loss(params, part, batch, x_fake)
+    _step(loss, params.parameters(f"{part}."), state)
+    return loss.item()
+
+
+def _leaf_grad(term, x_fake: Tensor):
+    """(value, gradient) of term(frames) at x_fake's frames, taken on a
+    leaf copy of them: the graph behind x_fake is left alone, and the
+    term's own graph is freed on return."""
+    leaf = Tensor(x_fake.data, requires_grad=True)
+    loss = term(leaf)
+    ad.backward(loss)
+    return loss.detach(), leaf.grad
+
+
+def _g_step(params: GanParams, batch: GanBatch, x_fake: Tensor,
+            lambda_l1: float, state: ad.AdamState) -> float:
+    """One Adam step on the generator from g_loss; returns its value.
+
+    Each term's gradient to the frames is taken on its own (the terms as
+    `lanes.run_tasks` tasks), then they are summed in the order backward
+    through g_loss's one graph adds them, and the sum is sent back
+    through the generator's graph, so the step's bits are g_loss's.
+    """
+    done = lanes.run_tasks([functools.partial(_leaf_grad, term, x_fake)
+                            for term in _g_terms(params, batch, lambda_l1)])
+    loss, seed = done[0]
+    for value, grad in done[1:]:
+        loss = ad.add(loss, value)
+        seed += grad
+    _step(x_fake, params.parameters("g."), state, grad=seed)
+    return loss.item()
+
+
+def _step(root: Tensor, plist, state: ad.AdamState, grad=None):
+    """One Adam step on plist from backward(root, plist, grad)."""
     for p in plist:
         p.zero_grad()
-    ad.backward(loss, plist)
+    ad.backward(root, plist, grad=grad)
     ad.adam_step(plist, state)
-    return loss.item()

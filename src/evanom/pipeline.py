@@ -7,16 +7,13 @@ ranked by score; evaluation is threshold-free (ROC AUC and best F1).
 """
 from __future__ import annotations
 
-import ctypes
 import functools
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
-from pathlib import Path
 
 import numpy as np
 
 from . import gan as gan_mod
+from . import lanes
 from .events import EventStream
 from .msnet import MsHyper, MsNetParams
 from .representation import MODES, sliding_windows
@@ -177,14 +174,10 @@ def score_sequence(ms_params: MsNetParams, gan_params: gan_mod.GanParams,
                 scores[sl] += d.reshape(d.shape[0], -1).__pow__(2).mean(axis=1)
 
     calls = range(0, n, _G_FRAMES)
-    k = max(1, min(len(calls), _usable_cpus()))
+    k = max(1, min(len(calls), lanes.usable_cpus()))
     parts = [calls[len(calls) * i // k:len(calls) * (i + 1) // k]
              for i in range(k)]
-    with ThreadPoolExecutor(max(1, k - 1)) as pool:
-        futures = [pool.submit(run, part) for part in parts[1:]]
-        run(parts[0])
-    for f in futures:
-        f.result()
+    lanes.run_tasks([functools.partial(run, part) for part in parts])
     scores /= len(zs)
     t0 = cfg.bins * cfg.bin_dt_us  # windows_for starts window 0 at t=0
     frame_dt = cfg.stride * cfg.bin_dt_us
@@ -197,42 +190,12 @@ def score_sequence(ms_params: MsNetParams, gan_params: gan_mod.GanParams,
 
 
 # A stream's frames are scored 16 a generator call, from frame 0, and
-# the calls are shared out in contiguous parts, one per usable CPU: the
-# calling thread runs the first, a pool opened for the call the others
-# (numpy drops the GIL inside BLAS and the large elementwise ops). A
-# frame's prediction can change bits with the batch it is computed in (at
-# 16x16 frames, 8 a call moves the last of each call), so parts are cut
-# between calls and each frame's call is the same at any part count. A
-# BLAS that runs several threads per call serializes concurrent calls: on
-# 2 vCPUs, splitting at 2 OpenBLAS threads made the median stream 29-41%
-# slower than one part, so only a one-thread BLAS is split. The caller
-# runs a part itself because each further thread gets its own malloc arena,
-# which raises peak RSS.
+# the calls are shared out in contiguous parts, one per usable CPU, which
+# `lanes.run_tasks` runs at once. A frame's prediction can change bits
+# with the batch it is computed in (at 16x16 frames, 8 a call moves the
+# last of each call), so parts are cut between calls and each frame's
+# call is the same at any part count.
 _G_FRAMES = 16
-
-
-@functools.cache
-def _blas_get_num_threads():
-    """The loaded OpenBLAS's get_num_threads, or None if none is found."""
-    libdir = Path(np.__file__).resolve().parent.parent / "numpy.libs"
-    for lib in sorted(libdir.glob("lib*openblas*.so*")):
-        handle = ctypes.CDLL(str(lib))
-        for sym in ("scipy_openblas_get_num_threads64_",
-                    "scipy_openblas_get_num_threads",
-                    "openblas_get_num_threads64_", "openblas_get_num_threads"):
-            fn = getattr(handle, sym, None)
-            if fn is not None:
-                fn.argtypes = []
-                fn.restype = ctypes.c_int
-                return fn
-    return None
-
-
-def _usable_cpus() -> int:
-    """Parts to score a stream in: the CPUs this process may run on if
-    the loaded BLAS runs one thread per call, else 1."""
-    fn = _blas_get_num_threads()
-    return len(os.sched_getaffinity(0)) if fn is not None and fn() == 1 else 1
 
 
 def evaluate(series: ScoreSeries) -> EvalMetrics:

@@ -12,15 +12,22 @@ H_STEP = 1e-3
 TOL = 1e-4
 
 
-def check_gradients(make_loss, arrays, max_entries=24, seed=0):
-    """Central finite differences (h=1e-3, float64) vs backward()."""
+def check_gradients(make_loss, arrays, max_entries=24, seed=0, grad=None):
+    """Central finite differences (h=1e-3, float64) vs backward(). Given
+    `grad`, make_loss may return any shape and backward is seeded with
+    grad, so the function checked is sum(grad * make_loss(...))."""
     rng = np.random.default_rng(seed)
     tensors = [Tensor(a.astype(np.float64), requires_grad=True)
                for a in arrays]
+
+    def value(*ts):
+        out = make_loss(*ts)
+        return out.item() if grad is None else float(np.sum(grad * out.data))
+
     loss = make_loss(*tensors)
     for t in tensors:
         t.zero_grad()
-    ad.backward(loss, tensors)
+    ad.backward(loss, tensors, grad=grad)
     worst = 0.0
     for t in tensors:
         flat = t.data.ravel()
@@ -32,10 +39,10 @@ def check_gradients(make_loss, arrays, max_entries=24, seed=0):
             flat2 = flat.copy()
             flat2[i] = orig + H_STEP
             t.data = flat2.reshape(t.data.shape)
-            up = make_loss(*tensors).item()
+            up = value(*tensors)
             flat2[i] = orig - H_STEP
             t.data = flat2.reshape(t.data.shape)
-            down = make_loss(*tensors).item()
+            down = value(*tensors)
             flat2[i] = orig
             t.data = flat2.reshape(t.data.shape)
             numeric = (up - down) / (2 * H_STEP)
@@ -340,6 +347,27 @@ def test_backward_simple_cases():
 def test_backward_requires_scalar():
     with pytest.raises(ad.NotScalar):
         ad.backward(Tensor(np.zeros((2, 2)), requires_grad=True))
+
+
+def test_seeded_backward_is_gradient_of_seed_weighted_sum(rng):
+    # backward(root, params, grad=g) on a non-scalar root gives the
+    # gradient of sum(g * root), as the GAN's generator step uses it
+    def net(x, w, b):
+        return ad.tanh(ad.conv2d(x, w, b, stride=2, pad=1))
+
+    arrays = [rng.standard_normal((2, 3, 8, 8)),
+              0.3 * rng.standard_normal((4, 3, 4, 4)),
+              rng.standard_normal(4)]
+    check_gradients(net, arrays, grad=rng.standard_normal((2, 4, 4, 4)))
+
+
+def test_seeded_backward_checks_root_and_seed_shapes(rng):
+    x = Tensor(rng.standard_normal((2, 3)), requires_grad=True)
+    with pytest.raises(ad.NotScalar):
+        ad.backward(ad.tanh(x), [x])
+    with pytest.raises(ad.ShapeMismatch, match=r"\(3, 2\) vs loss \(2, 3\)"):
+        ad.backward(ad.tanh(x), [x], grad=np.ones((3, 2)))
+    assert x.grad is None
 
 
 def test_disconnected_parameter_warns():

@@ -1,13 +1,17 @@
+import contextlib
+import sys
+import threading
+
 import numpy as np
 import pytest
 
 import evanom.autodiff as ad
 from evanom import gan as gan_mod
-from evanom import io
+from evanom import io, lanes
 from evanom.autodiff import ShapeMismatch, Tensor
 from evanom.gan import (DivergenceDetected, GanBatch, GanHyper, GanParams,
-                        d_forward_t, d_losses, g_forward, g_forward_t, g_loss,
-                        prepare_batches, train_gan)
+                        d_forward_t, d_loss, d_losses, g_forward, g_forward_t,
+                        g_loss, prepare_batches, train_gan)
 from evanom.msnet import MsHyper, MsNetParams, train_ms
 from evanom.oracle import (LOG2, DiscreteJoint, dual_objective, optimal_d_x,
                            optimal_d_xy)
@@ -321,6 +325,9 @@ def test_train_gan_runs_generator_once_per_batch(trained_setup, monkeypatch,
                                                  lambda_l1):
     # The D steps leave G's arrays alone, so one G forward per batch must
     # give the same checkpoint bytes as a fresh forward for each loss.
+    # At 2 lanes the D steps, and the G loss's adversarial terms, run at
+    # once on two threads, switching as often as the interpreter allows;
+    # the bytes must not change.
     windows, ms_params = trained_setup
     hyper = GanHyper(ngf=4, ndf=4, epochs=2, batch=8, lambda_l1=lambda_l1)
     want = io.write_evck(
@@ -331,9 +338,44 @@ def test_train_gan_runs_generator_once_per_batch(trained_setup, monkeypatch,
         calls.append(1)
         return g_forward_t(*args)
     monkeypatch.setattr(gan_mod, "g_forward_t", counted)
-    params, _ = train_gan(windows, ms_params, hyper, seed=5)
-    assert io.write_evck(params.to_arrays()) == want
-    assert len(calls) == hyper.epochs * -(-len(windows) // hyper.batch)
+    interval = sys.getswitchinterval()
+    for n in (1, 2):
+        monkeypatch.setattr(lanes, "usable_cpus", lambda n=n: n)
+        calls.clear()
+        sys.setswitchinterval(1e-6 if n == 2 else interval)
+        try:
+            params, _ = train_gan(windows, ms_params, hyper, seed=5)
+        finally:
+            sys.setswitchinterval(interval)
+        assert io.write_evck(params.to_arrays()) == want, f"{n} lanes"
+        assert len(calls) == hyper.epochs * -(-len(windows) // hyper.batch)
+
+
+@pytest.mark.parametrize("fails", [None, "dxy", "dx"])
+def test_train_gan_leaves_no_thread_running(trained_setup, monkeypatch,
+                                            fails):
+    """At 2 lanes the D_x step runs in a pool thread opened for the step;
+    it is joined before train_gan returns or raises, and the failing
+    step's error is the one raised."""
+    windows, ms_params = trained_setup
+    before, ran = set(threading.enumerate()), set()
+
+    def recorded(params, part, batch, x_fake):
+        ran.add(threading.current_thread())
+        if part == fails:
+            raise ValueError(part)
+        return d_loss(params, part, batch, x_fake)
+
+    monkeypatch.setattr(lanes, "usable_cpus", lambda: 2)
+    monkeypatch.setattr(gan_mod, "d_loss", recorded)
+    with (pytest.raises(ValueError, match=fails) if fails
+          else contextlib.nullcontext()):
+        train_gan(windows, ms_params, GanHyper(ngf=4, ndf=4, epochs=1,
+                                               batch=8), seed=0)
+    helpers = ran - {threading.current_thread()}
+    assert helpers
+    assert not any(t.is_alive() for t in helpers)
+    assert set(threading.enumerate()) == before
 
 
 def test_train_gan_rejects_empty(trained_setup):
@@ -343,17 +385,19 @@ def test_train_gan_rejects_empty(trained_setup):
         train_gan([], ms_params, GanHyper(epochs=1))
 
 
-def test_divergence_carries_last_params(trained_setup):
+def test_divergence_carries_last_params(trained_setup, monkeypatch):
     windows, ms_params = trained_setup
     bad = [w.copy() for w in windows]
     for w in bad:
         w[-1] = np.nan
-    with pytest.raises(DivergenceDetected) as exc:
-        train_gan(bad, ms_params, GanHyper(ngf=4, ndf=4, epochs=1, batch=8),
-                  seed=0)
-    assert isinstance(exc.value.params, GanParams)
-    for arr in exc.value.params.to_arrays().values():
-        assert np.isfinite(arr).all()
+    for n in (1, 2):
+        monkeypatch.setattr(lanes, "usable_cpus", lambda n=n: n)
+        with pytest.raises(DivergenceDetected) as exc:
+            train_gan(bad, ms_params,
+                      GanHyper(ngf=4, ndf=4, epochs=1, batch=8), seed=0)
+        assert isinstance(exc.value.params, GanParams)
+        for arr in exc.value.params.to_arrays().values():
+            assert np.isfinite(arr).all(), f"{n} lanes"
 
 
 def test_divergence_on_non_finite_weights_after_last_step(trained_setup,
@@ -371,12 +415,15 @@ def test_divergence_on_non_finite_weights_after_last_step(trained_setup,
             plist[0].data = np.full_like(plist[0].data, np.nan)
 
     monkeypatch.setattr(ad, "adam_step", poisoned_step)
-    with pytest.raises(DivergenceDetected, match="non-finite") as exc:
-        train_gan(windows, ms_params, hyper, seed=0)
-    assert len(steps) == 3
     init = GanParams.init(16, 16, hyper, np.random.default_rng(0))
-    for name, arr in exc.value.params.to_arrays().items():
-        np.testing.assert_array_equal(arr, init[name].data)
+    for n in (1, 2):
+        monkeypatch.setattr(lanes, "usable_cpus", lambda n=n: n)
+        steps.clear()
+        with pytest.raises(DivergenceDetected, match="non-finite") as exc:
+            train_gan(windows, ms_params, hyper, seed=0)
+        assert len(steps) == 3, f"{n} lanes"
+        for name, arr in exc.value.params.to_arrays().items():
+            np.testing.assert_array_equal(arr, init[name].data)
 
 
 def test_checkpoint_round_trip(rng):

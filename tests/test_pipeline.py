@@ -12,7 +12,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from evanom import cli, events, io, msnet, pipeline, representation, simulate
+from evanom import (cli, events, io, lanes, msnet, pipeline, representation,
+                    simulate)
 from evanom.cli import cli_main
 from evanom.events import EventStream, write_event_csv
 from evanom.gan import GanHyper, GanParams, g_forward, prepare_batches, train_gan
@@ -283,7 +284,10 @@ def test_cli_train_ms_divergence_writes_no_checkpoint(tmp_path, capsys,
     assert not out.exists()
 
 
-def test_cli_train_gan_divergence_writes_no_checkpoint(tmp_path, capsys):
+def test_cli_train_gan_divergence_writes_no_checkpoint(tmp_path, capsys,
+                                                      monkeypatch):
+    """At 2 lanes the D_x step's overflow happens in a pool thread, which
+    must run under train_gan's np.errstate too."""
     ev, cfg, ms, out = (tmp_path / n for n in ("events.csv", "pipe.cfg",
                                                "ms.evck", "gan.evck"))
     stream, _ = render_scene(walking_scene(1, duration=500_000, size=16))
@@ -293,10 +297,13 @@ def test_cli_train_gan_divergence_writes_no_checkpoint(tmp_path, capsys):
     args = ["--events", str(ev), "--width", "16", "--height", "16",
             "--config", str(cfg)]
     assert cli_main(["train-ms", *args, "--out", str(ms)]) == 0
-    assert cli_main(["train-gan", *args, "--ms-ckpt", str(ms),
-                     "--out", str(out)]) == 1
-    assert "non-finite" in capsys.readouterr().err
-    assert not out.exists()
+    capsys.readouterr()
+    for n in (1, 2):
+        monkeypatch.setattr(lanes, "usable_cpus", lambda n=n: n)
+        assert cli_main(["train-gan", *args, "--ms-ckpt", str(ms),
+                         "--out", str(out)]) == 1, f"{n} lanes"
+        assert "non-finite" in capsys.readouterr().err, f"{n} lanes"
+        assert not out.exists(), f"{n} lanes"
 
 
 EXIT_1_ERRORS = [
@@ -434,7 +441,7 @@ def test_score_sequence_bits_do_not_depend_on_workers(
     cfg, _, _, ms_params, gan_params = tiny_models
     cfg = replace(cfg, noise_samples=noise_samples)
     stream = _stream_of(n, cfg)
-    monkeypatch.setattr(pipeline, "_usable_cpus", lambda: workers)
+    monkeypatch.setattr(lanes, "usable_cpus", lambda: workers)
     got = score_sequence(ms_params, gan_params, stream, cfg, seed=5)
     want = _one_frame_per_call(ms_params, gan_params, stream, cfg, seed=5)
     assert len(got) == n
@@ -457,7 +464,7 @@ def _score_with_fake_generator(tiny_models, monkeypatch, n, parts, forward):
         forward(_first_frame(y), len(y))
         return np.zeros_like(z)
 
-    monkeypatch.setattr(pipeline, "_usable_cpus", lambda: parts)
+    monkeypatch.setattr(lanes, "usable_cpus", lambda: parts)
     monkeypatch.setattr(pipeline.gan_mod, "g_forward", g_forward)
     return score_sequence(ms_params, gan_params, _stream_of(n, cfg), cfg)
 
@@ -526,7 +533,7 @@ def test_score_sequence_in_forked_child_after_scoring(tiny_models,
     bytes at 2 parts."""
     cfg, _, _, ms_params, gan_params = tiny_models
     stream = _stream_of(3 * pipeline._G_FRAMES, cfg)
-    monkeypatch.setattr(pipeline, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(lanes, "usable_cpus", lambda: 2)
     want = score_sequence(ms_params, gan_params, stream, cfg).scores.tobytes()
     read_fd, write_fd = os.pipe()
     with warnings.catch_warnings():
@@ -567,10 +574,10 @@ def test_cli_score_bytes_do_not_depend_on_cpu_affinity(tiny_models, tmp_path):
     gp.write_bytes(io.write_evck(gan_params.to_arrays()))
     cf.write_text(cfg.to_text())
     script = ("import os, sys\n"
-              "from evanom import cli, pipeline\n"
+              "from evanom import cli, lanes\n"
               "if sys.argv[1] != 'all':\n"
               "    os.sched_setaffinity(0, {int(sys.argv[1])})\n"
-              "print(pipeline._usable_cpus())\n"
+              "print(lanes.usable_cpus())\n"
               "sys.exit(cli.cli_main(sys.argv[2:]))\n")
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",

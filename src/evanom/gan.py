@@ -141,11 +141,6 @@ def d_loss(params: GanParams, part: str, batch: GanBatch,
     return ad.add(_bce(real, 1.0), _bce(fake, 0.0))
 
 
-def d_losses(params: GanParams, batch: GanBatch, x_fake: Tensor):
-    """(L_Dxy, L_Dx) loss tensors on the generator's frames `x_fake`."""
-    return tuple(d_loss(params, part, batch, x_fake) for part in _D_PARTS)
-
-
 def g_adv_loss(params: GanParams, part: str, batch: GanBatch,
                x_fake: Tensor) -> Tensor:
     """Non-saturating adversarial term of discriminator `part` in the
@@ -162,8 +157,10 @@ def l1_loss(batch: GanBatch, x_fake: Tensor, lambda_l1: float) -> Tensor:
 
 
 def _g_terms(params: GanParams, batch: GanBatch, lambda_l1: float):
-    """g_loss's terms, each a function of the generator's frames, in the
-    order g_loss adds them."""
+    """The terms of the non-saturating generator loss, each a function of
+    the generator's frames x_hat, in the order they are added:
+    -mean log D_xy(x_hat, y), -mean log D_x(x_hat) and, if lambda_l1 > 0,
+    lambda_l1 * mean|x_hat - x|."""
     if lambda_l1 < 0:
         raise ValueError("lambda_l1 must be >= 0")
     terms = [functools.partial(g_adv_loss, params, part, batch)
@@ -173,15 +170,6 @@ def _g_terms(params: GanParams, batch: GanBatch, lambda_l1: float):
     return terms
 
 
-def g_loss(params: GanParams, batch: GanBatch, x_fake: Tensor,
-           lambda_l1: float = 0.0) -> Tensor:
-    """Non-saturating generator loss on the generator's frames `x_fake`:
-    -mean log D_xy(x_hat, y) - mean log D_x(x_hat) + lambda * mean|x_hat - x|.
-    """
-    return functools.reduce(ad.add, (term(x_fake) for term in
-                                     _g_terms(params, batch, lambda_l1)))
-
-
 def prepare_batches(windows, ms_params: MsNetParams, cap: float):
     """Windows -> (surfaces (N,1,H,W), normalized targets (N,1,H,W))."""
     vols, targets = window_arrays(windows, cap)
@@ -189,6 +177,7 @@ def prepare_batches(windows, ms_params: MsNetParams, cap: float):
     return surfaces, targets[:, None]
 
 
+@lanes.one_blas_thread()
 @np.errstate(over="ignore", invalid="ignore")
 def train_gan(windows, ms_params: MsNetParams, hyper: GanHyper,
               seed: int = 0):
@@ -197,7 +186,7 @@ def train_gan(windows, ms_params: MsNetParams, hyper: GanHyper,
     The generator runs once per batch: the D steps only change D's arrays,
     so its frames serve both the D losses and the G loss. The D_xy and
     D_x steps share nothing, so they run as two tasks (`lanes.run_tasks`:
-    at once under a one-thread BLAS on two or more CPUs, else in turn);
+    at once on two or more CPUs, else in turn; BLAS runs one thread);
     so do the G loss's two adversarial terms, each differentiated to its
     own copy of the frames. The checkpoint bytes are the same either way.
 
@@ -264,12 +253,14 @@ def _leaf_grad(term, x_fake: Tensor):
 
 def _g_step(params: GanParams, batch: GanBatch, x_fake: Tensor,
             lambda_l1: float, state: ad.AdamState) -> float:
-    """One Adam step on the generator from g_loss; returns its value.
+    """One Adam step on the generator from the sum of `_g_terms`; returns
+    that loss's value.
 
     Each term's gradient to the frames is taken on its own (the terms as
     `lanes.run_tasks` tasks), then they are summed in the order backward
-    through g_loss's one graph adds them, and the sum is sent back
-    through the generator's graph, so the step's bits are g_loss's.
+    through one graph of the summed loss adds them, and the sum is sent
+    back through the generator's graph, so the step's bits are those of
+    one backward pass over the summed loss.
     """
     done = lanes.run_tasks([functools.partial(_leaf_grad, term, x_fake)
                             for term in _g_terms(params, batch, lambda_l1)])

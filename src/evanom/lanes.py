@@ -1,23 +1,25 @@
-"""Run a call's independent tasks on the CPUs a one-thread BLAS leaves idle.
+"""One BLAS thread while evanom computes, and a call's independent tasks
+on the CPUs that leaves idle.
 
-Scoring splits a stream's generator calls into parts, and each GAN
-training step runs its two discriminators' work as two tasks. Either
-way the calling thread runs the first task and a pool opened for the
-call runs the others (numpy drops the GIL inside BLAS and the large
-elementwise ops); every task has finished, and every pool thread is
-joined, before the call returns or raises. A BLAS that runs several
-threads per call serializes concurrent calls: on 2 vCPUs, splitting a
-stream at 2 OpenBLAS threads made the median stream 29-41% slower than
-one part, so tasks share out only under a one-thread BLAS. The caller
-runs a task itself because each further thread gets its own malloc
-arena, which raises peak RSS.
+`msnet.train_ms`, `gan.train_gan` and `pipeline.score_sequence` run under
+`one_blas_thread`, so no output byte depends on `OPENBLAS_NUM_THREADS`
+(OpenBLAS splits a long reduction differently at one thread and at
+two). Scoring splits a stream's generator calls into parts, and each GAN
+training step runs its two discriminators' work as two tasks: the
+calling thread runs the first task and a pool opened for the call runs
+the others (numpy drops the GIL inside BLAS and the large elementwise
+ops); every task has finished, and every pool thread is joined, before
+the call returns or raises. The caller runs a task itself because each
+further thread gets its own malloc arena, which raises peak RSS.
 """
 from __future__ import annotations
 
+import contextlib
 import contextvars
 import ctypes
 import functools
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -25,27 +27,62 @@ import numpy as np
 
 
 @functools.cache
-def _blas_get_num_threads():
-    """The loaded OpenBLAS's get_num_threads, or None if none is found."""
+def _openblas():
+    """The loaded OpenBLAS's (get_num_threads, set_num_threads), or None
+    if no library exports both."""
     libdir = Path(np.__file__).resolve().parent.parent / "numpy.libs"
     for lib in sorted(libdir.glob("lib*openblas*.so*")):
         handle = ctypes.CDLL(str(lib))
-        for sym in ("scipy_openblas_get_num_threads64_",
-                    "scipy_openblas_get_num_threads",
-                    "openblas_get_num_threads64_", "openblas_get_num_threads"):
-            fn = getattr(handle, sym, None)
-            if fn is not None:
-                fn.argtypes = []
-                fn.restype = ctypes.c_int
-                return fn
+        for sym in ("scipy_openblas_{}_num_threads64_",
+                    "scipy_openblas_{}_num_threads",
+                    "openblas_{}_num_threads64_", "openblas_{}_num_threads"):
+            get = getattr(handle, sym.format("get"), None)
+            set_ = getattr(handle, sym.format("set"), None)
+            if get is not None and set_ is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                set_.argtypes, set_.restype = [ctypes.c_int], None
+                return get, set_
     return None
 
 
+_PIN_LOCK = threading.Lock()
+_pin_depth = 0       # one_blas_thread blocks entered and not yet left
+_pin_saved = 0       # the thread count the outermost block restores
+
+
+@contextlib.contextmanager
+def one_blas_thread():
+    """Run the block (or, as a decorator, each call) with the loaded
+    OpenBLAS at one thread, restoring its count afterwards, also on an
+    error. The count is process-wide, so nested blocks and blocks in
+    several threads share it: the first entry saves and sets it, the
+    last exit restores it. With no OpenBLAS get/set_num_threads found
+    (an MKL numpy, say), this does nothing, and `usable_cpus` is 1."""
+    global _pin_depth, _pin_saved
+    blas = _openblas()
+    if blas is None:
+        yield
+        return
+    get, set_ = blas
+    with _PIN_LOCK:
+        if _pin_depth == 0:
+            _pin_saved = get()
+            set_(1)
+        _pin_depth += 1
+    try:
+        yield
+    finally:
+        with _PIN_LOCK:
+            _pin_depth -= 1
+            if _pin_depth == 0:
+                set_(_pin_saved)
+
+
 def usable_cpus() -> int:
-    """Tasks to run at once: the CPUs this process may run on if the
-    loaded BLAS runs one thread per call, else 1."""
-    fn = _blas_get_num_threads()
-    return len(os.sched_getaffinity(0)) if fn is not None and fn() == 1 else 1
+    """Tasks to run at once: the CPUs this process may run on if
+    `one_blas_thread` can pin BLAS to one thread, else 1 (a BLAS that
+    runs several threads per call serializes concurrent calls)."""
+    return len(os.sched_getaffinity(0)) if _openblas() is not None else 1
 
 
 def run_tasks(tasks) -> list:
@@ -54,7 +91,8 @@ def run_tasks(tasks) -> list:
     while a pool opened for this call runs the rest, each in a copy of
     the caller's context (so `np.errstate` reaches it); otherwise the
     caller runs them in order. The first task's error, in task order,
-    is raised once every started task has finished."""
+    is raised once every started task has finished. Call it inside
+    `one_blas_thread`."""
     workers = min(len(tasks), usable_cpus()) - 1
     if workers < 1:
         return [task() for task in tasks]

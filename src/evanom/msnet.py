@@ -18,9 +18,7 @@ step runs each block's forward and backward in turn, its term weighted
 by its share of the batch's pixels, so a block's (BLOCK,F) activations
 stay in cache and each weight gradient is a sum of per-block products
 in block order. At 2048 rows a block runs as fast as any size tried on
-dense scenes, and its products are short enough that OpenBLAS reduces
-them the same way at one thread or two, so checkpoints do not depend on
-the BLAS thread count.
+dense scenes.
 """
 from __future__ import annotations
 
@@ -29,14 +27,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
+from . import lanes
 from .autodiff import Tensor
 
 
 # Rows per block. On dense data 2048 and 4096 tie as the fastest of 1024 to
 # 8192 (2 epochs of train_ms on 64 volumes of 8x64x64 at 98% non-zero
 # pixels, one BLAS thread: 0.28 s at both, 0.32 s at 8192, 0.56 s
-# unblocked), and 2048 is the largest of 2048, 4096 and 8192 at which the
-# seed-1 desk MS checkpoint is byte-equal at OPENBLAS_NUM_THREADS=1 and =2.
+# unblocked).
 BLOCK = 2048
 
 
@@ -175,6 +173,7 @@ def _loss_and_grads(params: MsNetParams, plist: list[Tensor],
 
 
 # a diverging run reports DivergenceDetected, not numpy's overflow warnings
+@lanes.one_blas_thread()
 @np.errstate(over="ignore", invalid="ignore")
 def train_ms(dataset, hyper: MsHyper, seed: int = 0):
     """Train on (N,B,H,W) normalized volumes; returns (params, loss curve).

@@ -145,6 +145,7 @@ def windows_for(stream: EventStream, cfg: PipelineConfig):
                            duration=int(stream.t[-1]) if len(stream) else 0)
 
 
+@lanes.one_blas_thread()
 def score_sequence(ms_params: MsNetParams, gan_params: gan_mod.GanParams,
                    stream: EventStream, cfg: PipelineConfig,
                    track: LabelTrack | None = None,

@@ -1,4 +1,5 @@
 import contextlib
+import functools
 import sys
 import threading
 
@@ -10,8 +11,8 @@ from evanom import gan as gan_mod
 from evanom import io, lanes
 from evanom.autodiff import ShapeMismatch, Tensor
 from evanom.gan import (DivergenceDetected, GanBatch, GanHyper, GanParams,
-                        d_forward_t, d_loss, d_losses, g_forward, g_forward_t,
-                        g_loss, prepare_batches, train_gan)
+                        d_forward_t, d_loss, g_adv_loss, g_forward,
+                        g_forward_t, l1_loss, prepare_batches, train_gan)
 from evanom.msnet import MsHyper, MsNetParams, train_ms
 from evanom.oracle import (LOG2, DiscreteJoint, dual_objective, optimal_d_x,
                            optimal_d_xy)
@@ -38,6 +39,21 @@ def tiny_batch(rng, n=2, h=8, w=8):
 def generated(params, batch):
     """The generator's frames for a batch, as train_gan feeds both losses."""
     return g_forward_t(params, Tensor(batch.y), Tensor(batch.z))
+
+
+def d_losses(params, batch, x_fake):
+    """(L_Dxy, L_Dx) loss tensors on the generator's frames `x_fake`."""
+    return tuple(d_loss(params, part, batch, x_fake) for part in ("dxy", "dx"))
+
+
+def g_loss(params, batch, x_fake, lambda_l1=0.0):
+    """Non-saturating generator loss on the generator's frames `x_fake`, as
+    one graph: -mean log D_xy(x_hat, y) - mean log D_x(x_hat)
+    + lambda * mean|x_hat - x|."""
+    terms = [g_adv_loss(params, part, batch, x_fake) for part in ("dxy", "dx")]
+    if lambda_l1 > 0:
+        terms.append(l1_loss(batch, x_fake, lambda_l1))
+    return functools.reduce(ad.add, terms)
 
 
 def test_init_rejects_bad_geometry(rng):
@@ -127,7 +143,7 @@ def test_g_loss_lambda_l1(rng):
     l1 = np.mean(np.abs(fake - batch.x))
     assert with_l1 == pytest.approx(plain + 10.0 * l1, rel=1e-5)
     with pytest.raises(ValueError):
-        g_loss(params, batch, x_fake, lambda_l1=-1.0)
+        gan_mod._g_terms(params, batch, lambda_l1=-1.0)
 
 
 def _float64(params):

@@ -211,33 +211,43 @@ def test_blocked_encode_equals_one_pass(params, rng):
     np.testing.assert_array_equal(encode(params, batch)[mask], one_pass)
 
 
-# Trains with ~8.3k non-zero rows per batch, four full blocks and a partial
-# one, and writes the EVCK checkpoint to stdout.
-_TINY_RECIPE = """
-import sys
-import numpy as np
-from evanom import io, msnet
-rng = np.random.default_rng(0)
-data = rng.random((8, 8, 48, 48), dtype=np.float32)
-data *= rng.random((8, 1, 48, 48)) < 0.9
-params, _ = msnet.train_ms(data, msnet.MsHyper(filters=32, epochs=2, batch=4),
-                           seed=1)
-sys.stdout.buffer.write(io.write_evck(params.to_arrays()))
+# Trains both nets on a small walking scene and scores it; prints the
+# SHA-256 of the MS and GAN EVCK checkpoints and of the score CSV.
+_RECIPE = """
+import hashlib
+from evanom import gan, io, msnet, pipeline, representation, simulate
+stream, track = simulate.render_scene(
+    simulate.walking_scene(3, duration=1_000_000, size=32))
+cfg = pipeline.PipelineConfig(ms_epochs=2, gan_epochs=1, gan_ngf=8,
+                              gan_ndf=8, gan_lambda_l1=50.0)
+windows = pipeline.windows_for(stream, cfg)
+vols = representation.window_arrays(windows, cfg.cap)[0]
+ms, _ = msnet.train_ms(vols, cfg.ms_hyper(), seed=1)
+g, _ = gan.train_gan(windows, ms, cfg.gan_hyper(), seed=1)
+csv = pipeline.write_score_csv(
+    pipeline.score_sequence(ms, g, stream, cfg, track=track))
+for name, blob in (("ms", io.write_evck(ms.to_arrays())),
+                   ("gan", io.write_evck(g.to_arrays())),
+                   ("csv", csv.encode())):
+    print(name, hashlib.sha256(blob).hexdigest())
 """
 
 
 def test_checkpoint_bytes_do_not_depend_on_blas_threads():
-    # Unblocked, OpenBLAS splits the weight gradients' long reductions
-    # differently at one thread and at two, and the checkpoints differ.
+    # evanom runs BLAS at one thread while it trains and scores. Without
+    # that, OpenBLAS splits the GAN's long reductions differently at one
+    # thread and at two, and the GAN checkpoints and score CSVs differ.
     src = str(Path(msnet.__file__).resolve().parent.parent)
     procs = [subprocess.Popen(
-        [sys.executable, "-c", _TINY_RECIPE], stdout=subprocess.PIPE,
+        [sys.executable, "-c", _RECIPE], stdout=subprocess.PIPE, text=True,
         env={**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": n})
         for n in ("1", "2")]
     try:
-        ckpts = [p.communicate(timeout=300)[0] for p in procs]
+        digests = [p.communicate(timeout=300)[0] for p in procs]
     finally:
         for p in procs:
             p.kill()
     assert [p.returncode for p in procs] == [0, 0]
-    assert ckpts[0][:4] == b"EVCK" and ckpts[0] == ckpts[1]
+    assert [line.split()[0] for line in digests[0].splitlines()] == \
+        ["ms", "gan", "csv"]
+    assert digests[0] == digests[1]

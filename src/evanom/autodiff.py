@@ -194,8 +194,8 @@ def concat(tensors: list[Tensor], axis: int = 1) -> Tensor:
 #   matmul per tap, summed in tap order (kn2row; Vasudevan et al. 2017).
 # - Output columns with y >= Ho or x >= Wo, whose shifted reads run into
 #   the next block row or image, are computed and then dropped.
-# - Its adjoints are one matmul per tap too: w2_t.T @ cols added into a
-#   zero grid at tap t's shift, and cols @ (tap t's columns).T.
+# - Its adjoints: (stacked w2_t.T) @ cols, each tap's block added into a
+#   zero grid at its shift in tap order, and cols @ (tap t's columns).T.
 #
 # conv_transpose2d is the adjoint of conv2d: its forward is conv2d's
 # input-gradient path, and its backward is conv2d's forward path for the
@@ -267,11 +267,13 @@ class _Layout:
         return out
 
     def grid_adjoint(self, w2, cols):
-        """Adjoint of `product` in the grid: (O, m) -> (R, m + tail)."""
-        grid = np.zeros((w2.shape[2], self.m + self.shifts[-1]),
-                        dtype=np.result_type(w2, cols))
-        for w2_t, off in zip(w2, self.shifts):
-            grid[:, off:off + self.m] += w2_t.T @ cols
+        """Adjoint of `product` in the grid: (O, m) -> (R, m + tail), as one
+        (taps*R, O) @ (O, m) product whose tap blocks are added in order."""
+        taps, O, R = w2.shape
+        taps_out = w2.transpose(0, 2, 1).reshape(taps * R, O) @ cols
+        grid = np.zeros((R, self.m + self.shifts[-1]), dtype=taps_out.dtype)
+        for t, off in enumerate(self.shifts):
+            grid[:, off:off + self.m] += taps_out[t * R:(t + 1) * R]
         return grid
 
     def weight_adjoint(self, cols, grid):
@@ -590,6 +592,12 @@ class Params(dict):
 
     def to_arrays(self) -> dict[str, np.ndarray]:
         return {name: t.data for name, t in self.items()}
+
+    @staticmethod
+    def width(arrays: dict[str, np.ndarray], name: str) -> int:
+        """First-axis size of a checkpoint tensor; 0 if missing or scalar."""
+        shape = arrays[name].shape if name in arrays else ()
+        return shape[0] if shape else 0
 
     @classmethod
     def from_arrays(cls, arrays: dict[str, np.ndarray], layers=None):

@@ -26,13 +26,6 @@ def _load_cfg(path: str | None) -> pipeline.PipelineConfig:
     return pipeline.PipelineConfig.from_text(Path(path).read_text())
 
 
-def _width(arrays, name) -> int:
-    """First-axis size of a checkpoint tensor, 0 if it is missing or a
-    scalar (then the load check reports it)."""
-    shape = arrays[name].shape if name in arrays else ()
-    return shape[0] if shape else 0
-
-
 # A checkpoint is checked against the input geometry given by the config
 # and the CLI (bins, height, width); its layer widths are read from the
 # checkpoint itself, since scoring needs no training settings.
@@ -40,15 +33,7 @@ def _width(arrays, name) -> int:
 def _load_ms(path: str, cfg: pipeline.PipelineConfig) -> msnet.MsNetParams:
     arrays = io.read_evck(Path(path).read_bytes())
     return msnet.MsNetParams.from_arrays(arrays, msnet.MsNetParams.layers(
-        cfg.bins, _width(arrays, "ms.enc1.w")))
-
-
-def _load_gan(path: str, height: int, width: int) -> gan.GanParams:
-    arrays = io.read_evck(Path(path).read_bytes())
-    hyper = gan.GanHyper(ngf=_width(arrays, "g.d1.w"),
-                         ndf=_width(arrays, "dxy.c1.w"))
-    return gan.GanParams.from_arrays(
-        arrays, gan.GanParams.layers(height, width, hyper))
+        cfg.bins, msnet.MsNetParams.width(arrays, "ms.enc1.w")))
 
 
 def cmd_simulate(args) -> int:
@@ -102,7 +87,8 @@ def cmd_score(args) -> int:
     cfg = _load_cfg(args.config)
     stream = _read_stream(args)
     ms_params = _load_ms(args.ms_ckpt, cfg)
-    gan_params = _load_gan(args.gan_ckpt, args.height, args.width)
+    gan_params = gan.GanParams.for_frames(
+        io.read_evck(Path(args.gan_ckpt).read_bytes()), args.height, args.width)
     track = None
     if args.labels:
         track = pipeline.read_label_csv(Path(args.labels).read_text())

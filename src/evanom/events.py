@@ -100,9 +100,7 @@ class EventStream:
 
     @classmethod
     def empty(cls, width, height) -> "EventStream":
-        z = np.zeros(0)
-        return cls(width, height, z.astype(np.int32), z.astype(np.int32),
-                   z.astype(np.int64), z.astype(np.int8))
+        return cls.from_arrays(width, height, [], [], [], [])
 
     def __len__(self) -> int:
         return len(self.t)
@@ -158,14 +156,10 @@ def _parse_rows(body: str, width: int, height: int) -> EventStream:
     lines = body.split("\n")
     if lines[-1] == "":
         lines.pop()
-    ts, xs, ys, ps = [], [], [], []
-    for i, line in enumerate(lines, start=2):
-        t, x, y, p = _parse_row(line.strip(), i, width, height)
-        ts.append(t)
-        xs.append(x)
-        ys.append(y)
-        ps.append(p)
-    return EventStream.from_arrays(width, height, xs, ys, ts, ps)
+    rows = [_parse_row(line.strip(), i, width, height)
+            for i, line in enumerate(lines, start=2)]
+    t, x, y, p = np.array(rows, dtype=np.int64).reshape(-1, 4).T
+    return EventStream.from_arrays(width, height, x, y, t, p)
 
 
 def parse_event_csv(text: str, width: int, height: int) -> EventStream:

@@ -81,6 +81,15 @@ class GanParams(ad.Params):
              rng: np.random.Generator) -> "GanParams":
         return cls.init_layers(rng, cls.layers(h, w, hyper))
 
+    @classmethod
+    def for_frames(cls, arrays, h: int, w: int) -> "GanParams":
+        """Tensors from checkpoint arrays for the nets on HxW frames, with
+        the layer widths the arrays hold: ShapeMismatch unless H and W are
+        multiples of 8, else `from_arrays`'s errors."""
+        hyper = GanHyper(ngf=cls.width(arrays, "g.d1.w"),
+                         ndf=cls.width(arrays, "dxy.c1.w"))
+        return cls.from_arrays(arrays, cls.layers(h, w, hyper))
+
 
 def g_forward_t(p: GanParams, y: Tensor, z: Tensor) -> Tensor:
     def down(x, layer):

@@ -4,7 +4,8 @@ on the CPUs that leaves idle.
 `msnet.train_ms`, `gan.train_gan` and `pipeline.score_sequence` run under
 `one_blas_thread`, so no output byte depends on `OPENBLAS_NUM_THREADS`
 (OpenBLAS splits a long reduction differently at one thread and at
-two). Scoring splits a stream's generator calls into parts, and each GAN
+two). Scoring splits a stream's generator calls into parts, each of
+which bins, encodes and predicts its own calls' windows, and each GAN
 training step runs its two discriminators' work as two tasks: the
 calling thread runs the first task and a pool opened for the call runs
 the others (numpy drops the GIL inside BLAS and the large elementwise

@@ -49,14 +49,6 @@ class DiscreteJoint:
         object.__setattr__(self, "p_g_cond", p_g)
 
     @property
-    def m(self) -> int:
-        return self.p_dd.shape[0]
-
-    @property
-    def n(self) -> int:
-        return self.p_dd.shape[1]
-
-    @property
     def p_d_y(self) -> np.ndarray:
         return self.p_dd.sum(axis=0)
 

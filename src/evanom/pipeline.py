@@ -16,7 +16,7 @@ from . import gan as gan_mod
 from . import lanes
 from .events import EventStream
 from .msnet import MsHyper, MsNetParams
-from .representation import MODES, sliding_windows
+from .representation import MODES, sliding_windows, window_count
 from .simulate import LabelTrack, label_frames
 
 
@@ -154,10 +154,13 @@ def score_sequence(ms_params: MsNetParams, gan_params: gan_mod.GanParams,
 
     With cfg.noise_samples == 0 the generator runs with an all-zero noise
     grid; with k > 0 the score is the mean over k seeded noise draws.
+    The frame size and the window count are checked before any work.
     """
-    windows = windows_for(stream, cfg)
-    surfaces, targets = gan_mod.prepare_batches(windows, ms_params, cfg.cap)
-    n, _, h, w = surfaces.shape
+    h, w = stream.height, stream.width
+    gan_mod.GanParams.for_frames(gan_params.to_arrays(), h, w)  # or raises
+    step = cfg.stride * cfg.bin_dt_us
+    n = window_count(stream, cfg.bin_dt_us, cfg.bins, cfg.stride, cfg.mode,
+                     t0=0, duration=int(stream.t[-1]) if len(stream) else 0)
     if cfg.noise_samples == 0:
         zs = [np.zeros((n, 1, h, w), dtype=np.float32)]
     else:
@@ -167,12 +170,18 @@ def score_sequence(ms_params: MsNetParams, gan_params: gan_mod.GanParams,
     scores = np.zeros(n, dtype=np.float64)
 
     def run(starts: range):
-        for z in zs:
-            for a in starts:
-                sl = slice(a, a + _G_FRAMES)
-                d = gan_mod.g_forward(gan_params, surfaces[sl], z[sl]) \
-                    - targets[sl]
-                scores[sl] += d.reshape(d.shape[0], -1).__pow__(2).mean(axis=1)
+        for a in starts:
+            frames = min(_G_FRAMES, n - a)
+            windows = sliding_windows(
+                stream, cfg.bin_dt_us, cfg.bins, stride=cfg.stride,
+                mode=cfg.mode, t0=a * step,
+                duration=(cfg.bins + 1) * cfg.bin_dt_us + (frames - 1) * step)
+            surfaces, targets = gan_mod.prepare_batches(windows, ms_params,
+                                                        cfg.cap)
+            sl = slice(a, a + frames)
+            for z in zs:
+                d = gan_mod.g_forward(gan_params, surfaces, z[sl]) - targets
+                scores[sl] += d.reshape(frames, -1).__pow__(2).mean(axis=1)
 
     calls = range(0, n, _G_FRAMES)
     k = max(1, min(len(calls), lanes.usable_cpus()))
@@ -180,22 +189,22 @@ def score_sequence(ms_params: MsNetParams, gan_params: gan_mod.GanParams,
              for i in range(k)]
     lanes.run_tasks([functools.partial(run, part) for part in parts])
     scores /= len(zs)
-    t0 = cfg.bins * cfg.bin_dt_us  # windows_for starts window 0 at t=0
-    frame_dt = cfg.stride * cfg.bin_dt_us
+    t0 = cfg.bins * cfg.bin_dt_us  # window 0 starts at t=0
     labels = None
     if track is not None:
         # A frame is labelled by its target bin, which is narrower than
-        # frame_dt when stride > 1.
-        labels = label_frames(track, t0, frame_dt, n, cfg.bin_dt_us)
-    return ScoreSeries(t0, frame_dt, scores, labels)
+        # the frame spacing when stride > 1.
+        labels = label_frames(track, t0, step, n, cfg.bin_dt_us)
+    return ScoreSeries(t0, step, scores, labels)
 
 
-# A stream's frames are scored 16 a generator call, from frame 0, and
-# the calls are shared out in contiguous parts, one per usable CPU, which
-# `lanes.run_tasks` runs at once. A frame's prediction can change bits
-# with the batch it is computed in (at 16x16 frames, 8 a call moves the
-# last of each call), so parts are cut between calls and each frame's
-# call is the same at any part count.
+# A stream's frames are scored 16 a generator call, from frame 0, in
+# contiguous parts of calls, one per usable CPU, that `lanes.run_tasks`
+# runs at once; each part bins, encodes and predicts its own calls'
+# windows (a window's bytes do not depend on where binning starts). A
+# frame's prediction can change bits with the batch it is computed in (at
+# 16x16 frames, 8 a call moves the last of each call), so parts are cut
+# between calls and each frame's call is the same at any part count.
 _G_FRAMES = 16
 
 

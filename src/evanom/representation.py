@@ -178,20 +178,26 @@ def sliding_windows(stream: EventStream, bin_dt: int, bins: int,
     module's first, mid and last grids. t0 defaults to the first event
     timestamp, duration to the stream's time extent from t0.
     """
+    n = window_count(stream, bin_dt, bins, stride, mode, t0, duration)
+    t0 = int(stream.t[0]) if t0 is None else t0
+    return _windows(stream, t0, bin_dt, bins + 1, n, stride, mode)
+
+
+def window_count(stream: EventStream, bin_dt: int, bins: int, stride: int,
+                 mode: str, t0: int | None, duration: int | None) -> int:
+    """How many windows `sliding_windows` cuts with these arguments, with
+    its errors (TooShort if none), binning nothing."""
     if stride < 1:
         raise ValueError("stride must be >= 1")
     if len(stream) == 0:
         raise TooShort("empty stream")
     _check(stream, bin_dt, bins + 1, mode)
-    if t0 is None:
-        t0 = int(stream.t[0])
     if duration is None:
-        duration = int(stream.t[-1]) - t0
+        duration = int(stream.t[-1]) - (int(stream.t[0]) if t0 is None else t0)
     span = (bins + 1) * bin_dt
     if duration < span:
         raise TooShort(f"duration {duration} < (B+1)*bin_dt = {span}")
-    n = (duration - span) // (stride * bin_dt) + 1
-    return _windows(stream, t0, bin_dt, bins + 1, n, stride, mode)
+    return (duration - span) // (stride * bin_dt) + 1
 
 
 def baseline_histogram(stream: EventStream, t0: int, dt: int) -> np.ndarray:

@@ -6,7 +6,8 @@ import pytest
 
 import evanom.autodiff as ad
 from evanom.autodiff import AdamState, Tensor
-from evanom import io
+from evanom import io, lanes
+from evanom.gan import GanHyper, GanParams
 
 H_STEP = 1e-3
 TOL = 1e-4
@@ -208,8 +209,9 @@ def test_conv_transpose_inverts_spatial_reduction(rng):
     assert out.shape == (1, 2, 8, 8)
 
 
-# Each conv contraction is one matmul per tap on the space-to-depth grid,
-# so no array taps (here 4) times the grid is built. At this GAN-sized
+# A conv's forward and weight-gradient contractions are one matmul per tap
+# on the space-to-depth grid, so conv2d's forward and its transpose's
+# backward build no array taps (here 4) times the grid. At this GAN-sized
 # stride-2 conv from (16,32,32,32) to 64 channels, and in the backward of
 # its transpose, the grid is 2.27 MiB.
 def test_conv_peak_memory_stays_near_grid(rng):
@@ -231,6 +233,41 @@ def test_conv_peak_memory_stays_near_grid(rng):
     finally:
         tracemalloc.stop()
     assert fwd < 3 * grid and bwd < 3 * grid, (fwd / grid, bwd / grid)
+
+
+def _per_tap_grid_adjoint(lay, w2, cols):
+    """`_Layout.grid_adjoint` as one matmul per tap: w2_t.T @ cols added
+    into a zero grid at tap t's shift, in tap order."""
+    grid = np.zeros((w2.shape[2], lay.m + lay.shifts[-1]),
+                    dtype=np.result_type(w2, cols))
+    for w2_t, off in zip(w2, lay.shifts):
+        grid[:, off:off + lay.m] += w2_t.T @ cols
+    return grid
+
+
+# Input side of each GAN layer's layout on 64x64 frames (a transposed
+# conv's layout is that of the conv it is the adjoint of).
+_GAN_LAYOUT_SIDE = {"d1": 64, "d2": 32, "d3": 16, "u1": 16, "u2": 32,
+                    "u3": 64, "c1": 64, "c2": 32, "c3": 16}
+
+
+def test_grid_adjoint_is_the_per_tap_sum_bit_for_bit(rng):
+    """The folded product gives each grid element the per-tap products'
+    bits, added in the same order, on every G and D conv at N=16: the
+    generator's downs and ups (u3 has R = 1*2*2 = 4 grid rows) and both
+    discriminators' convs."""
+    for name, shape, *_ in GanParams.layers(64, 64, GanHyper()):
+        if name.endswith(".fc"):
+            continue
+        side = _GAN_LAYOUT_SIDE[name.split(".")[1]]
+        lay = ad._Layout(16, side, side, 4, 4, 2, 1)
+        w2 = lay.regroup(rng.standard_normal(shape).astype(np.float32))
+        cols = rng.standard_normal((shape[0], lay.m)).astype(np.float32)
+        with lanes.one_blas_thread():
+            got = lay.grid_adjoint(w2, cols)
+            want = _per_tap_grid_adjoint(lay, w2, cols)
+        assert got.dtype == want.dtype == np.float32
+        assert got.tobytes() == want.tobytes(), name
 
 
 # --- elementwise kernels against their reference formulas -----------------

@@ -14,6 +14,7 @@ import pytest
 
 from evanom import (cli, events, io, lanes, msnet, pipeline, representation,
                     simulate)
+from evanom.autodiff import ShapeMismatch, WrongParamShapes
 from evanom.cli import cli_main
 from evanom.events import EventStream, write_event_csv
 from evanom.gan import GanHyper, GanParams, g_forward, prepare_batches, train_gan
@@ -448,11 +449,12 @@ def test_score_sequence_bits_do_not_depend_on_workers(
     assert got.scores.tobytes() == want.tobytes()
 
 
-def _first_frame(y):
-    """The surfaces row a generator call's input view starts at."""
-    offset = (y.__array_interface__["data"][0]
-              - y.base.__array_interface__["data"][0])
-    return offset // y.strides[0]
+def _first_frame(z):
+    """The frame a generator call's noise, a view of the stream's noise
+    grid, starts at."""
+    offset = (z.__array_interface__["data"][0]
+              - z.base.__array_interface__["data"][0])
+    return offset // z.strides[0]
 
 
 def _score_with_fake_generator(tiny_models, monkeypatch, n, parts, forward):
@@ -461,7 +463,7 @@ def _score_with_fake_generator(tiny_models, monkeypatch, n, parts, forward):
     cfg, _, _, ms_params, gan_params = tiny_models
 
     def g_forward(params, y, z):
-        forward(_first_frame(y), len(y))
+        forward(_first_frame(z), len(z))
         return np.zeros_like(z)
 
     monkeypatch.setattr(lanes, "usable_cpus", lambda: parts)
@@ -558,6 +560,92 @@ def test_score_sequence_in_forked_child_after_scoring(tiny_models,
     _, status = os.waitpid(pid, 0)
     assert os.waitstatus_to_exitcode(status) == 0
     assert got == want
+
+
+def test_score_sequence_bins_one_call_of_windows_at_a_time(tiny_models,
+                                                           monkeypatch):
+    """Each part bins its own calls: every `sliding_windows` call asks for
+    at most one generator call's windows, and together they cover each
+    frame once."""
+    cfg, _, _, ms_params, gan_params = tiny_models
+    n = 3 * pipeline._G_FRAMES - 5
+    step = cfg.stride * cfg.bin_dt_us
+    covered, lock = np.zeros(n, dtype=np.int64), threading.Lock()
+
+    def windows(*args, t0, **kwargs):
+        out = sliding_windows(*args, t0=t0, **kwargs)
+        assert t0 % step == 0 and len(out) <= pipeline._G_FRAMES
+        with lock:
+            covered[t0 // step:t0 // step + len(out)] += 1
+        return out
+
+    monkeypatch.setattr(lanes, "usable_cpus", lambda: 2)
+    monkeypatch.setattr(pipeline, "sliding_windows", windows)
+    score_sequence(ms_params, gan_params, _stream_of(n, cfg), cfg)
+    assert (covered == 1).all()
+
+
+def _no_work(monkeypatch, binning):
+    """Make score_sequence fail the test if it starts its scoring threads
+    or, with `binning`, if it bins a window."""
+    def work(*args, **kwargs):
+        raise AssertionError("score_sequence started work")
+    monkeypatch.setattr(lanes, "run_tasks", work)
+    if binning:
+        monkeypatch.setattr(pipeline, "sliding_windows", work)
+
+
+@pytest.mark.parametrize("side, error", [
+    (36, ShapeMismatch), (40, WrongParamShapes)])
+def test_score_sequence_checks_frame_size_first(monkeypatch, side, error):
+    """A 36x36 stream fits no GAN (H and W must be multiples of 8); a
+    40x40 one does not fit a 32x32 checkpoint. Both are refused before
+    any window is binned."""
+    cfg = PipelineConfig(bins=4)
+    rng = np.random.default_rng(0)
+    ms_params = MsNetParams.init(4, 4, rng)
+    gan_params = GanParams.init(32, 32, GanHyper(ngf=2, ndf=2), rng)
+    t = np.arange(0, 2_000_000, 1000)
+    stream = EventStream.from_arrays(side, side, t % side, t % side, t,
+                                     np.ones(len(t)))
+    _no_work(monkeypatch, binning=True)
+    with pytest.raises(error):
+        score_sequence(ms_params, gan_params, stream, cfg)
+
+
+SHORT_STREAMS = {"empty": "", "one event": "0,0,0,1\n",
+                 "shorter than a window": "0,0,0,1\n124999,7,7,-1\n"}
+
+
+@pytest.mark.parametrize("rows", SHORT_STREAMS.values(),
+                         ids=SHORT_STREAMS.keys())
+def test_score_sequence_too_short_raises_before_any_thread(
+        tiny_models, monkeypatch, rows):
+    """A window of the tiny models' config spans 5 bins of 25 ms."""
+    cfg, _, _, ms_params, gan_params = tiny_models
+    stream = events.parse_event_csv(f"t_us,x,y,p\n{rows}", 16, 16)
+    _no_work(monkeypatch, binning=False)
+    with pytest.raises(representation.TooShort):
+        score_sequence(ms_params, gan_params, stream, cfg)
+
+
+@pytest.mark.parametrize("rows", SHORT_STREAMS.values(),
+                         ids=SHORT_STREAMS.keys())
+def test_cli_score_too_short_stream_exits_1(tiny_models, tmp_path, capsys,
+                                            rows):
+    _, _, _, ms_params, gan_params = tiny_models
+    ev, cfg, ms, gp = (tmp_path / n for n in ("events.csv", "p.cfg",
+                                              "ms.evck", "gan.evck"))
+    ev.write_text(f"t_us,x,y,p\n{rows}")
+    cfg.write_text("bins=4\n")
+    ms.write_bytes(io.write_evck(ms_params.to_arrays()))
+    gp.write_bytes(io.write_evck(gan_params.to_arrays()))
+    assert cli_main(["score", "--events", str(ev), "--width", "16",
+                     "--height", "16", "--config", str(cfg),
+                     "--ms-ckpt", str(ms), "--gan-ckpt", str(gp),
+                     "--out", str(tmp_path / "scores.csv")]) == 1
+    assert "error:" in capsys.readouterr().err
+    assert not (tmp_path / "scores.csv").exists()
 
 
 def test_cli_score_bytes_do_not_depend_on_cpu_affinity(tiny_models, tmp_path):

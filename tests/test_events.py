@@ -1,3 +1,5 @@
+import time
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -43,6 +45,10 @@ def test_parse_preserves_tie_order():
     ("100,0,9,1", OutOfBounds),
     ("100,0,0,0", BadPolarity),
     ("100,0,0,2", BadPolarity),
+    # as many commas and newlines as two rows hold, in the wrong places
+    ("1,2\n3,1,5,6,7,1", MalformedRow),
+    # a polarity's "-" moved into the next row's timestamp
+    ("5,1,2,21\n-6,1,2,1", BadPolarity),
 ])
 def test_parse_strict_errors(row, exc):
     with pytest.raises(exc) as e:
@@ -161,19 +167,19 @@ def _outcome(text, width, height):
 _EDIT_CHARS = "0123456789,\n-+_ \r\t\x0b\u0663\uff11\u2028a"
 
 
-@settings(max_examples=300, deadline=None)
-@given(rows=st.lists(st.tuples(st.integers(0, 10**19), st.integers(0, 11),
-                               st.integers(0, 9), st.sampled_from([1, -1])),
-                     min_size=1, max_size=12),
-       edits=st.lists(st.tuples(st.integers(0, 400),
-                                st.sampled_from(["set", "insert", "delete"]),
-                                st.sampled_from(_EDIT_CHARS)), max_size=4),
-       trailing_newline=st.booleans())
-def test_fast_parse_agrees_with_row_loop(rows, edits, trailing_newline):
+@st.composite
+def _edited_texts(draw):
+    """Event CSVs of up to 12 rows, with up to 4 characters set, inserted
+    or deleted after the header."""
+    rows = draw(st.lists(st.tuples(
+        st.integers(0, 10**19), st.integers(0, 11), st.integers(0, 9),
+        st.sampled_from([1, -1])), min_size=1, max_size=12))
     text = "t_us,x,y,p\n" + "\n".join(",".join(map(str, r)) for r in rows)
-    text += "\n" if trailing_newline else ""
+    text += "\n" if draw(st.booleans()) else ""
     chars = list(text)
-    for pos, kind, ch in edits:
+    for pos, kind, ch in draw(st.lists(st.tuples(
+            st.integers(0, 400), st.sampled_from(["set", "insert", "delete"]),
+            st.sampled_from(_EDIT_CHARS)), max_size=4)):
         pos = 11 + pos % max(1, len(chars) - 11)  # keep the header intact
         if kind == "set" and pos < len(chars):
             chars[pos] = ch
@@ -181,11 +187,123 @@ def test_fast_parse_agrees_with_row_loop(rows, edits, trailing_newline):
             chars.insert(pos, ch)
         elif kind == "delete" and pos < len(chars):
             del chars[pos]
-    text = "".join(chars)
-    fast = _outcome(text, 10, 8)
+    return "".join(chars)
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=_edited_texts())
+def test_fast_parse_agrees_with_row_loop(text):
+    assert _outcome(text, 10, 8) == _row_loop(text, 10, 8)
+
+
+# Rows cross the cuts; at 1 character every row is a chunk of its own.
+@pytest.mark.parametrize("chunk", [1, 9, 64])
+@settings(max_examples=300, deadline=None)
+@given(text=_edited_texts())
+def test_fast_parse_agrees_with_row_loop_across_cuts(chunk, text):
+    with mock.patch.object(events, "_CHUNK", chunk):
+        fast = _outcome(text, 10, 8)
+    assert fast == _row_loop(text, 10, 8)
+
+
+def _row_loop(text, width, height):
     with mock.patch.object(events, "_parse_canonical", lambda *a: None):
-        loop = _outcome(text, 10, 8)
-    if isinstance(loop, EventStream):
-        assert isinstance(fast, EventStream) and fast == loop
+        return _outcome(text, width, height)
+
+
+def _canonical_text(rng, min_chars, width, height):
+    """A write_event_csv text of more than `min_chars` characters with
+    18-digit timestamps, coordinates on both sensor edges and both
+    polarities."""
+    n = min_chars // 20 + 4
+    s = EventStream.from_arrays(
+        width, height, np.r_[0, width - 1, width - 1,
+                             rng.integers(0, width, n - 3)],
+        np.r_[height - 1, 0, height - 1, rng.integers(0, height, n - 3)],
+        np.sort(rng.integers(10**17, 10**18, n)),
+        np.r_[1, -1, -1, rng.choice([1, -1], n - 3)])
+    text = write_event_csv(s)
+    assert len(text) > min_chars
+    return s, text
+
+
+@pytest.mark.parametrize("chunk", [None, 1, 64])
+def test_round_trip_across_chunks(rng, chunk):
+    """Rows of up to 42 characters, the longest canonical ones, over at
+    least 3 chunks."""
+    chunk = chunk or events._CHUNK
+    side = 10**9
+    s, text = _canonical_text(rng, 3 * chunk, side, side)
+    body = text.partition("\n")[2]
+    with mock.patch.object(events, "_CHUNK", chunk):
+        for fast_body in (body, body.removesuffix("\n")):  # no row loop
+            assert events._parse_canonical(fast_body, side, side) == s
+        assert parse_event_csv(text, side, side) == s
+    assert _row_loop(text, side, side) == s
+    assert max(map(len, body.split("\n"))) == 41
+
+
+# Each row goes in after about 2.5 chunks of canonical rows.
+LATE_ROWS = {"plus polarity": ("5,1,2,+1", None),
+             "x equal to the width": ("5,16,2,1", OutOfBounds),
+             "19-digit timestamp": (f"{2**63 - 1},1,2,-1", None),
+             "blank line": ("", MalformedRow)}
+
+
+@pytest.mark.parametrize("chunk", [None, 4096])
+@pytest.mark.parametrize("row, exc", LATE_ROWS.values(), ids=LATE_ROWS.keys())
+def test_rows_past_the_first_chunk(rng, chunk, row, exc):
+    """Bad or non-canonical rows beyond the first chunk get the row
+    loop's outcome: its exception class and line number, or its stream."""
+    chunk = chunk or events._CHUNK
+    _, text = _canonical_text(rng, 5 * chunk // 2, 16, 12)
+    lines = text.split("\n")
+    line_no = len(lines) - 2  # the second-last row's; the header is line 1
+    lines.insert(line_no - 1, row)
+    text = "\n".join(lines)
+    assert len("\n".join(lines[:line_no - 1])) > 2 * chunk
+    with mock.patch.object(events, "_CHUNK", chunk):
+        fast = _outcome(text, 16, 12)
+    assert fast == _row_loop(text, 16, 12)
+    if exc is None:
+        assert isinstance(fast, EventStream)
+        assert len(fast) == len(lines) - 2
     else:
-        assert fast == loop
+        assert fast == (exc, line_no)
+
+
+@pytest.mark.parametrize("body", [
+    "1,2,3,1," * (1 << 19),  # no newline
+    "1234567\n" * (1 << 19),  # no comma
+    "7" * (1 << 22),  # neither
+], ids=["no newline", "no comma", "neither"])
+def test_long_bodies_without_rows_are_malformed(body):
+    """The bulk pass gives up within about a chunk's memory, and the row
+    loop reports the first row."""
+    tracemalloc.start()
+    try:
+        assert events._parse_canonical(body, 16, 12) is None
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * events._CHUNK
+    start = time.perf_counter()
+    with pytest.raises(MalformedRow) as e:
+        parse_event_csv("t_us,x,y,p\n" + body, 16, 12)
+    assert e.value.line_no == 2
+    assert time.perf_counter() - start < 20
+
+
+@pytest.mark.parametrize("dtype", [np.int32, np.int64])
+@pytest.mark.parametrize("t", [[5, 6, 7], [7, 5, 6]], ids=["sorted", "not"])
+def test_from_arrays_owns_its_fields(dtype, t):
+    x, y = np.array([1, 2, 3], dtype), np.array([0, 1, 2], dtype)
+    t, p = np.array(t, np.int64), np.array([1, -1, 1], np.int8)
+    s = EventStream.from_arrays(4, 4, x, y, t, p)
+    before = (s.x.copy(), s.y.copy(), s.t.copy(), s.p.copy())
+    for a in (x, y, t, p):
+        a[:] = 0
+    assert all(np.array_equal(a, b)
+               for a, b in zip((s.x, s.y, s.t, s.p), before))
+    assert (s.x.dtype, s.y.dtype, s.t.dtype, s.p.dtype) == (
+        np.int32, np.int32, np.int64, np.int8)

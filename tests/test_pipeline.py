@@ -839,6 +839,24 @@ def test_cli_score_rejects_bad_label_file(tmp_path, capsys):
         assert "line" in capsys.readouterr().err
 
 
+def test_cli_score_names_a_bad_row_past_the_first_chunk(tmp_path, capsys):
+    rows = [f"{t},{t % 8},{t % 7},{1 - 2 * (t % 2)}" for t in range(60_000)]
+    rows[50_000] = "50000,8,0,1"  # x equal to the width
+    text = "t_us,x,y,p\n" + "\n".join(rows) + "\n"
+    assert text.index(rows[50_000]) > 2 * events._CHUNK
+    ev, ms, gp = (tmp_path / n for n in ("events.csv", "ms.evck", "gan.evck"))
+    ev.write_text(text)
+    rng = np.random.default_rng(0)
+    ms.write_bytes(io.write_evck(MsNetParams.init(8, 4, rng).to_arrays()))
+    gp.write_bytes(io.write_evck(
+        GanParams.init(8, 8, GanHyper(ngf=2, ndf=2), rng).to_arrays()))
+    assert cli_main(["score", "--events", str(ev), "--width", "8",
+                     "--height", "8", "--ms-ckpt", str(ms), "--gan-ckpt",
+                     str(gp), "--out", str(tmp_path / "scores.csv")]) == 1
+    assert "line 50002: coordinate out of bounds" in capsys.readouterr().err
+    assert not (tmp_path / "scores.csv").exists()
+
+
 def test_cli_score_rejects_checkpoint_of_other_frame_size(tmp_path, capsys):
     ev, ms, gp = (tmp_path / n for n in ("events.csv", "ms.evck", "gan.evck"))
     ev.write_text("t_us,x,y,p\n0,0,0,1\n")

@@ -1,6 +1,6 @@
-"""Malformed score CSVs, label CSVs, pipeline configs and scene configs
-fail with a domain error (so the CLI exits 1), never with any other
-exception."""
+"""Malformed event CSVs, score CSVs, label CSVs, pipeline configs and
+scene configs fail with a domain error (so the CLI exits 1), never with
+any other exception."""
 import re
 
 import numpy as np
@@ -9,11 +9,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from evanom.cli import DOMAIN_ERRORS
+from evanom.events import EventStream, parse_event_csv, write_event_csv
 from evanom.pipeline import (PipelineConfig, ScoreSeries, read_label_csv,
                              read_score_csv, write_label_csv, write_score_csv)
 from evanom.simulate import (ConfigError, LabelTrack, mixed_test_scene,
                              parse_scene_config, write_scene_config)
 
+EVENTS = write_event_csv(EventStream.from_arrays(
+    10, 8, [0, 9, 3, 7], [7, 0, 2, 5], [0, 95, 1_000_203, 123_456_789_012],
+    [1, -1, -1, 1]))
 SCORES = write_score_csv(ScoreSeries(
     100_000, 50_000, np.array([0.5, 0.03125, 2.0]), np.array([0, 1, 0])))
 UNLABELLED = write_score_csv(ScoreSeries(0, 10, np.array([1.5, 0.0])))
@@ -62,10 +66,11 @@ def _parses_or_domain_error(read, text):
         pass
 
 
-READERS = [(SCORES, read_score_csv), (UNLABELLED, read_score_csv),
+READERS = [(EVENTS, lambda text: parse_event_csv(text, 10, 8)),
+           (SCORES, read_score_csv), (UNLABELLED, read_score_csv),
            (LABELS, read_label_csv), (CONFIG, PipelineConfig.from_text),
            (SCENE, parse_scene_config)]
-IDS = ["scores", "unlabelled", "labels", "config", "scene"]
+IDS = ["events", "scores", "unlabelled", "labels", "config", "scene"]
 
 
 @pytest.mark.parametrize("text, read", READERS, ids=IDS)

@@ -92,9 +92,16 @@ class EventStream:
 
     @classmethod
     def from_arrays(cls, width, height, x, y, t, p) -> "EventStream":
-        """A stream owning one copy of each field, stably sorted by t."""
-        x, y, t, p = (np.array(a, dtype) for a, dtype in zip(
-            (x, y, t, p), (np.int32, np.int32, np.int64, np.int8)))
+        """A stream owning one copy of each field, stably sorted by t. A
+        value outside its field's dtype raises EventError; it does not wrap."""
+        fields = []
+        for name, a, dtype in zip("xytp", (x, y, t, p),
+                                  (np.int32, np.int32, np.int64, np.int8)):
+            a, info = np.asarray(a), np.iinfo(dtype)
+            if a.dtype != dtype and np.any((a < info.min) | (a > info.max)):
+                raise EventError(f"{name} outside the {info.dtype} range")
+            fields.append(np.array(a, dtype))
+        x, y, t, p = fields
         if len(t) and np.any(np.diff(t) < 0):
             order = np.argsort(t, kind="stable")
             x, y, t, p = x[order], y[order], t[order], p[order]

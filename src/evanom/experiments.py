@@ -18,12 +18,11 @@ def desk_config() -> pipeline.PipelineConfig:
 
 
 def training_windows(seed: int, cfg: pipeline.PipelineConfig):
-    """Sliding windows from three walking scenes derived from one seed."""
-    windows = []
-    for s in range(3):
-        stream, _ = simulate.render_scene(simulate.walking_scene(100 * seed + s))
-        windows += pipeline.windows_for(stream, cfg)
-    return windows
+    """Sliding windows from three walking scenes derived from one seed,
+    as one (n, B+1, H, W) array."""
+    streams = (simulate.render_scene(simulate.walking_scene(100 * seed + s))[0]
+               for s in range(3))
+    return np.concatenate([pipeline.windows_for(st, cfg) for st in streams])
 
 
 def normalized_volumes(windows, cfg: pipeline.PipelineConfig) -> np.ndarray:

@@ -182,8 +182,7 @@ def _g_terms(params: GanParams, batch: GanBatch, lambda_l1: float):
 def prepare_batches(windows, ms_params: MsNetParams, cap: float):
     """Windows -> (surfaces (N,1,H,W), normalized targets (N,1,H,W))."""
     vols, targets = window_arrays(windows, cap)
-    surfaces = encode(ms_params, vols)[:, None].astype(np.float32)
-    return surfaces, targets[:, None]
+    return encode(ms_params, vols)[:, None], targets[:, None]
 
 
 @lanes.one_blas_thread()

@@ -111,10 +111,10 @@ def decode_t(params: MsNetParams, ms: Tensor) -> Tensor:
     return _mix(params, "dec2", ad.sigmoid(_mix(params, "dec1", ms)))
 
 
-def _check_bins(params: MsNetParams, batch: np.ndarray):
-    if batch.shape[1] != params.bins:
+def check_bins(params: MsNetParams, bins: int):
+    if bins != params.bins:
         raise ad.ShapeMismatch(
-            f"volume has {batch.shape[1]} bins, net expects {params.bins}")
+            f"volume has {bins} bins, net expects {params.bins}")
 
 
 def _per_pixel(params: MsNetParams, batch: np.ndarray, net) -> np.ndarray:
@@ -122,7 +122,7 @@ def _per_pixel(params: MsNetParams, batch: np.ndarray, net) -> np.ndarray:
     (N,B,H,W) batch -> (N,H,W,K). The non-zero rows run BLOCK at a time, so
     the bits are the blocked pass's, which need not equal one pass over all
     rows; the all-zero row runs once and its output fills the rest."""
-    _check_bins(params, batch)
+    check_bins(params, batch.shape[1])
     mask, rows = _pixel_rows(batch)
     zero = net(params, Tensor(_zero_row(batch))).data.reshape(-1)
     out = np.full(mask.shape + zero.shape, zero, dtype=zero.dtype)

@@ -15,8 +15,8 @@ import numpy as np
 from . import gan as gan_mod
 from . import lanes
 from .events import EventStream
-from .msnet import MsHyper, MsNetParams
-from .representation import MODES, sliding_windows, window_count
+from .msnet import MsHyper, MsNetParams, check_bins
+from .representation import MODES, window_block, window_count
 from .simulate import LabelTrack, label_frames
 
 
@@ -139,10 +139,10 @@ class EvalMetrics:
 
 
 def windows_for(stream: EventStream, cfg: PipelineConfig):
-    """The config's windows over a stream, from t=0 to its last event."""
-    return sliding_windows(stream, cfg.bin_dt_us, cfg.bins, stride=cfg.stride,
-                           mode=cfg.mode, t0=0,
-                           duration=int(stream.t[-1]) if len(stream) else 0)
+    """The config's windows, one array, from t=0 to a stream's last event."""
+    return window_block(stream, cfg.bin_dt_us, cfg.bins, stride=cfg.stride,
+                        mode=cfg.mode, t0=0,
+                        duration=int(stream.t[-1]) if len(stream) else 0)
 
 
 @lanes.one_blas_thread()
@@ -154,9 +154,11 @@ def score_sequence(ms_params: MsNetParams, gan_params: gan_mod.GanParams,
 
     With cfg.noise_samples == 0 the generator runs with an all-zero noise
     grid; with k > 0 the score is the mean over k seeded noise draws.
-    The frame size and the window count are checked before any work.
+    The MS net's bin count, the frame size and the window count are
+    checked before any work.
     """
     h, w = stream.height, stream.width
+    check_bins(ms_params, cfg.bins)
     gan_mod.GanParams.for_frames(gan_params.to_arrays(), h, w)  # or raises
     step = cfg.stride * cfg.bin_dt_us
     n = window_count(stream, cfg.bin_dt_us, cfg.bins, cfg.stride, cfg.mode,
@@ -172,7 +174,7 @@ def score_sequence(ms_params: MsNetParams, gan_params: gan_mod.GanParams,
     def run(starts: range):
         for a in starts:
             frames = min(_G_FRAMES, n - a)
-            windows = sliding_windows(
+            windows = window_block(
                 stream, cfg.bin_dt_us, cfg.bins, stride=cfg.stride,
                 mode=cfg.mode, t0=a * step,
                 duration=(cfg.bins + 1) * cfg.bin_dt_us + (frames - 1) * step)

@@ -72,12 +72,10 @@ def _check(stream: EventStream, bin_dt: int, bins: int, mode: str):
         raise ValueError(f"unknown mode {mode!r}")
 
 
-def _grids(stream: EventStream, t0: int, bin_dt: int, bins: int, n: int,
-           stride: int, mode: str):
-    """One binning pass for n windows of `bins` bins, one every `stride`
-    centres: the (centres, H*W) grid the windows are cut from and, in
-    bilinear mode with bins > 1, the (n, H*W) first and last bins that
-    replace each window's ends (None otherwise)."""
+def _windows(stream: EventStream, t0: int, bin_dt: int, bins: int, n: int,
+             stride: int, mode: str) -> np.ndarray:
+    """One binning pass, cut by one gather of its grid rows into an (n,
+    bins, H, W) float32 array; window k starts at t0 + k*stride*bin_dt."""
     hw = stream.height * stream.width
     centres = (n - 1) * stride + bins
     t = stream.t
@@ -93,41 +91,28 @@ def _grids(stream: EventStream, t0: int, bin_dt: int, bins: int, n: int,
     pix = stream.y[lo:hi] * stream.width + stream.x[lo:hi]
     idx = j * hw + pix
     p = stream.p[lo:hi].astype(np.float32)
+    # Row `centres` takes the last interval's carry; no window reads it.
+    grid = np.zeros((centres + 1, stream.height, stream.width), np.float32)
+    rows = np.arange(n)[:, None] * stride + np.arange(bins)
     if mode != "bilinear" or bins == 1:  # a one-bin window clamps to own p
-        grid = np.zeros((centres, hw), dtype=np.float32)
         np.add.at(grid.ravel(), idx, np.float32(1) if mode == "count" else p)
-        return grid, None, None
+        return grid[rows]
     f = (r / float(bin_dt)).astype(np.float32)
     del rel, r
     carry = p * f
-    # Row `centres` takes the carry out of the last interval; no window reads it.
-    grid = np.zeros((centres + 1, hw), dtype=np.float32)
     np.add.at(grid.ravel(), idx, p * (1 - f))
-    first = grid[np.arange(n) * stride]
+    first = grid[rows[:, 0]]
     np.add.at(grid.ravel(), idx + hw, carry)
     q, m = np.divmod(j - (bins - 1), stride)
     own = (q >= 0) & (m == 0)
     carried = (m == stride - 1) & (q >= -1) & (q < n - 1)
-    last = np.zeros((n, hw), dtype=np.float32)
+    last = np.zeros((n, stream.height, stream.width), dtype=np.float32)
     np.add.at(last.ravel(), q[own] * hw + pix[own], p[own])
     np.add.at(last.ravel(), (q[carried] + 1) * hw + pix[carried],
               carry[carried])
-    return grid, first, last
-
-
-def _windows(stream: EventStream, t0: int, bin_dt: int, bins: int, n: int,
-             stride: int, mode: str) -> list[np.ndarray]:
-    """n (bins, H, W) float32 arrays; window k starts at t0 + k*stride*bin_dt.
-    Each is its own array: one shared block raised peak RSS when scoring."""
-    grid, first, last = _grids(stream, t0, bin_dt, bins, n, stride, mode)
-    windows = []
-    for k in range(n):
-        w = grid[k * stride:k * stride + bins].copy()
-        if first is not None:
-            w[0] = first[k]
-            w[-1] = last[k]
-        windows.append(w.reshape(bins, stream.height, stream.width))
-    return windows
+    w = grid[rows]
+    w[:, 0], w[:, -1] = first, last
+    return w
 
 
 def discretize(stream: EventStream, t0: int, bin_dt: int, bins: int,
@@ -164,28 +149,35 @@ def window_arrays(windows, cap: float) -> tuple[np.ndarray, np.ndarray]:
     return normalize(w[:, :-1], cap), normalize(w[:, -1], cap)
 
 
-def sliding_windows(stream: EventStream, bin_dt: int, bins: int,
-                    stride: int = 1, mode: str = "bilinear",
-                    t0: int | None = None,
-                    duration: int | None = None) -> list[np.ndarray]:
-    """Cut a (B+1, H, W) float32 window every `stride` bins.
+def window_block(stream: EventStream, bin_dt: int, bins: int,
+                 stride: int = 1, mode: str = "bilinear",
+                 t0: int | None = None,
+                 duration: int | None = None) -> np.ndarray:
+    """Cut a (B+1, H, W) float32 window every `stride` bins, as the rows
+    of one C-contiguous (n, B+1, H, W) array.
 
     Window k has the bytes of `discretize(stream, t0 + k*stride*bin_dt,
     bin_dt, B+1, mode).data`: its first B bins form the input volume,
     bin B the target frame. All windows come from one binning pass, so
-    each event is binned once however many windows it falls in; bilinear
-    windows take their first bin, middle bins and last bin from the
-    module's first, mid and last grids. t0 defaults to the first event
-    timestamp, duration to the stream's time extent from t0.
+    each event is binned once however many windows it falls in. t0
+    defaults to the first event timestamp, duration to the stream's time
+    extent from t0.
     """
     n = window_count(stream, bin_dt, bins, stride, mode, t0, duration)
     t0 = int(stream.t[0]) if t0 is None else t0
     return _windows(stream, t0, bin_dt, bins + 1, n, stride, mode)
 
 
+def sliding_windows(*args, **kwargs) -> list[np.ndarray]:
+    """`window_block(...)`'s windows as a list of its rows, so that
+    `windows += sliding_windows(...)` extends a list (with an array on
+    the right, numpy would broadcast an addition instead)."""
+    return list(window_block(*args, **kwargs))
+
+
 def window_count(stream: EventStream, bin_dt: int, bins: int, stride: int,
                  mode: str, t0: int | None, duration: int | None) -> int:
-    """How many windows `sliding_windows` cuts with these arguments, with
+    """How many windows `window_block` cuts with these arguments, with
     its errors (TooShort if none), binning nothing."""
     if stride < 1:
         raise ValueError("stride must be >= 1")

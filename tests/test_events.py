@@ -148,6 +148,42 @@ def test_stream_validates_bounds():
         EventStream.from_arrays(4, 4, [0], [0], [0], [2])
 
 
+FIELD_OVERFLOWS = {
+    "x wraps to 0, p to 1": ([2**32], [0], [5], [257]),
+    "x above int32": ([2**31], [0], [5], [1]),
+    "y below int32": ([0], [-2**31 - 1], [5], [1]),
+    "uint64 t above int64": ([0], [0], np.array([2**63], np.uint64), [1]),
+    "t beyond uint64": ([0], [0], [2**64], [1]),
+    "p below int8": ([0], [0], [5], [-129]),
+}
+
+
+@pytest.mark.parametrize("as_array", [True, False], ids=["arrays", "lists"])
+@pytest.mark.parametrize("fields", FIELD_OVERFLOWS.values(),
+                         ids=FIELD_OVERFLOWS.keys())
+def test_from_arrays_refuses_values_outside_field_dtypes(fields, as_array):
+    """A value that its field's dtype cannot hold raises EventError: cast
+    from an array it would wrap into a valid one, and from a list numpy
+    would raise OverflowError."""
+    if as_array:
+        fields = [np.asarray(f) for f in fields]
+    with pytest.raises(events.EventError, match="outside the int"):
+        EventStream.from_arrays(4, 4, *fields)
+
+
+def test_from_arrays_keeps_in_range_values_of_any_dtype():
+    x, y, t, p = [0, 3, 3], [3, 0, 3], [0, 7, 2**63 - 1], [1, -1, -1]
+    want = EventStream.from_arrays(
+        4, 4, np.array(x, np.int32), np.array(y, np.int32),
+        np.array(t, np.int64), np.array(p, np.int8))
+    assert EventStream.from_arrays(4, 4, x, y, t, p) == want
+    assert EventStream.from_arrays(
+        4, 4, *(np.array(a, np.int64) for a in (x, y, t, p))) == want
+    assert EventStream.from_arrays(
+        4, 4, *(np.array(a, np.uint64) for a in (x, y, t)),
+        np.array(p, np.int16)) == want
+
+
 def test_stream_arrays_immutable():
     s = EventStream.from_arrays(4, 4, [0], [0], [0], [1])
     with pytest.raises(ValueError):
@@ -307,3 +343,21 @@ def test_from_arrays_owns_its_fields(dtype, t):
                for a, b in zip((s.x, s.y, s.t, s.p), before))
     assert (s.x.dtype, s.y.dtype, s.t.dtype, s.p.dtype) == (
         np.int32, np.int32, np.int64, np.int8)
+
+
+@pytest.mark.parametrize("row, exc", LATE_ROWS.values(), ids=LATE_ROWS.keys())
+def test_crlf_text_reports_the_lf_outcome(rng, row, exc):
+    """A CRLF file with a bad or non-canonical row gets the LF file's
+    outcome: the same stream, or the same error, line number and text."""
+    _, text = _canonical_text(rng, 4096, 16, 12)
+    lines = text.split("\n")
+    lines.insert(len(lines) // 2, row)
+    lf = "\n".join(lines)
+    crlf = lf.replace("\n", "\r\n")
+    assert _outcome(crlf, 16, 12) == _outcome(lf, 16, 12)
+    if exc is not None:
+        with pytest.raises(exc) as want:
+            parse_event_csv(lf, 16, 12)
+        with pytest.raises(exc) as got:
+            parse_event_csv(crlf, 16, 12)
+        assert str(got.value) == str(want.value)

@@ -12,8 +12,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from evanom import (cli, events, io, lanes, msnet, pipeline, representation,
-                    simulate)
+from evanom import (cli, events, experiments, io, lanes, msnet, pipeline,
+                    representation, simulate)
 from evanom.autodiff import ShapeMismatch, WrongParamShapes
 from evanom.cli import cli_main
 from evanom.events import EventStream, write_event_csv
@@ -564,7 +564,7 @@ def test_score_sequence_in_forked_child_after_scoring(tiny_models,
 
 def test_score_sequence_bins_one_call_of_windows_at_a_time(tiny_models,
                                                            monkeypatch):
-    """Each part bins its own calls: every `sliding_windows` call asks for
+    """Each part bins its own calls: every `window_block` call asks for
     at most one generator call's windows, and together they cover each
     frame once."""
     cfg, _, _, ms_params, gan_params = tiny_models
@@ -573,16 +573,28 @@ def test_score_sequence_bins_one_call_of_windows_at_a_time(tiny_models,
     covered, lock = np.zeros(n, dtype=np.int64), threading.Lock()
 
     def windows(*args, t0, **kwargs):
-        out = sliding_windows(*args, t0=t0, **kwargs)
+        out = representation.window_block(*args, t0=t0, **kwargs)
         assert t0 % step == 0 and len(out) <= pipeline._G_FRAMES
         with lock:
             covered[t0 // step:t0 // step + len(out)] += 1
         return out
 
     monkeypatch.setattr(lanes, "usable_cpus", lambda: 2)
-    monkeypatch.setattr(pipeline, "sliding_windows", windows)
+    monkeypatch.setattr(pipeline, "window_block", windows)
     score_sequence(ms_params, gan_params, _stream_of(n, cfg), cfg)
     assert (covered == 1).all()
+
+
+def test_training_windows_concatenate_the_scenes_windows():
+    """The desk recipe's training windows are one array: the three walking
+    scenes' `windows_for` arrays, in order."""
+    cfg = PipelineConfig(bins=4, stride=4)
+    want = [windows_for(render_scene(walking_scene(100 * 2 + s))[0], cfg)
+            for s in range(3)]
+    got = experiments.training_windows(2, cfg)
+    assert isinstance(got, np.ndarray) and got.flags.c_contiguous
+    assert got.tobytes() == np.concatenate(want).tobytes()
+    assert len(got) == sum(map(len, want))
 
 
 def _no_work(monkeypatch, binning):
@@ -592,7 +604,7 @@ def _no_work(monkeypatch, binning):
         raise AssertionError("score_sequence started work")
     monkeypatch.setattr(lanes, "run_tasks", work)
     if binning:
-        monkeypatch.setattr(pipeline, "sliding_windows", work)
+        monkeypatch.setattr(pipeline, "window_block", work)
 
 
 @pytest.mark.parametrize("side, error", [
@@ -610,6 +622,21 @@ def test_score_sequence_checks_frame_size_first(monkeypatch, side, error):
                                      np.ones(len(t)))
     _no_work(monkeypatch, binning=True)
     with pytest.raises(error):
+        score_sequence(ms_params, gan_params, stream, cfg)
+
+
+def test_score_sequence_checks_ms_bins_first(monkeypatch):
+    """A 4-bin MS net under an 8-bin config is refused before any window
+    is binned."""
+    cfg = PipelineConfig(bins=8)
+    rng = np.random.default_rng(0)
+    ms_params = MsNetParams.init(4, 4, rng)
+    gan_params = GanParams.init(32, 32, GanHyper(ngf=2, ndf=2), rng)
+    t = np.arange(0, 2_000_000, 1000)
+    stream = EventStream.from_arrays(32, 32, t % 32, t % 32, t,
+                                     np.ones(len(t)))
+    _no_work(monkeypatch, binning=True)
+    with pytest.raises(ShapeMismatch, match="8 bins, net expects 4"):
         score_sequence(ms_params, gan_params, stream, cfg)
 
 

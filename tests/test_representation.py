@@ -7,7 +7,8 @@ from evanom.events import EventStream, slice_time
 from evanom.representation import (MODES, DiscretizedVolume, EmptyGeometry,
                                    TooShort, baseline_exp_surface,
                                    baseline_histogram, discretize, normalize,
-                                   sliding_windows, window_arrays)
+                                   sliding_windows, window_arrays,
+                                   window_block)
 from evanom import io
 from conftest import random_stream
 
@@ -155,6 +156,16 @@ def test_window_count_arithmetic():
     assert len(wins) == 3
 
 
+def test_windows_extend_a_list():
+    """A list of windows grows by `+=`; with an array on the right, numpy
+    would broadcast an addition instead."""
+    s = EventStream.from_arrays(8, 8, [0, 1], [0, 2], [0, 11_000], [1, -1])
+    windows = []
+    windows += sliding_windows(s, 1000, 8, stride=1)
+    windows += sliding_windows(s, 1000, 8, stride=2)
+    assert [w.shape for w in windows] == [(9, 8, 8)] * 5
+
+
 def test_windows_too_short():
     s = EventStream.from_arrays(8, 8, [0], [0], [100], [1])
     with pytest.raises(TooShort):
@@ -220,10 +231,16 @@ def test_every_window_is_discretize_at_its_offset(data):
                            max_size=n + 1)))
     wins = sliding_windows(s, bin_dt, bins, stride=stride, mode=mode, t0=t0,
                            duration=duration)
-    assert isinstance(wins, list)
-    assert len(wins) == (duration - (bins + 1) * bin_dt) // (stride * bin_dt) + 1
+    block = window_block(s, bin_dt, bins, stride=stride, mode=mode, t0=t0,
+                         duration=duration)
+    n = (duration - (bins + 1) * bin_dt) // (stride * bin_dt) + 1
+    assert isinstance(wins, list) and len(wins) == n
+    assert isinstance(block, np.ndarray) and block.flags.c_contiguous
+    assert block.dtype == np.float32
+    assert block.shape == (n, bins + 1, height, width)
     for k, w in enumerate(wins):
         offset = t0 + k * stride * bin_dt
+        assert w.tobytes() == block[k].tobytes()
         assert w.tobytes() == discretize(s, offset, bin_dt, bins + 1,
                                          mode).data.tobytes()
         assert w.tobytes() == per_window_reference(s, offset, bin_dt,

@@ -3,15 +3,14 @@
 Networks want dense tensors, so a window of events is accumulated into B
 time bins. Three modes are supported -- count (unsigned), signed
 (polarity sums), and bilinear (each event splits its polarity between
-the two nearest bin centers) -- plus two simpler baselines from prior
-work. Volumes serialize to the EVOL binary format.
+the two nearest bin centers). Volumes serialize to the EVOL binary
+format.
 """
 import numpy as np
 
 from evanom import io
 from evanom.events import EventStream
-from evanom.representation import (baseline_exp_surface, baseline_histogram,
-                                   discretize, normalize, sliding_windows)
+from evanom.representation import discretize, normalize, sliding_windows
 from evanom.simulate import render_scene, walking_scene
 
 # --- one event, three modes ---------------------------------------------
@@ -37,12 +36,6 @@ print("windows:", len(windows), "window shape", windows[0].shape,
       "input shape", windows[0][:-1].shape, "target shape", windows[0][-1].shape)
 norm = normalize(windows[0][:-1], cap=5.0)
 print("normalized range: [%.3f, %.3f]" % (norm.min(), norm.max()))
-
-# --- baselines -----------------------------------------------------------
-hist = baseline_histogram(stream, t0=0, dt=200_000)
-surf = baseline_exp_surface(stream, t_ref=200_000, tau=50_000.0)
-print("\nbaseline histogram channels:", hist.shape,
-      " exp-decay surface:", surf.shape)
 
 # --- EVOL round trip -----------------------------------------------------
 blob = io.write_evol(vol)

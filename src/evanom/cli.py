@@ -62,7 +62,7 @@ def cmd_train_ms(args) -> int:
     stream = _read_stream(args)
     vols, _ = representation.window_arrays(pipeline.windows_for(stream, cfg),
                                            cfg.cap)
-    params, curve = msnet.train_ms(vols, cfg.ms_hyper(), seed=args.seed)
+    params, curve = msnet.train_ms(vols, cfg, seed=args.seed)
     Path(args.out).write_bytes(io.write_evck(params.to_arrays()))
     print(f"trained on {len(vols)} volumes; "
           f"loss {curve[0]:.6f} -> {curve[-1]:.6f}")
@@ -74,8 +74,7 @@ def cmd_train_gan(args) -> int:
     stream = _read_stream(args)
     ms_params = _load_ms(args.ms_ckpt, cfg)
     windows = pipeline.windows_for(stream, cfg)
-    params, curves = gan.train_gan(windows, ms_params, cfg.gan_hyper(),
-                                   seed=args.seed)
+    params, curves = gan.train_gan(windows, ms_params, cfg, seed=args.seed)
     Path(args.out).write_bytes(io.write_evck(params.to_arrays()))
     print(f"trained on {len(windows)} windows; "
           f"final d_xy {curves['d_xy'][-1]:.4f} d_x {curves['d_x'][-1]:.4f} "

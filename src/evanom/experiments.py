@@ -33,9 +33,8 @@ def train_models(seed: int, cfg: pipeline.PipelineConfig):
     """(ms_params, ms_curve, gan_params, gan_curves) for one seed."""
     windows = training_windows(seed, cfg)
     vols = normalized_volumes(windows, cfg)
-    ms_params, ms_curve = msnet.train_ms(vols, cfg.ms_hyper(), seed=seed)
-    gan_params, gan_curves = gan.train_gan(windows, ms_params,
-                                           cfg.gan_hyper(), seed=seed)
+    ms_params, ms_curve = msnet.train_ms(vols, cfg, seed=seed)
+    gan_params, gan_curves = gan.train_gan(windows, ms_params, cfg, seed=seed)
     return ms_params, ms_curve, gan_params, gan_curves
 
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -18,17 +19,8 @@ from .autodiff import Tensor
 from .msnet import DivergenceDetected, EmptyDataset, MsNetParams, encode
 from .representation import window_arrays
 
-
-@dataclass
-class GanHyper:
-    ngf: int = 16          # generator base width
-    ndf: int = 16          # discriminator base width
-    epochs: int = 10
-    lr: float = 2e-4
-    beta1: float = 0.5
-    batch: int = 16
-    lambda_l1: float = 0.0  # stability knob; the plain objective uses 0
-    cap: float = 5.0        # normalization cap for target frames
+if TYPE_CHECKING:
+    from .pipeline import PipelineConfig
 
 
 @dataclass
@@ -50,11 +42,13 @@ class GanParams(ad.Params):
         "dx.c1", "dx.c2", "dx.c3", "dx.fc") for s in "wb")
 
     @staticmethod
-    def layers(h: int, w: int, hyper: GanHyper):
-        """The layer table (see `ad.Params`) of the nets on HxW frames."""
+    def layers(h: int, w: int, ngf: int, ndf: int):
+        """The layer table (see `ad.Params`) of the nets on HxW frames,
+        with generator base width `ngf` and discriminator base width
+        `ndf`."""
         if h % 8 or w % 8:
             raise ad.ShapeMismatch(f"H and W must be divisible by 8, got {h}x{w}")
-        g, d = hyper.ngf, hyper.ndf
+        g, d = ngf, ndf
 
         def settings(name):
             return f"gan_ngf={g}" if name.startswith("g.") else f"gan_ndf={d}"
@@ -77,18 +71,17 @@ class GanParams(ad.Params):
         return layers
 
     @classmethod
-    def init(cls, h: int, w: int, hyper: GanHyper,
+    def init(cls, h: int, w: int, ngf: int, ndf: int,
              rng: np.random.Generator) -> "GanParams":
-        return cls.init_layers(rng, cls.layers(h, w, hyper))
+        return cls.init_layers(rng, cls.layers(h, w, ngf, ndf))
 
     @classmethod
     def for_frames(cls, arrays, h: int, w: int) -> "GanParams":
         """Tensors from checkpoint arrays for the nets on HxW frames, with
         the layer widths the arrays hold: ShapeMismatch unless H and W are
         multiples of 8, else `from_arrays`'s errors."""
-        hyper = GanHyper(ngf=cls.width(arrays, "g.d1.w"),
-                         ndf=cls.width(arrays, "dxy.c1.w"))
-        return cls.from_arrays(arrays, cls.layers(h, w, hyper))
+        return cls.from_arrays(arrays, cls.layers(
+            h, w, cls.width(arrays, "g.d1.w"), cls.width(arrays, "dxy.c1.w")))
 
 
 def g_forward_t(p: GanParams, y: Tensor, z: Tensor) -> Tensor:
@@ -187,9 +180,11 @@ def prepare_batches(windows, ms_params: MsNetParams, cap: float):
 
 @lanes.one_blas_thread()
 @np.errstate(over="ignore", invalid="ignore")
-def train_gan(windows, ms_params: MsNetParams, hyper: GanHyper,
+def train_gan(windows, ms_params: MsNetParams, cfg: PipelineConfig,
               seed: int = 0):
-    """Alternating D_xy / D_x / G updates; deterministic for a fixed seed.
+    """Alternating D_xy / D_x / G updates with the config's `gan_*`
+    settings, on target frames clipped to its `cap`; deterministic for a
+    fixed seed.
 
     The generator runs once per batch: the D steps only change D's arrays,
     so its frames serve both the D losses and the G loss. The D_xy and
@@ -204,19 +199,19 @@ def train_gan(windows, ms_params: MsNetParams, hyper: GanHyper,
     """
     if len(windows) == 0:
         raise EmptyDataset("no training windows")
-    surfaces, targets = prepare_batches(windows, ms_params, hyper.cap)
+    surfaces, targets = prepare_batches(windows, ms_params, cfg.cap)
     n, _, h, w = surfaces.shape
     rng = np.random.default_rng(seed)
-    params = GanParams.init(h, w, hyper, rng)
-    opts = {part: ad.AdamState(lr=hyper.lr, beta1=hyper.beta1)
+    params = GanParams.init(h, w, cfg.gan_ngf, cfg.gan_ndf, rng)
+    opts = {part: ad.AdamState(lr=cfg.gan_lr, beta1=cfg.gan_beta1)
             for part in ("g", *_D_PARTS)}
     curves = {"d_xy": [], "d_x": [], "g": []}
     last_good = params.to_arrays()
-    for _ in range(hyper.epochs):
+    for _ in range(cfg.gan_epochs):
         order = rng.permutation(n)
         sums = {"d_xy": 0.0, "d_x": 0.0, "g": 0.0}
-        for start in range(0, n, hyper.batch):
-            idx = order[start:start + hyper.batch]
+        for start in range(0, n, cfg.gan_batch):
+            idx = order[start:start + cfg.gan_batch]
             batch = GanBatch(
                 y=surfaces[idx], x=targets[idx],
                 z=rng.standard_normal((len(idx), 1, h, w)).astype(np.float32))
@@ -225,7 +220,8 @@ def train_gan(windows, ms_params: MsNetParams, hyper: GanHyper,
                 functools.partial(_d_step, params, part, batch, x_fake,
                                   opts[part]) for part in _D_PARTS])
             vals = (v_dxy, v_dx,
-                    _g_step(params, batch, x_fake, hyper.lambda_l1, opts["g"]))
+                    _g_step(params, batch, x_fake, cfg.gan_lambda_l1,
+                            opts["g"]))
             del x_fake
             arrays = params.to_arrays()
             if not (all(np.isfinite(vals))

@@ -1,9 +1,10 @@
-"""Binary file formats: EVOL (discretized volumes) and EVCK (checkpoints).
+"""File formats: EVOL (discretized volumes), EVCK (checkpoints) and the
+key=value text of pipeline and scene configs.
 
-Both are little-endian throughout and round-trip bit-exactly. Readers
-raise FormatError on any blob the writers cannot produce: truncated,
-with bytes after the last tensor or payload, or, for EVCK, with a
-tensor name given twice.
+The binary formats are little-endian throughout and round-trip
+bit-exactly. Their readers raise FormatError on any blob the writers
+cannot produce: truncated, with bytes after the last tensor or payload,
+or, for EVCK, with a tensor name given twice.
 """
 from __future__ import annotations
 
@@ -56,6 +57,15 @@ def _floats(blob: bytes, off: int, n: int, what: str) -> np.ndarray:
     return np.frombuffer(blob, dtype="<f4", count=n, offset=off)
 
 
+def _shaped(vals: np.ndarray, shape: tuple, what: str) -> np.ndarray:
+    """A copy of vals in `shape`, which numpy may refuse even when empty:
+    more than 64 axes, or extents whose product overflows."""
+    try:
+        return vals.reshape(shape).copy()
+    except ValueError:
+        raise FormatError(f"{what}: numpy cannot make shape {shape}") from None
+
+
 def _check_end(blob: bytes, off: int, what: str):
     if off != len(blob):
         raise FormatError(f"{len(blob) - off} bytes after the end of the {what} data")
@@ -74,7 +84,8 @@ def read_evol(blob: bytes) -> DiscretizedVolume:
     data = _floats(blob, off, bins * height * width, "EVOL payload")
     _check_end(blob, off + data.nbytes, "EVOL")
     return DiscretizedVolume(bins, height, width, int(t0), int(bin_dt),
-                             MODES[mode_tag], data.reshape(bins, height, width).copy())
+                             MODES[mode_tag],
+                             _shaped(data, (bins, height, width), "EVOL"))
 
 
 def write_evck(tensors: Mapping[str, np.ndarray]) -> bytes:
@@ -117,6 +128,25 @@ def read_evck(blob: bytes) -> dict[str, np.ndarray]:
         n = math.prod(shape)
         vals = _floats(blob, off, n, f"tensor {name!r}")
         off += 4 * n
-        out[name] = vals.reshape(shape).copy()
+        out[name] = _shaped(vals, shape, f"tensor {name!r}")
     _check_end(blob, off, "EVCK")
+    return out
+
+
+def read_key_values(text: str, error=ValueError) -> dict[str, str]:
+    """A config text's `key=value` lines as {key: value}, both stripped.
+    Blank and '#' lines are skipped; a line without '=' or a key given
+    twice raises `error` naming its line."""
+    out: dict[str, str] = {}
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        key, eq, val = line.partition("=")
+        key = key.strip()
+        if not eq:
+            raise error(f"line {lineno}: expected key=value, got {line!r}")
+        if key in out:
+            raise error(f"line {lineno}: key {key!r} given twice")
+        out[key] = val.strip()
     return out

@@ -22,13 +22,16 @@ dense scenes.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import autodiff as ad
 from . import lanes
 from .autodiff import Tensor
+
+if TYPE_CHECKING:
+    from .pipeline import PipelineConfig
 
 
 # Rows per block. On dense data 2048 and 4096 tie as the fastest of 1024 to
@@ -46,15 +49,6 @@ class DivergenceDetected(RuntimeError):
     def __init__(self, msg, params=None):
         super().__init__(msg)
         self.params = params
-
-
-@dataclass
-class MsHyper:
-    filters: int = 32
-    epochs: int = 50
-    lr: float = 1e-3
-    lambda_sparse: float = 1e-3
-    batch: int = 16
 
 
 class MsNetParams(ad.Params):
@@ -175,8 +169,9 @@ def _loss_and_grads(params: MsNetParams, plist: list[Tensor],
 # a diverging run reports DivergenceDetected, not numpy's overflow warnings
 @lanes.one_blas_thread()
 @np.errstate(over="ignore", invalid="ignore")
-def train_ms(dataset, hyper: MsHyper, seed: int = 0):
-    """Train on (N,B,H,W) normalized volumes; returns (params, loss curve).
+def train_ms(dataset, cfg: PipelineConfig, seed: int = 0):
+    """Train on (N,B,H,W) normalized volumes with the config's `ms_*`
+    settings; returns (params, loss curve).
 
     Deterministic for a fixed seed: init, minibatch shuffling, and update
     order are all driven by one seeded RNG. Raises DivergenceDetected if
@@ -186,18 +181,18 @@ def train_ms(dataset, hyper: MsHyper, seed: int = 0):
     if data.ndim != 4 or data.shape[0] == 0:
         raise EmptyDataset(f"need a non-empty (N,B,H,W) dataset, got {data.shape}")
     rng = np.random.default_rng(seed)
-    params = MsNetParams.init(data.shape[1], hyper.filters, rng)
-    state = ad.AdamState(lr=hyper.lr)
+    params = MsNetParams.init(data.shape[1], cfg.ms_filters, rng)
+    state = ad.AdamState(lr=cfg.ms_lr)
     plist = params.parameters()
     curve = []
     n = len(data)
-    for _ in range(hyper.epochs):
+    for _ in range(cfg.ms_epochs):
         order = rng.permutation(n)
         total = 0.0
-        for start in range(0, n, hyper.batch):
-            idx = order[start:start + hyper.batch]
+        for start in range(0, n, cfg.ms_batch):
+            idx = order[start:start + cfg.ms_batch]
             loss = _loss_and_grads(params, plist, data[idx],
-                                   hyper.lambda_sparse)
+                                   cfg.ms_lambda_sparse)
             ad.adam_step(plist, state)
             if not (np.isfinite(loss)
                     and all(np.isfinite(p.data).all() for p in plist)):

@@ -13,9 +13,9 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import gan as gan_mod
-from . import lanes
+from . import io, lanes
 from .events import EventStream
-from .msnet import MsHyper, MsNetParams, check_bins
+from .msnet import MsNetParams, check_bins
 from .representation import MODES, window_block, window_count
 from .simulate import LabelTrack, label_frames
 
@@ -28,20 +28,24 @@ class EmptySeries(ValueError):
     pass
 
 
-# (keys, check, rule as reported) for PipelineConfig's numeric values.
+# (keys, check, rule as reported) for PipelineConfig's values.
 _CONFIG_RULES = (
-    (("bins", "bin_dt_us", "stride", "ms_filters", "ms_batch", "gan_ngf",
-      "gan_ndf", "gan_batch"), lambda v: v >= 1, ">= 1"),
+    (("mode",), lambda v: v in MODES, f"one of {MODES}"),
+    (("bins", "bin_dt_us", "stride", "ms_filters", "ms_epochs", "ms_batch",
+      "gan_ngf", "gan_ndf", "gan_epochs", "gan_batch"), lambda v: v >= 1,
+     ">= 1"),
     (("cap", "ms_lr", "gan_lr"), lambda v: 0 < v < np.inf, "finite and > 0"),
-    (("ms_epochs", "gan_epochs", "noise_samples", "ms_lambda_sparse",
-      "gan_lambda_l1"), lambda v: 0 <= v < np.inf, "finite and >= 0"),
+    (("noise_samples", "ms_lambda_sparse", "gan_lambda_l1"),
+     lambda v: 0 <= v < np.inf, "finite and >= 0"),
     (("gan_beta1",), lambda v: 0 <= v < 1, "in [0, 1)"),
 )
 
 
-@dataclass
+@dataclass(frozen=True)
 class PipelineConfig:
-    """Flat key=value configuration shared by training and scoring."""
+    """Flat key=value configuration shared by training and scoring: the
+    binning, the cap, and the MS net's (`ms_*`) and GAN's (`gan_*`)
+    training settings. Frozen, so values checked once stay checked."""
 
     bins: int = 8
     bin_dt_us: int = 25_000
@@ -63,24 +67,19 @@ class PipelineConfig:
     noise_samples: int = 0  # 0 = deterministic zero-noise scoring
 
     def __post_init__(self):
-        if self.mode not in MODES:
-            raise ValueError(f"config mode={self.mode!r}: must be one of {MODES}")
         for keys, ok, rule in _CONFIG_RULES:
             for key in keys:
                 if not ok(getattr(self, key)):
                     raise ValueError(
                         f"config {key}={getattr(self, key)!r}: must be {rule}")
 
-    def ms_hyper(self):
-        return MsHyper(filters=self.ms_filters, epochs=self.ms_epochs,
-                       lr=self.ms_lr, lambda_sparse=self.ms_lambda_sparse,
-                       batch=self.ms_batch)
+    # The benchmark still passes these to train_ms and train_gan; they go
+    # with ROADMAP item 1.
+    def ms_hyper(self) -> "PipelineConfig":
+        return self
 
-    def gan_hyper(self):
-        return gan_mod.GanHyper(ngf=self.gan_ngf, ndf=self.gan_ndf,
-                                epochs=self.gan_epochs, lr=self.gan_lr,
-                                beta1=self.gan_beta1, batch=self.gan_batch,
-                                lambda_l1=self.gan_lambda_l1, cap=self.cap)
+    def gan_hyper(self) -> "PipelineConfig":
+        return self
 
     def to_text(self) -> str:
         return "".join(f"{f.name}={getattr(self, f.name)}\n"
@@ -88,18 +87,19 @@ class PipelineConfig:
 
     @classmethod
     def from_text(cls, text: str) -> "PipelineConfig":
+        """`to_text`'s format; a key left out keeps its default. A line
+        without '=', a repeated or unknown key, or a value that does not
+        parse is a ValueError naming its line or key."""
         types = {f.name: f.type for f in fields(cls)}
         casts = {"int": int, "float": float, "str": str}
         kw = {}
-        for line in text.splitlines():
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, _, val = line.partition("=")
-            key = key.strip()
+        for key, val in io.read_key_values(text).items():
             if key not in types:
                 raise ValueError(f"unknown config key {key!r}")
-            kw[key] = casts[types[key]](val.strip())
+            try:
+                kw[key] = casts[types[key]](val)
+            except ValueError as e:
+                raise ValueError(f"config {key}={val!r}: {e}") from None
         return cls(**kw)
 
 

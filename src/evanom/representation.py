@@ -1,11 +1,10 @@
-"""Discretized event volumes and baseline encodings.
+"""Discretized event volumes.
 
-The main representation is a B x H x W accumulation grid over a time
-window, in one of three modes: per-pixel event counts, signed polarity
-sums, or bilinear interpolation of each event's polarity between the two
-nearest temporal bins. A training or scoring window is one such grid
-with B+1 bins: the first B are the input volume, the last is the frame
-to predict.
+A volume is a B x H x W accumulation grid over a time window, in one of
+three modes: per-pixel event counts, signed polarity sums, or bilinear
+interpolation of each event's polarity between the two nearest temporal
+bins. A training or scoring window is one such grid with B+1 bins: the
+first B are the input volume, the last is the frame to predict.
 
 Every window of a stream comes from one binning pass over its events.
 Bin centre j of the pass is the interval [t0 + j*bin_dt, t0 +
@@ -30,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .events import EventStream, slice_time, time_index
+from .events import EventStream, time_index
 
 MODES = ("count", "signed", "bilinear")
 _T_MAX = np.iinfo(np.int64).max
@@ -191,33 +190,3 @@ def window_count(stream: EventStream, bin_dt: int, bins: int, stride: int,
         raise TooShort(f"duration {duration} < (B+1)*bin_dt = {span}")
     return (duration - span) // (stride * bin_dt) + 1
 
-
-def baseline_histogram(stream: EventStream, t0: int, dt: int) -> np.ndarray:
-    """Two-channel per-polarity count image over [t0, t0+dt).
-
-    Channel 0 counts positive events, channel 1 negative ones.
-    """
-    window = slice_time(stream, t0, t0 + dt)
-    H, W = stream.height, stream.width
-    grid = np.zeros((2, H, W), dtype=np.float32)
-    ch = (window.p < 0).astype(np.int64)
-    pix = window.y.astype(np.int64) * W + window.x.astype(np.int64)
-    np.add.at(grid.ravel(), ch * H * W + pix, 1.0)
-    return grid
-
-
-def baseline_exp_surface(stream: EventStream, t_ref: int, tau: float) -> np.ndarray:
-    """Exponentially time-decayed polarity accumulation at t_ref.
-
-    grid[y, x] = sum over events at (x, y) with t <= t_ref of
-    p * exp(-(t_ref - t)/tau).
-    """
-    if tau <= 0:
-        raise ValueError("tau must be positive")
-    H, W = stream.height, stream.width
-    grid = np.zeros((H, W), dtype=np.float64)
-    past = slice_time(stream, 0, t_ref + 1)
-    w = past.p.astype(np.float64) * np.exp(-(t_ref - past.t).astype(np.float64) / tau)
-    pix = past.y.astype(np.int64) * W + past.x.astype(np.int64)
-    np.add.at(grid.ravel(), pix, w)
-    return grid

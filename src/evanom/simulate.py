@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import io
 from .events import EventStream
 
 
@@ -245,45 +246,53 @@ def write_scene_config(config: SceneConfig) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _pair(s: str, cast) -> tuple:
+    a, _, b = s.partition(",")
+    return cast(a), cast(b)
+
+
+def _parse_velocity(s: str) -> tuple:
+    return tuple((int(t), *_pair(v, float)) for t, _, v in
+                 (seg.partition(":") for seg in s.split(";")))
+
+
 def parse_scene_config(text: str) -> SceneConfig:
-    kv: dict[str, str] = {}
-    for line in text.splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise ConfigError(f"bad config line {line!r}")
-        key, _, val = line.partition("=")
-        kv[key.strip()] = val.strip()
-    try:
-        width = int(kv["width"])
-        height = int(kv["height"])
-        duration = int(kv["duration_us"])
-        micro_step = int(kv["micro_step_us"])
-        seed = int(kv.get("seed", "0"))
-        noise_rate = float(kv.get("noise_rate", "0"))
-        objects = []
-        i = 0
-        while f"object.{i}.shape" in kv:
-            pre = f"object.{i}."
-            sx, _, sy = kv[pre + "start"].partition(",")
-            vel = []
-            for seg in kv[pre + "velocity"].split(";"):
-                t, _, v = seg.partition(":")
-                vx, _, vy = v.partition(",")
-                vel.append((int(t), float(vx), float(vy)))
-            a, _, b = kv.get(pre + "active", "0,%d" % duration).partition(",")
-            objects.append(ObjectSpec(
-                shape=_parse_shape(kv[pre + "shape"]),
-                start=(float(sx), float(sy)),
-                velocity=tuple(vel),
-                active=(int(a), int(b)),
-                label=kv.get(pre + "label", "normal")))
-            i += 1
-    except KeyError as k:
-        raise ConfigError(f"missing key {k}") from None
-    return SceneConfig(width, height, duration, micro_step, tuple(objects),
-                       seed=seed, noise_rate=noise_rate)
+    """`write_scene_config`'s format. Objects count 0, 1, 2, ... up to
+    the first number without a shape. A line without '=', a repeated,
+    missing or unknown key, or a value that does not parse is a
+    ConfigError naming its line or key."""
+    kv = io.read_key_values(text, ConfigError)
+    used = set()
+
+    def get(key, parse, default=None):
+        used.add(key)
+        val = kv.get(key, default)
+        if val is None:
+            raise ConfigError(f"missing key {key!r}")
+        try:
+            return parse(val)
+        except ValueError as e:
+            raise ConfigError(f"{key}={val!r}: {e}") from None
+
+    duration = get("duration_us", int)
+    objects = []
+    while f"object.{len(objects)}.shape" in kv:
+        pre = f"object.{len(objects)}."
+        objects.append(ObjectSpec(
+            shape=get(pre + "shape", _parse_shape),
+            start=get(pre + "start", lambda s: _pair(s, float)),
+            velocity=get(pre + "velocity", _parse_velocity),
+            active=get(pre + "active", lambda s: _pair(s, int),
+                       f"0,{duration}"),
+            label=get(pre + "label", str, "normal")))
+    config = SceneConfig(get("width", int), get("height", int), duration,
+                         get("micro_step_us", int), tuple(objects),
+                         seed=get("seed", int, "0"),
+                         noise_rate=get("noise_rate", float, "0"))
+    unknown = [key for key in kv if key not in used]
+    if unknown:
+        raise ConfigError(f"unknown scene config key {unknown[0]!r}")
+    return config
 
 
 # --- desk-scale presets ----------------------------------------------------

@@ -148,7 +148,7 @@ def ms_run(desk_cfg):
     init_params = MsNetParams.init(desk_cfg.bins, desk_cfg.ms_filters,
                                    np.random.default_rng(1))
     initial = float(np.mean((msnet.reconstruct(init_params, vols) - vols) ** 2))
-    params, _ = msnet.train_ms(vols, desk_cfg.ms_hyper(), seed=1)
+    params, _ = msnet.train_ms(vols, desk_cfg, seed=1)
     elapsed = time.time() - start
     final = float(np.mean((msnet.reconstruct(params, vols) - vols) ** 2))
     surfaces = msnet.encode(params, vols)
@@ -211,7 +211,7 @@ def test_acceptance_5_anomaly_separation(seed_runs):
 def test_acceptance_6_determinism(desk_cfg, ms_run, seed_runs):
     vols = experiments.normalized_volumes(
         experiments.training_windows(1, desk_cfg), desk_cfg)
-    params, _ = msnet.train_ms(vols, desk_cfg.ms_hyper(), seed=1)
+    params, _ = msnet.train_ms(vols, desk_cfg, seed=1)
     assert io.write_evck(params.to_arrays()) == ms_run[3]
     for seed in SEEDS:
         blobs, csv, _, _, _ = seed_runs[seed]

@@ -7,7 +7,7 @@ import pytest
 import evanom.autodiff as ad
 from evanom.autodiff import AdamState, Tensor
 from evanom import io, lanes
-from evanom.gan import GanHyper, GanParams
+from evanom.gan import GanParams
 
 H_STEP = 1e-3
 TOL = 1e-4
@@ -256,7 +256,7 @@ def test_grid_adjoint_is_the_per_tap_sum_bit_for_bit(rng):
     bits, added in the same order, on every G and D conv at N=16: the
     generator's downs and ups (u3 has R = 1*2*2 = 4 grid rows) and both
     discriminators' convs."""
-    for name, shape, *_ in GanParams.layers(64, 64, GanHyper()):
+    for name, shape, *_ in GanParams.layers(64, 64, 16, 16):
         if name.endswith(".fc"):
             continue
         side = _GAN_LAYOUT_SIDE[name.split(".")[1]]

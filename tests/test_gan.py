@@ -10,12 +10,13 @@ import evanom.autodiff as ad
 from evanom import gan as gan_mod
 from evanom import io, lanes
 from evanom.autodiff import ShapeMismatch, Tensor
-from evanom.gan import (DivergenceDetected, GanBatch, GanHyper, GanParams,
+from evanom.gan import (DivergenceDetected, GanBatch, GanParams,
                         d_forward_t, d_loss, g_adv_loss, g_forward,
                         g_forward_t, l1_loss, prepare_batches, train_gan)
-from evanom.msnet import MsHyper, MsNetParams, train_ms
+from evanom.msnet import MsNetParams, train_ms
 from evanom.oracle import (LOG2, DiscreteJoint, dual_objective, optimal_d_x,
                            optimal_d_xy)
+from evanom.pipeline import PipelineConfig
 from evanom.representation import sliding_windows
 from evanom.simulate import render_scene, walking_scene
 
@@ -26,7 +27,7 @@ def rng():
 
 
 def tiny_params(rng, h=8, w=8, ngf=2, ndf=2):
-    return GanParams.init(h, w, GanHyper(ngf=ngf, ndf=ndf), rng)
+    return GanParams.init(h, w, ngf, ndf, rng)
 
 
 def tiny_batch(rng, n=2, h=8, w=8):
@@ -58,7 +59,7 @@ def g_loss(params, batch, x_fake, lambda_l1=0.0):
 
 def test_init_rejects_bad_geometry(rng):
     with pytest.raises(ShapeMismatch):
-        GanParams.init(12, 16, GanHyper(), rng)
+        GanParams.init(12, 16, 16, 16, rng)
 
 
 def test_generator_output_shape_and_range(rng):
@@ -91,17 +92,15 @@ def test_params_follow_checkpoint_names(rng):
 
 
 def test_params_shapes_checked_against_layer_table(rng):
-    hyper = GanHyper(ngf=2, ndf=2)
-    arrays = GanParams.init(16, 16, hyper, rng).to_arrays()
-    GanParams.from_arrays(arrays, GanParams.layers(16, 16, hyper))
+    arrays = GanParams.init(16, 16, 2, 2, rng).to_arrays()
+    GanParams.from_arrays(arrays, GanParams.layers(16, 16, 2, 2))
     with pytest.raises(ad.WrongParamShapes,
                        match=r"g\.d1\.w has shape \(2, 2, 4, 4\), expected "
                              r"\(3, 2, 4, 4\) for gan_ngf=3"):
-        GanParams.from_arrays(arrays, GanParams.layers(
-            16, 16, GanHyper(ngf=3, ndf=2)))
+        GanParams.from_arrays(arrays, GanParams.layers(16, 16, 3, 2))
     arrays["dx.c3.b"] = arrays["dx.c3.b"][:1]
     with pytest.raises(ad.WrongParamShapes, match=r"dx\.c3\.b .* \(8,\)"):
-        GanParams.from_arrays(arrays, GanParams.layers(16, 16, hyper))
+        GanParams.from_arrays(arrays, GanParams.layers(16, 16, 2, 2))
 
 
 def test_discriminator_logit_shape(rng):
@@ -275,8 +274,8 @@ def trained_setup():
     windows = sliding_windows(stream, bin_dt=25_000, bins=4, stride=2,
                               mode="bilinear")
     vols = np.stack([np.clip(w[:-1], -5, 5) / 5.0 for w in windows])
-    ms_params, _ = train_ms(vols, MsHyper(filters=8, epochs=5, batch=8),
-                            seed=1)
+    ms_params, _ = train_ms(
+        vols, PipelineConfig(ms_filters=8, ms_epochs=5, ms_batch=8), seed=1)
     return windows, ms_params
 
 
@@ -291,10 +290,10 @@ def test_prepare_batches_ranges(trained_setup):
 
 def test_train_gan_smoke_and_determinism(trained_setup):
     windows, ms_params = trained_setup
-    hyper = GanHyper(ngf=4, ndf=4, epochs=2, batch=8)
+    cfg = PipelineConfig(gan_ngf=4, gan_ndf=4, gan_epochs=2, gan_batch=8)
 
     def run():
-        params, curves = train_gan(windows, ms_params, hyper, seed=5)
+        params, curves = train_gan(windows, ms_params, cfg, seed=5)
         return io.write_evck(params.to_arrays()), curves
     blob_a, curves = run()
     blob_b, _ = run()
@@ -304,14 +303,14 @@ def test_train_gan_smoke_and_determinism(trained_setup):
                for c in curves.values())
 
 
-def _reference_train_gan(windows, ms_params, hyper, seed):
+def _reference_train_gan(windows, ms_params, cfg, seed):
     """train_gan's update sequence with the generator run twice per batch:
     once for the D losses and again for the G loss, after the D steps."""
-    surfaces, targets = prepare_batches(windows, ms_params, hyper.cap)
+    surfaces, targets = prepare_batches(windows, ms_params, cfg.cap)
     n, _, h, w = surfaces.shape
     rng = np.random.default_rng(seed)
-    params = GanParams.init(h, w, hyper, rng)
-    opts = {prefix: ad.AdamState(lr=hyper.lr, beta1=hyper.beta1)
+    params = GanParams.init(h, w, cfg.gan_ngf, cfg.gan_ndf, rng)
+    opts = {prefix: ad.AdamState(lr=cfg.gan_lr, beta1=cfg.gan_beta1)
             for prefix in ("g.", "dxy.", "dx.")}
 
     def step(loss, prefix):
@@ -321,10 +320,10 @@ def _reference_train_gan(windows, ms_params, hyper, seed):
         ad.backward(loss, plist)
         ad.adam_step(plist, opts[prefix])
 
-    for _ in range(hyper.epochs):
+    for _ in range(cfg.gan_epochs):
         order = rng.permutation(n)
-        for start in range(0, n, hyper.batch):
-            idx = order[start:start + hyper.batch]
+        for start in range(0, n, cfg.gan_batch):
+            idx = order[start:start + cfg.gan_batch]
             batch = GanBatch(
                 y=surfaces[idx], x=targets[idx],
                 z=rng.standard_normal((len(idx), 1, h, w)).astype(np.float32))
@@ -332,7 +331,7 @@ def _reference_train_gan(windows, ms_params, hyper, seed):
             step(l_dxy, "dxy.")
             step(l_dx, "dx.")
             step(g_loss(params, batch, generated(params, batch),
-                        hyper.lambda_l1), "g.")
+                        cfg.gan_lambda_l1), "g.")
     return params
 
 
@@ -345,9 +344,10 @@ def test_train_gan_runs_generator_once_per_batch(trained_setup, monkeypatch,
     # once on two threads, switching as often as the interpreter allows;
     # the bytes must not change.
     windows, ms_params = trained_setup
-    hyper = GanHyper(ngf=4, ndf=4, epochs=2, batch=8, lambda_l1=lambda_l1)
+    cfg = PipelineConfig(gan_ngf=4, gan_ndf=4, gan_epochs=2, gan_batch=8,
+                         gan_lambda_l1=lambda_l1)
     want = io.write_evck(
-        _reference_train_gan(windows, ms_params, hyper, seed=5).to_arrays())
+        _reference_train_gan(windows, ms_params, cfg, seed=5).to_arrays())
     calls = []
 
     def counted(*args):
@@ -360,11 +360,12 @@ def test_train_gan_runs_generator_once_per_batch(trained_setup, monkeypatch,
         calls.clear()
         sys.setswitchinterval(1e-6 if n == 2 else interval)
         try:
-            params, _ = train_gan(windows, ms_params, hyper, seed=5)
+            params, _ = train_gan(windows, ms_params, cfg, seed=5)
         finally:
             sys.setswitchinterval(interval)
         assert io.write_evck(params.to_arrays()) == want, f"{n} lanes"
-        assert len(calls) == hyper.epochs * -(-len(windows) // hyper.batch)
+        assert len(calls) == cfg.gan_epochs * -(-len(windows)
+                                                // cfg.gan_batch)
 
 
 @pytest.mark.parametrize("fails", [None, "dxy", "dx"])
@@ -386,8 +387,8 @@ def test_train_gan_leaves_no_thread_running(trained_setup, monkeypatch,
     monkeypatch.setattr(gan_mod, "d_loss", recorded)
     with (pytest.raises(ValueError, match=fails) if fails
           else contextlib.nullcontext()):
-        train_gan(windows, ms_params, GanHyper(ngf=4, ndf=4, epochs=1,
-                                               batch=8), seed=0)
+        train_gan(windows, ms_params, PipelineConfig(
+            gan_ngf=4, gan_ndf=4, gan_epochs=1, gan_batch=8), seed=0)
     helpers = ran - {threading.current_thread()}
     assert helpers
     assert not any(t.is_alive() for t in helpers)
@@ -398,7 +399,7 @@ def test_train_gan_rejects_empty(trained_setup):
     from evanom.msnet import EmptyDataset
     _, ms_params = trained_setup
     with pytest.raises(EmptyDataset):
-        train_gan([], ms_params, GanHyper(epochs=1))
+        train_gan([], ms_params, PipelineConfig(gan_epochs=1))
 
 
 def test_divergence_carries_last_params(trained_setup, monkeypatch):
@@ -409,8 +410,8 @@ def test_divergence_carries_last_params(trained_setup, monkeypatch):
     for n in (1, 2):
         monkeypatch.setattr(lanes, "usable_cpus", lambda n=n: n)
         with pytest.raises(DivergenceDetected) as exc:
-            train_gan(bad, ms_params,
-                      GanHyper(ngf=4, ndf=4, epochs=1, batch=8), seed=0)
+            train_gan(bad, ms_params, PipelineConfig(
+                gan_ngf=4, gan_ndf=4, gan_epochs=1, gan_batch=8), seed=0)
         assert isinstance(exc.value.params, GanParams)
         for arr in exc.value.params.to_arrays().values():
             assert np.isfinite(arr).all(), f"{n} lanes"
@@ -421,7 +422,8 @@ def test_divergence_on_non_finite_weights_after_last_step(trained_setup,
     """The last Adam step of a one-batch run leaves a NaN weight; its loss
     was finite, so only the weight check can catch it."""
     windows, ms_params = trained_setup
-    hyper = GanHyper(ngf=4, ndf=4, epochs=1, batch=len(windows))
+    cfg = PipelineConfig(gan_ngf=4, gan_ndf=4, gan_epochs=1,
+                         gan_batch=len(windows))
     steps, adam_step = [], ad.adam_step
 
     def poisoned_step(plist, state):
@@ -431,12 +433,12 @@ def test_divergence_on_non_finite_weights_after_last_step(trained_setup,
             plist[0].data = np.full_like(plist[0].data, np.nan)
 
     monkeypatch.setattr(ad, "adam_step", poisoned_step)
-    init = GanParams.init(16, 16, hyper, np.random.default_rng(0))
+    init = GanParams.init(16, 16, 4, 4, np.random.default_rng(0))
     for n in (1, 2):
         monkeypatch.setattr(lanes, "usable_cpus", lambda n=n: n)
         steps.clear()
         with pytest.raises(DivergenceDetected, match="non-finite") as exc:
-            train_gan(windows, ms_params, hyper, seed=0)
+            train_gan(windows, ms_params, cfg, seed=0)
         assert len(steps) == 3, f"{n} lanes"
         for name, arr in exc.value.params.to_arrays().items():
             np.testing.assert_array_equal(arr, init[name].data)

@@ -55,3 +55,34 @@ def test_evck_duplicate_name_is_a_format_error():
     blob = one[:8] + (2).to_bytes(4, "little") + tensor + tensor
     with pytest.raises(io.FormatError, match="duplicate name 'x'"):
         io.read_evck(blob)
+
+
+def test_key_values_skip_blank_and_comment_lines():
+    assert io.read_key_values("# c\n\n a = 1 \nb=x=y\n  #d=2\nc=\n") == \
+        {"a": "1", "b": "x=y", "c": ""}
+
+
+@pytest.mark.parametrize("text, match", [
+    ("a=1\n\nb\n", "line 3: expected key=value, got 'b'"),
+    ("a=1\n# a=2\n a = 3\n", "line 3: key 'a' given twice"),
+])
+def test_key_values_name_the_bad_line(text, match):
+    with pytest.raises(ValueError, match=match):
+        io.read_key_values(text)
+    with pytest.raises(RuntimeError, match=match):
+        io.read_key_values(text, error=RuntimeError)
+
+
+def test_empty_payload_of_a_shape_numpy_refuses_is_a_format_error():
+    side = (2**32 - 1).to_bytes(4, "little")
+    evol = bytearray(EVOL)
+    evol[8:20] = bytes(4) + side + side   # B = 0, H = W = 2**32 - 1
+    with pytest.raises(io.FormatError, match="numpy cannot make shape"):
+        io.read_evol(bytes(evol[:37]))
+    for shape in ((0,) * 65, (0,) + (2**31,) * 3):
+        blob = (io.EVCK_MAGIC + (1).to_bytes(4, "little") * 2
+                + (1).to_bytes(4, "little") + b"x"
+                + len(shape).to_bytes(4, "little")
+                + b"".join(n.to_bytes(4, "little") for n in shape))
+        with pytest.raises(io.FormatError, match="numpy cannot make shape"):
+            io.read_evck(blob)

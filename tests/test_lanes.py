@@ -35,8 +35,8 @@ def tiny():
     stream, track = render_scene(walking_scene(2, duration=500_000, size=16))
     windows = windows_for(stream, CFG)
     ms_params, _ = train_ms(window_arrays(windows, CFG.cap)[0],
-                            CFG.ms_hyper(), seed=1)
-    gan_params, _ = train_gan(windows, ms_params, CFG.gan_hyper(), seed=1)
+                            CFG, seed=1)
+    gan_params, _ = train_gan(windows, ms_params, CFG, seed=1)
     return stream, track, windows, ms_params, gan_params
 
 
@@ -69,15 +69,15 @@ def test_pin_is_counted_across_nesting_threads_and_errors(blas_get):
 def test_entry_points_restore_blas_threads(tiny, blas_get, monkeypatch):
     stream, track, windows, ms_params, gan_params = tiny
     seen = _recording(monkeypatch, blas_get)
-    train_ms(window_arrays(windows, CFG.cap)[0], CFG.ms_hyper(), seed=1)
+    train_ms(window_arrays(windows, CFG.cap)[0], CFG, seed=1)
     assert blas_get() == 2
-    train_gan(windows, ms_params, CFG.gan_hyper(), seed=1)
+    train_gan(windows, ms_params, CFG, seed=1)
     assert blas_get() == 2
     score_sequence(ms_params, gan_params, stream, CFG, track=track)
     assert blas_get() == 2
     bad = PipelineConfig(**{**vars(CFG), "gan_lr": 1e30})
     with pytest.raises(DivergenceDetected):
-        train_gan(windows, ms_params, bad.gan_hyper(), seed=1)
+        train_gan(windows, ms_params, bad, seed=1)
     assert blas_get() == 2 and lanes._pin_depth == 0
     assert seen and all(threads == 1 for threads, _ in seen)
 
@@ -87,7 +87,7 @@ def test_train_gan_uses_every_usable_cpu(tiny, blas_get, monkeypatch):
     training still runs its tasks on every CPU this process may use."""
     _, _, windows, ms_params, _ = tiny
     seen = _recording(monkeypatch, blas_get)
-    train_gan(windows, ms_params, CFG.gan_hyper(), seed=1)
+    train_gan(windows, ms_params, CFG, seed=1)
     assert seen
     assert set(seen) == {(1, len(os.sched_getaffinity(0)))}
 

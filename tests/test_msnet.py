@@ -9,8 +9,9 @@ import pytest
 from evanom import autodiff as ad
 from evanom import io, msnet
 from evanom.autodiff import ShapeMismatch, Tensor
-from evanom.msnet import (EmptyDataset, MsHyper, MsNetParams, encode,
-                          encode_t, reconstruct, train_ms)
+from evanom.msnet import (EmptyDataset, MsNetParams, encode, encode_t,
+                          reconstruct, train_ms)
+from evanom.pipeline import PipelineConfig
 
 
 @pytest.fixture
@@ -94,7 +95,7 @@ def test_ms_loss_validation(rng):
 
 def test_train_rejects_empty():
     with pytest.raises(EmptyDataset):
-        train_ms(np.zeros((0, 4, 4, 4)), MsHyper(epochs=1))
+        train_ms(np.zeros((0, 4, 4, 4)), PipelineConfig(ms_epochs=1))
 
 
 def test_train_loss_curve_improves(rng):
@@ -103,8 +104,8 @@ def test_train_loss_curve_improves(rng):
     data = np.zeros((n, b, 8, 8), dtype=np.float32)
     for i in range(n):
         data[i, rng.integers(0, b)] = rng.random((8, 8)) > 0.5
-    hyper = MsHyper(filters=8, epochs=20, batch=8)
-    _, curve = train_ms(data, hyper, seed=3)
+    cfg = PipelineConfig(ms_filters=8, ms_epochs=20, ms_batch=8)
+    _, curve = train_ms(data, cfg, seed=3)
     assert len(curve) == 20
     assert np.isfinite(curve).all()
     assert curve[-1] <= curve[0]
@@ -114,8 +115,8 @@ def test_train_deterministic(rng):
     data = rng.random((12, 4, 6, 6)).astype(np.float32)
 
     def ckpt():
-        params, _ = train_ms(data, MsHyper(filters=8, epochs=3, batch=4),
-                             seed=9)
+        params, _ = train_ms(data, PipelineConfig(
+            ms_filters=8, ms_epochs=3, ms_batch=4), seed=9)
         return io.write_evck(params.to_arrays())
     assert ckpt() == ckpt()
 
@@ -129,8 +130,9 @@ def test_overfit_single_sample(rng):
     amp = rng.random((8, 8)).astype(np.float32)
     sample = amp[None] * profile[:, None, None]
     data = np.repeat(sample[None], 16, axis=0)
-    params, _ = train_ms(data, MsHyper(filters=16, epochs=120, lr=1e-2,
-                                       lambda_sparse=0.0, batch=1), seed=1)
+    params, _ = train_ms(data, PipelineConfig(
+        ms_filters=16, ms_epochs=120, ms_lr=1e-2, ms_lambda_sparse=0.0,
+        ms_batch=1), seed=1)
     mse = np.mean((reconstruct(params, data) - data) ** 2)
     assert np.mean(sample ** 2) > 0.1  # trivial zero predictor is far off
     assert mse < 1e-3
@@ -222,8 +224,8 @@ cfg = pipeline.PipelineConfig(ms_epochs=2, gan_epochs=1, gan_ngf=8,
                               gan_ndf=8, gan_lambda_l1=50.0)
 windows = pipeline.windows_for(stream, cfg)
 vols = representation.window_arrays(windows, cfg.cap)[0]
-ms, _ = msnet.train_ms(vols, cfg.ms_hyper(), seed=1)
-g, _ = gan.train_gan(windows, ms, cfg.gan_hyper(), seed=1)
+ms, _ = msnet.train_ms(vols, cfg, seed=1)
+g, _ = gan.train_gan(windows, ms, cfg, seed=1)
 csv = pipeline.write_score_csv(
     pipeline.score_sequence(ms, g, stream, cfg, track=track))
 for name, blob in (("ms", io.write_evck(ms.to_arrays())),

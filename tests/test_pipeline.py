@@ -6,7 +6,7 @@ import sys
 import threading
 import time
 import warnings
-from dataclasses import fields, replace
+from dataclasses import FrozenInstanceError, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -17,8 +17,8 @@ from evanom import (cli, events, experiments, io, lanes, msnet, pipeline,
 from evanom.autodiff import ShapeMismatch, WrongParamShapes
 from evanom.cli import cli_main
 from evanom.events import EventStream, write_event_csv
-from evanom.gan import GanHyper, GanParams, g_forward, prepare_batches, train_gan
-from evanom.msnet import MsHyper, MsNetParams, train_ms
+from evanom.gan import GanParams, g_forward, prepare_batches, train_gan
+from evanom.msnet import MsNetParams, train_ms
 from evanom.pipeline import (EmptySeries, EvalMetrics, PipelineConfig,
                              ScoreSeries, SingleClass, evaluate, plot_scores,
                              read_label_csv, read_score_csv, score_sequence,
@@ -243,14 +243,13 @@ def test_pipeline_config_round_trip():
 # One case per rule: (key, a value the rule rejects, the boundary it allows).
 CONFIG_RULES = {
     "at least 1": [(k, 0, 1) for k in (
-        "bins", "bin_dt_us", "stride", "ms_filters", "ms_batch", "gan_ngf",
-        "gan_ndf", "gan_batch")],
+        "bins", "bin_dt_us", "stride", "ms_filters", "ms_epochs", "ms_batch",
+        "gan_ngf", "gan_ndf", "gan_epochs", "gan_batch")],
     "a known mode": [("mode", "zzz", "count")],
     "positive": [(k, v, 1e-9) for k in ("cap", "ms_lr", "gan_lr")
                  for v in (0.0, -1.0, float("nan"))],
     "non-negative": [(k, -1, 0) for k in (
-        "ms_epochs", "gan_epochs", "noise_samples", "ms_lambda_sparse",
-        "gan_lambda_l1")],
+        "noise_samples", "ms_lambda_sparse", "gan_lambda_l1")],
     "beta1 in [0, 1)": [("gan_beta1", v, 0.0) for v in (1.0, -0.1, 1.5)],
     "finite": [(f.name, v, getattr(PipelineConfig(), f.name))
                for f in fields(PipelineConfig) if f.type == "float"
@@ -268,6 +267,60 @@ def test_pipeline_config_rejects_bad_values(rule):
             with pytest.raises(ValueError, match=key):
                 make(bad)
             assert getattr(make(ok), key) == ok
+
+
+def test_pipeline_config_is_frozen():
+    cfg = PipelineConfig()
+    with pytest.raises(FrozenInstanceError):
+        cfg.ms_epochs = 0
+    assert cfg == PipelineConfig()
+
+
+@pytest.mark.parametrize("text, match", [
+    ("bins=4\nstride=1\nbins=8\n", "line 3: key 'bins' given twice"),
+    ("# comment\n\nms_epochs\n", "line 3: expected key=value, got 'ms_epochs'"),
+    ("bins=abc\n", "config bins='abc': invalid literal"),
+    ("cap=1..5\n", "config cap='1..5': could not convert"),
+])
+def test_pipeline_config_reader_names_line_or_key(text, match):
+    with pytest.raises(ValueError, match=match):
+        PipelineConfig.from_text(text)
+
+
+def test_training_shims_give_the_same_checkpoints():
+    """`cfg.ms_hyper()` and `cfg.gan_hyper()`, as the benchmark passes
+    them, train the same bytes as the config itself."""
+    cfg = PipelineConfig(bins=4, ms_filters=4, ms_epochs=2, gan_ngf=2,
+                         gan_ndf=2, gan_epochs=1, gan_lambda_l1=50.0)
+    stream, _ = render_scene(walking_scene(1, duration=500_000, size=16))
+    windows = windows_for(stream, cfg)
+    vols = representation.window_arrays(windows, cfg.cap)[0]
+    blobs = []
+    for ms_cfg, gan_cfg in ((cfg, cfg), (cfg.ms_hyper(), cfg.gan_hyper())):
+        ms, _ = train_ms(vols, ms_cfg, seed=1)
+        g, _ = train_gan(windows, ms, gan_cfg, seed=1)
+        blobs.append((io.write_evck(ms.to_arrays()),
+                      io.write_evck(g.to_arrays())))
+    assert blobs[0] == blobs[1]
+
+
+@pytest.mark.parametrize("command, key", [("train-ms", "ms_epochs"),
+                                          ("train-gan", "gan_epochs")])
+def test_cli_train_with_zero_epochs_exits_1(tmp_path, capsys, command, key):
+    ev, cfg, ms = (tmp_path / n for n in ("events.csv", "pipe.cfg",
+                                          "ms.evck"))
+    stream, _ = render_scene(walking_scene(1, duration=500_000, size=16))
+    ev.write_text(write_event_csv(stream))
+    cfg.write_text(f"bins=4\nms_filters=4\n{key}=0\n")
+    ms.write_bytes(io.write_evck(
+        MsNetParams.init(4, 4, np.random.default_rng(0)).to_arrays()))
+    out = tmp_path / "out.evck"
+    assert cli_main([command, "--events", str(ev), "--width", "16",
+                     "--height", "16", "--config", str(cfg), "--out",
+                     str(out), *(["--ms-ckpt", str(ms)]
+                                 if command == "train-gan" else [])]) == 1
+    assert f"config {key}=0: must be >= 1" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("setting", ["ms_lr=1e30", "ms_lambda_sparse=1e40"])
@@ -374,8 +427,8 @@ def tiny_models():
     windows = sliding_windows(stream, cfg.bin_dt_us, cfg.bins,
                               stride=cfg.stride, mode=cfg.mode)
     vols = np.stack([np.clip(w[:-1], -5, 5) / 5.0 for w in windows])
-    ms_params, _ = train_ms(vols, cfg.ms_hyper(), seed=1)
-    gan_params, _ = train_gan(windows, ms_params, cfg.gan_hyper(), seed=1)
+    ms_params, _ = train_ms(vols, cfg, seed=1)
+    gan_params, _ = train_gan(windows, ms_params, cfg, seed=1)
     return cfg, stream, track, ms_params, gan_params
 
 
@@ -616,7 +669,7 @@ def test_score_sequence_checks_frame_size_first(monkeypatch, side, error):
     cfg = PipelineConfig(bins=4)
     rng = np.random.default_rng(0)
     ms_params = MsNetParams.init(4, 4, rng)
-    gan_params = GanParams.init(32, 32, GanHyper(ngf=2, ndf=2), rng)
+    gan_params = GanParams.init(32, 32, 2, 2, rng)
     t = np.arange(0, 2_000_000, 1000)
     stream = EventStream.from_arrays(side, side, t % side, t % side, t,
                                      np.ones(len(t)))
@@ -631,7 +684,7 @@ def test_score_sequence_checks_ms_bins_first(monkeypatch):
     cfg = PipelineConfig(bins=8)
     rng = np.random.default_rng(0)
     ms_params = MsNetParams.init(4, 4, rng)
-    gan_params = GanParams.init(32, 32, GanHyper(ngf=2, ndf=2), rng)
+    gan_params = GanParams.init(32, 32, 2, 2, rng)
     t = np.arange(0, 2_000_000, 1000)
     stream = EventStream.from_arrays(32, 32, t % 32, t % 32, t,
                                      np.ones(len(t)))
@@ -837,6 +890,19 @@ def test_cli_simulate_rejects_non_positive_duration(tmp_path, capsys,
     assert not lab.exists()
 
 
+def test_cli_simulate_rejects_misspelled_scene_key(tmp_path, capsys):
+    from evanom.simulate import write_scene_config
+
+    scene, ev, lab = (tmp_path / n for n in ("s.cfg", "ev.csv", "lab.csv"))
+    scene.write_text(write_scene_config(walking_scene(1, size=16))
+                     .replace("noise_rate=", "noise_rat="))
+    assert cli_main(["simulate", "--config", str(scene), "--out-events",
+                     str(ev), "--out-labels", str(lab)]) == 1
+    assert "error: unknown scene config key 'noise_rat'" in \
+        capsys.readouterr().err
+    assert not ev.exists()
+
+
 def test_cli_score_rejects_ms_checkpoint_as_gan(tmp_path, capsys):
     ev, ms = tmp_path / "events.csv", tmp_path / "ms.evck"
     ev.write_text("t_us,x,y,p\n0,0,0,1\n")
@@ -854,7 +920,7 @@ def test_cli_score_rejects_bad_label_file(tmp_path, capsys):
     rng = np.random.default_rng(0)
     ms.write_bytes(io.write_evck(MsNetParams.init(8, 4, rng).to_arrays()))
     gp.write_bytes(io.write_evck(
-        GanParams.init(8, 8, GanHyper(ngf=2, ndf=2), rng).to_arrays()))
+        GanParams.init(8, 8, 2, 2, rng).to_arrays()))
     labels = tmp_path / "labels.csv"
     for bad in ("0,300,anomoly", "200,100,anomaly",
                 "0,300,normal\n200,400,anomaly"):
@@ -876,7 +942,7 @@ def test_cli_score_names_a_bad_row_past_the_first_chunk(tmp_path, capsys):
     rng = np.random.default_rng(0)
     ms.write_bytes(io.write_evck(MsNetParams.init(8, 4, rng).to_arrays()))
     gp.write_bytes(io.write_evck(
-        GanParams.init(8, 8, GanHyper(ngf=2, ndf=2), rng).to_arrays()))
+        GanParams.init(8, 8, 2, 2, rng).to_arrays()))
     assert cli_main(["score", "--events", str(ev), "--width", "8",
                      "--height", "8", "--ms-ckpt", str(ms), "--gan-ckpt",
                      str(gp), "--out", str(tmp_path / "scores.csv")]) == 1
@@ -890,7 +956,7 @@ def test_cli_score_rejects_checkpoint_of_other_frame_size(tmp_path, capsys):
     rng = np.random.default_rng(0)
     ms.write_bytes(io.write_evck(MsNetParams.init(8, 4, rng).to_arrays()))
     gp.write_bytes(io.write_evck(
-        GanParams.init(64, 64, GanHyper(ngf=2, ndf=2), rng).to_arrays()))
+        GanParams.init(64, 64, 2, 2, rng).to_arrays()))
     assert cli_main(["score", "--events", str(ev), "--width", "32",
                      "--height", "32", "--ms-ckpt", str(ms), "--gan-ckpt",
                      str(gp), "--out", str(tmp_path / "scores.csv")]) == 1

@@ -5,8 +5,7 @@ from hypothesis import strategies as st
 
 from evanom.events import EventStream, slice_time
 from evanom.representation import (MODES, DiscretizedVolume, EmptyGeometry,
-                                   TooShort, baseline_exp_surface,
-                                   baseline_histogram, discretize, normalize,
+                                   TooShort, discretize, normalize,
                                    sliding_windows, window_arrays,
                                    window_block)
 from evanom import io
@@ -288,41 +287,6 @@ def test_window_edges_by_hand(mode):
     assert win[0].tobytes() == expected.tobytes()
     assert discretize(s, t0, bin_dt, 4, mode).data.tobytes() == \
         expected.tobytes()
-
-
-def test_histogram_polarity_channels():
-    s = EventStream.from_arrays(4, 4, [1, 1], [2, 2], [10, 20], [1, -1])
-    grid = baseline_histogram(s, 0, 100)
-    assert grid[0, 2, 1] == 1 and grid[1, 2, 1] == 1
-    assert grid.sum() == 2
-
-
-def test_histogram_only_positive():
-    s = EventStream.from_arrays(4, 4, [0, 1], [0, 0], [10, 20], [1, 1])
-    grid = baseline_histogram(s, 0, 100)
-    assert not grid[1].any()
-
-
-def test_histogram_channel_sums(rng):
-    s = random_stream(rng, n=250)
-    grid = baseline_histogram(s, 0, 200_000)
-    assert grid[0].sum() == (s.p == 1).sum()
-    assert grid[1].sum() == (s.p == -1).sum()
-
-
-def test_exp_surface_values():
-    s = EventStream.from_arrays(4, 4, [1], [1], [1000], [1])
-    assert baseline_exp_surface(s, 1000, 500.0)[1, 1] == pytest.approx(1.0)
-    assert baseline_exp_surface(s, 1500, 500.0)[1, 1] == pytest.approx(np.exp(-1))
-
-
-def test_exp_surface_linearity():
-    a = EventStream.from_arrays(4, 4, [1], [1], [100], [1])
-    b = EventStream.from_arrays(4, 4, [1], [1], [300], [-1])
-    both = EventStream.from_arrays(4, 4, [1, 1], [1, 1], [100, 300], [1, -1])
-    np.testing.assert_allclose(
-        baseline_exp_surface(both, 400, 200.0),
-        baseline_exp_surface(a, 400, 200.0) + baseline_exp_surface(b, 400, 200.0))
 
 
 def test_evol_round_trip(rng):

@@ -142,6 +142,36 @@ def test_scene_config_round_trip():
         assert parse_scene_config(write_scene_config(cfg)) == cfg
 
 
+# Each line is added to the 16x16 mixed scene's config, whose objects
+# are numbered 0 to 4.
+@pytest.mark.parametrize("extra, match", [
+    ("noise_rat=20", "unknown scene config key 'noise_rat'"),
+    ("object.0.lable=anomaly", "unknown scene config key 'object.0.lable'"),
+    ("object.6.shape=disk:3", "unknown scene config key 'object.6.shape'"),
+    ("width=32", "line 32: key 'width' given twice"),
+    ("object.1.label=anomaly", "line 32: key 'object.1.label' given twice"),
+    ("noise_rate 20", "line 32: expected key=value, got 'noise_rate 20'"),
+])
+def test_scene_config_rejects_unknown_repeated_and_bad_lines(extra, match):
+    text = write_scene_config(mixed_test_scene(0, size=16)) + extra + "\n"
+    with pytest.raises(ConfigError, match=match):
+        parse_scene_config(text)
+
+
+@pytest.mark.parametrize("key, value", [
+    ("width", "abc"), ("seed", "1.5"), ("noise_rate", "x"),
+    ("object.1.start", "1;2"), ("object.0.velocity", "0:1"),
+    ("object.2.active", "5"), ("object.3.shape", "disk:r"),
+])
+def test_scene_config_cast_errors_name_the_key(key, value):
+    text = "".join(f"{ln.partition('=')[0]}={value}\n"
+                   if ln.partition("=")[0] == key else ln + "\n"
+                   for ln in write_scene_config(
+                       mixed_test_scene(0, size=16)).splitlines())
+    with pytest.raises(ConfigError, match=f"^{key}='{value}': "):
+        parse_scene_config(text)
+
+
 def test_mixed_scene_has_both_labels():
     _, track = render_scene(mixed_test_scene(0))
     labels = {lab for _, _, lab in track.intervals}

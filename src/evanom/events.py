@@ -14,8 +14,9 @@ import numpy as np
 HEADER = "t_us,x,y,p"
 _T_MAX = np.iinfo(np.int64).max
 
-# Canonical rows are read a chunk of about _CHUNK characters at a time,
-# so the byte passes' temporaries stay a few MiB however long the stream.
+# Rows are read a chunk of about _CHUNK characters at a time, so the
+# byte passes' and the row loop's temporaries stay a few MiB however long
+# the stream.
 # A 6.6 MB dense stream (2 vCPUs, numpy 2.4) parsed in a median 99 ms at
 # 16 KiB chunks, 60 at 64 KiB, 53 at 256 KiB, 59 at 1 MiB and 76 at
 # 4 MiB: small chunks pay numpy's per-call cost, large ones miss cache.
@@ -163,9 +164,14 @@ def _decode(d: np.ndarray, end: np.ndarray, length: np.ndarray, dtype):
     return v
 
 
-def _canonical_chunk(b: np.ndarray):
-    """(t, x, y, p) of uint8 text `b` whose last byte is a newline, if
-    every row in it is exactly as write_event_csv writes it; else None."""
+def _canonical_chunk(chunk: str, width: int, height: int):
+    """Columns (t, x, y, p) of the rows in `chunk`, decoded in bulk byte
+    passes, if every row is exactly as write_event_csv writes it and on
+    the sensor; else None, and the row loop finds and reports the bad row."""
+    if not chunk.isascii() or len(chunk) > _CHUNK + _ROW_MAX:
+        return None  # not ASCII, or a row longer than any canonical one
+    b = np.frombuffer((chunk if chunk.endswith("\n") else chunk + "\n")
+                      .encode("ascii"), np.uint8)
     d = b - ord("0")  # digit values; every other byte reads > 9
     seps = np.flatnonzero((d > 9) & (b != ord("-")))  # not digits or "-"
     n = len(seps) // 4
@@ -188,66 +194,53 @@ def _canonical_chunk(b: np.ndarray):
     if (np.any(d[nl - 1] != 1) or np.any(b[minus] != ord("-"))
             or np.count_nonzero(b == ord("-")) != len(minus)):
         return None
-    return (_decode(d, c0, lt, np.int64), _decode(d, c1, lx, np.int32),
-            _decode(d, c2, ly, np.int32),
+    x, y = _decode(d, c1, lx, np.int32), _decode(d, c2, ly, np.int32)
+    if x.max() >= width or y.max() >= height:
+        return None
+    return (_decode(d, c0, lt, np.int64), x, y,
             np.where(lp == 1, 1, -1).astype(np.int8))
 
 
-def _parse_canonical(body: str, width: int, height: int) -> EventStream | None:
-    """All rows in bulk byte passes, a chunk at a time, if every row is
-    canonical and valid; None otherwise, and the row loop then finds and
-    reports the bad row."""
-    if not body.isascii():
-        return None
-    cols, start = [], 0
-    while start < len(body):
-        # cut just after the first newline at or past start + _CHUNK - 1
-        end = body.find("\n", start + _CHUNK - 1) + 1 or len(body)
-        if end - start > _CHUNK + _ROW_MAX:
-            return None  # a row longer than any canonical one
-        chunk = body[start:end].encode("ascii")
-        part = _canonical_chunk(np.frombuffer(
-            chunk if chunk.endswith(b"\n") else chunk + b"\n", np.uint8))
-        if part is None:
-            return None
-        cols.append(part)
-        start = end
-    if not cols:
-        return EventStream.empty(width, height)
-    t, x, y, p = (np.concatenate(c) for c in zip(*cols))
-    del cols  # free the chunks' columns before from_arrays copies
-    if x.max() >= width or y.max() >= height:
-        return None
-    return EventStream.from_arrays(width, height, x, y, t, p)
-
-
-def _parse_rows(body: str, width: int, height: int) -> EventStream:
-    lines = body.split("\n")
+def _row_chunk(chunk: str, line_no: int, width: int, height: int):
+    """Columns (t, x, y, p) of the rows in `chunk`, parsed one at a time;
+    the first row is line `line_no` of the file."""
+    lines = chunk.split("\n")
     if lines[-1] == "":
         lines.pop()
     rows = [_parse_row(line.strip(), i, width, height)
-            for i, line in enumerate(lines, start=2)]
-    t, x, y, p = np.array(rows, dtype=np.int64).reshape(-1, 4).T
-    return EventStream.from_arrays(width, height, x, y, t, p)
+            for i, line in enumerate(lines, start=line_no)]
+    return np.array(rows, dtype=np.int64).reshape(-1, 4).T
 
 
 def parse_event_csv(text: str, width: int, height: int) -> EventStream:
     """Parse the event CSV format (header `t_us,x,y,p`); strict validation.
 
-    Text whose rows all read exactly as write_event_csv writes them is
-    read in bulk byte passes, a bounded chunk at a time; any other text is
-    checked row by row, so the first bad row is reported with its line
-    number either way.
+    The rows are read a bounded chunk at a time. A chunk whose rows all
+    read exactly as write_event_csv writes them is decoded in bulk byte
+    passes; any other chunk is checked row by row, so the first bad row
+    is reported with its line number either way.
     Rows out of time order are stably sorted; already-sorted input keeps
     its row order, including ties.
     """
-    header, _, body = text.partition("\n")
-    if header.strip() != HEADER:
+    start = text.find("\n") + 1 or len(text)
+    if text[:start].strip() != HEADER:
         raise MalformedRow(1, f"missing header {HEADER!r}")
-    stream = _parse_canonical(body, width, height)
-    if stream is None:
-        stream = _parse_rows(body, width, height)
-    return stream
+    cols, line_no = [], 2
+    while start < len(text):
+        # cut just after the first newline at or past start + _CHUNK - 1
+        end = text.find("\n", start + _CHUNK - 1) + 1 or len(text)
+        chunk = text[start:end]
+        part = _canonical_chunk(chunk, width, height)
+        if part is None:
+            part = _row_chunk(chunk, line_no, width, height)
+        cols.append(part)
+        line_no += len(part[0])
+        start = end
+    if not cols:
+        return EventStream.empty(width, height)
+    t, x, y, p = (np.concatenate(c) for c in zip(*cols))
+    del cols  # free the chunks' columns before from_arrays copies
+    return EventStream.from_arrays(width, height, x, y, t, p)
 
 
 def write_event_csv(stream: EventStream) -> str:

@@ -36,10 +36,6 @@ _T_MAX = np.iinfo(np.int64).max
 _I32_MAX = np.iinfo(np.int32).max
 
 
-class EmptyGeometry(ValueError):
-    pass
-
-
 class TooShort(ValueError):
     pass
 
@@ -62,9 +58,7 @@ class DiscretizedVolume:
                              f"{(self.bins, self.height, self.width)}")
 
 
-def _check(stream: EventStream, bin_dt: int, bins: int, mode: str):
-    if stream.width == 0 or stream.height == 0:
-        raise EmptyGeometry("stream has zero-sized geometry")
+def _check(bin_dt: int, bins: int, mode: str):
     if bins < 1 or bin_dt <= 0:
         raise ValueError("need bins >= 1 and bin_dt > 0")
     if mode not in MODES:
@@ -127,7 +121,7 @@ def discretize(stream: EventStream, t0: int, bin_dt: int, bins: int,
     fraction is the remainder rule f = ((t - t0) mod bin_dt) / bin_dt in
     float32, and own terms are added before carried ones.
     """
-    _check(stream, bin_dt, bins, mode)
+    _check(bin_dt, bins, mode)
     data = _windows(stream, t0, bin_dt, bins, 1, 1, mode)[0]
     return DiscretizedVolume(bins, stream.height, stream.width, t0, bin_dt,
                              mode, data)
@@ -182,7 +176,7 @@ def window_count(stream: EventStream, bin_dt: int, bins: int, stride: int,
         raise ValueError("stride must be >= 1")
     if len(stream) == 0:
         raise TooShort("empty stream")
-    _check(stream, bin_dt, bins + 1, mode)
+    _check(bin_dt, bins + 1, mode)
     if duration is None:
         duration = int(stream.t[-1]) - (int(stream.t[0]) if t0 is None else t0)
     span = (bins + 1) * bin_dt

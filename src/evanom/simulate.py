@@ -43,13 +43,17 @@ class ObjectSpec:
     def __post_init__(self):
         kind = self.shape[0]
         if kind not in ("rect", "disk"):
-            raise ConfigError(f"unknown shape {kind!r}")
+            raise ConfigError(f"shape: unknown kind {kind!r}")
+        if not all(size > 0 for size in self.shape[1:]):
+            raise ConfigError(f"shape: {_format_shape(self.shape)} has a "
+                              f"size <= 0")
         if self.label not in ("normal", "anomaly"):
-            raise ConfigError(f"unknown label {self.label!r}")
+            raise ConfigError(f"label: unknown label {self.label!r}")
         if self.active[0] >= self.active[1]:
-            raise ConfigError("need t_on < t_off")
+            raise ConfigError(f"active: need t_on < t_off, got "
+                              f"{self.active[0]},{self.active[1]}")
         if not self.velocity:
-            raise ConfigError("need at least one velocity segment")
+            raise ConfigError("velocity: need at least one segment")
 
     def position(self, t_us: int) -> tuple[float, float]:
         """Integrate piecewise-constant velocity from t_on up to t_us."""
@@ -96,6 +100,9 @@ class SceneConfig:
     noise_rate: float = 0.0  # background events / pixel / second
 
     def __post_init__(self):
+        for key, size in (("width", self.width), ("height", self.height)):
+            if size <= 0:
+                raise ConfigError(f"{key} must be positive, got {size}")
         if self.duration <= 0:
             raise ConfigError("duration must be positive")
         if self.micro_step <= 0:
@@ -278,13 +285,17 @@ def parse_scene_config(text: str) -> SceneConfig:
     objects = []
     while f"object.{len(objects)}.shape" in kv:
         pre = f"object.{len(objects)}."
-        objects.append(ObjectSpec(
+        fields = dict(
             shape=get(pre + "shape", _parse_shape),
             start=get(pre + "start", lambda s: _pair(s, float)),
             velocity=get(pre + "velocity", _parse_velocity),
             active=get(pre + "active", lambda s: _pair(s, int),
                        f"0,{duration}"),
-            label=get(pre + "label", str, "normal")))
+            label=get(pre + "label", str, "normal"))
+        try:
+            objects.append(ObjectSpec(**fields))
+        except ConfigError as e:
+            raise ConfigError(pre + str(e)) from None
     config = SceneConfig(get("width", int), get("height", int), duration,
                          get("micro_step_us", int), tuple(objects),
                          seed=get("seed", int, "0"),

@@ -243,7 +243,7 @@ def test_fast_parse_agrees_with_row_loop_across_cuts(chunk, text):
 
 
 def _row_loop(text, width, height):
-    with mock.patch.object(events, "_parse_canonical", lambda *a: None):
+    with mock.patch.object(events, "_canonical_chunk", lambda *a: None):
         return _outcome(text, width, height)
 
 
@@ -270,13 +270,16 @@ def test_round_trip_across_chunks(rng, chunk):
     chunk = chunk or events._CHUNK
     side = 10**9
     s, text = _canonical_text(rng, 3 * chunk, side, side)
-    body = text.partition("\n")[2]
-    with mock.patch.object(events, "_CHUNK", chunk):
-        for fast_body in (body, body.removesuffix("\n")):  # no row loop
-            assert events._parse_canonical(fast_body, side, side) == s
-        assert parse_event_csv(text, side, side) == s
+    with mock.patch.object(events, "_CHUNK", chunk), \
+            mock.patch.object(events, "_row_chunk", _no_row_loop):
+        for fast_text in (text, text.removesuffix("\n")):
+            assert parse_event_csv(fast_text, side, side) == s
     assert _row_loop(text, side, side) == s
-    assert max(map(len, body.split("\n"))) == 41
+    assert max(map(len, text.split("\n"))) == 41
+
+
+def _no_row_loop(*args):
+    raise AssertionError("a canonical chunk reached the row loop")
 
 
 # Each row goes in after about 2.5 chunks of canonical rows.
@@ -308,17 +311,64 @@ def test_rows_past_the_first_chunk(rng, chunk, row, exc):
         assert fast == (exc, line_no)
 
 
+@pytest.mark.parametrize("row, exc", LATE_ROWS.values(), ids=LATE_ROWS.keys())
+def test_only_the_bad_chunk_takes_the_row_loop(rng, row, exc):
+    """Each chunk goes to the bulk decoder once, in order. Only the chunk
+    holding the bad or non-canonical row goes on to the row loop, which
+    numbers its lines from the rows of the chunks before it."""
+    chunk = 4096
+    _, text = _canonical_text(rng, 4 * chunk, 16, 12)
+    head = len(events.HEADER) + 1
+    at = text.index("\n", head + 5 * chunk // 2) + 1 - head  # in the body
+    text = text[:head + at] + row + "\n" + text[head + at:]
+    body = text[head:]
+    with mock.patch.object(events, "_CHUNK", chunk), \
+            mock.patch.object(events, "_canonical_chunk",
+                              wraps=events._canonical_chunk) as bulk, \
+            mock.patch.object(events, "_row_chunk",
+                              wraps=events._row_chunk) as rows:
+        _outcome(text, 16, 12)
+    seen = [c.args[0] for c in bulk.call_args_list]
+    ends = np.cumsum([len(c) for c in seen])
+    bad = int(np.searchsorted(ends, at, side="right"))
+    assert [c.args[:2] for c in rows.call_args_list] == [
+        (seen[bad], 2 + "".join(seen[:bad]).count("\n"))]
+    assert bad >= 2
+    if exc is None:
+        assert "".join(seen) == body and len(seen) > bad + 1
+    else:
+        assert "".join(seen) == body[:ends[bad]] and len(seen) == bad + 1
+
+
+def test_crlf_text_parses_in_bounded_memory(rng):
+    """CRLF text takes the row loop a chunk at a time: its peak stays
+    within twice the LF text's, where a whole-text row loop holds a
+    Python tuple per row."""
+    s = random_stream(rng, n=50_000, width=64, height=64, t_max=5_000_000)
+    lf = write_event_csv(s)
+    peaks = []
+    for text in (lf, lf.replace("\n", "\r\n")):
+        tracemalloc.start()
+        try:
+            assert parse_event_csv(text, 64, 64) == s
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert len(lf) > 2 * events._CHUNK
+    assert peaks[1] <= 2 * peaks[0]
+
+
 @pytest.mark.parametrize("body", [
     "1,2,3,1," * (1 << 19),  # no newline
     "1234567\n" * (1 << 19),  # no comma
     "7" * (1 << 22),  # neither
 ], ids=["no newline", "no comma", "neither"])
 def test_long_bodies_without_rows_are_malformed(body):
-    """The bulk pass gives up within about a chunk's memory, and the row
-    loop reports the first row."""
+    """The bulk decoder gives up within about a chunk's memory, and the
+    row loop reports the first row."""
     tracemalloc.start()
     try:
-        assert events._parse_canonical(body, 16, 12) is None
+        assert events._canonical_chunk(body, 16, 12) is None
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

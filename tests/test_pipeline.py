@@ -361,7 +361,7 @@ def test_cli_train_gan_divergence_writes_no_checkpoint(tmp_path, capsys,
 
 
 EXIT_1_ERRORS = [
-    events.EventError, representation.EmptyGeometry, representation.TooShort,
+    events.EventError, representation.TooShort,
     simulate.ConfigError, io.FormatError, msnet.EmptyDataset,
     msnet.DivergenceDetected, pipeline.SingleClass, pipeline.EmptySeries,
     ValueError, OSError]
@@ -888,6 +888,20 @@ def test_cli_simulate_rejects_non_positive_duration(tmp_path, capsys,
                      str(ev), "--out-labels", str(lab)]) == 1
     assert "duration" in capsys.readouterr().err
     assert not lab.exists()
+
+
+@pytest.mark.parametrize("width", [0, -3])
+def test_cli_simulate_rejects_non_positive_width(tmp_path, capsys, width):
+    scene, ev, lab = (tmp_path / n for n in ("s.cfg", "ev.csv", "lab.csv"))
+    scene.write_text(f"width={width}\nheight=8\nmicro_step_us=1000\n"
+                     "duration_us=2000\n"
+                     "object.0.shape=rect:2x2\nobject.0.start=0,0\n"
+                     "object.0.velocity=0:10,0\n")
+    assert cli_main(["simulate", "--config", str(scene), "--out-events",
+                     str(ev), "--out-labels", str(lab)]) == 1
+    assert f"error: width must be positive, got {width}" in \
+        capsys.readouterr().err
+    assert not ev.exists() and not lab.exists()
 
 
 def test_cli_simulate_rejects_misspelled_scene_key(tmp_path, capsys):

@@ -3,11 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from evanom.events import EventStream, slice_time
-from evanom.representation import (MODES, DiscretizedVolume, EmptyGeometry,
-                                   TooShort, discretize, normalize,
-                                   sliding_windows, window_arrays,
-                                   window_block)
+from evanom.events import EventError, EventStream, slice_time
+from evanom.representation import (MODES, DiscretizedVolume, TooShort,
+                                   discretize, normalize, sliding_windows,
+                                   window_arrays, window_block)
 from evanom import io
 from conftest import random_stream
 
@@ -120,7 +119,7 @@ def test_permutation_invariance(rng):
 
 
 def test_empty_geometry_rejected():
-    with pytest.raises((EmptyGeometry, Exception)):
+    with pytest.raises(EventError, match="bad geometry"):
         discretize(EventStream.empty(0, 4), 0, 100, 2, "count")
 
 

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -164,12 +166,40 @@ def test_scene_config_rejects_unknown_repeated_and_bad_lines(extra, match):
     ("object.2.active", "5"), ("object.3.shape", "disk:r"),
 ])
 def test_scene_config_cast_errors_name_the_key(key, value):
-    text = "".join(f"{ln.partition('=')[0]}={value}\n"
+    with pytest.raises(ConfigError, match=f"^{key}='{value}': "):
+        parse_scene_config(_mixed_config_with(key, value))
+
+
+def _mixed_config_with(key, value):
+    """The 16x16 mixed scene's config with `key` set to `value`."""
+    return "".join(f"{ln.partition('=')[0]}={value}\n"
                    if ln.partition("=")[0] == key else ln + "\n"
                    for ln in write_scene_config(
                        mixed_test_scene(0, size=16)).splitlines())
-    with pytest.raises(ConfigError, match=f"^{key}='{value}': "):
-        parse_scene_config(text)
+
+
+@pytest.mark.parametrize("key, value", [
+    ("width", "0"), ("width", "-3"), ("height", "0"), ("height", "-16")])
+def test_scene_config_rejects_non_positive_sizes(key, value):
+    with pytest.raises(ConfigError,
+                       match=f"^{key} must be positive, got {value}$"):
+        parse_scene_config(_mixed_config_with(key, value))
+
+
+# Objects 0 to 3 of the mixed scene are rects and object 4 is a disk.
+@pytest.mark.parametrize("key, value, message", [
+    ("object.1.label", "anomoly", "object.1.label: unknown label 'anomoly'"),
+    ("object.2.active", "300,100",
+     "object.2.active: need t_on < t_off, got 300,100"),
+    ("object.3.shape", "rect:-5x10",
+     "object.3.shape: rect:-5x10 has a size <= 0"),
+    ("object.0.shape", "rect:6x0", "object.0.shape: rect:6x0 has a size <= 0"),
+    ("object.4.shape", "disk:-7", "object.4.shape: disk:-7.0 has a size <= 0"),
+    ("object.4.shape", "disk:nan", "object.4.shape: disk:nan has a size <= 0"),
+], ids=["label", "active", "rect width", "rect height", "disk", "disk nan"])
+def test_scene_config_object_errors_name_the_object(key, value, message):
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        parse_scene_config(_mixed_config_with(key, value))
 
 
 def test_mixed_scene_has_both_labels():

@@ -1,7 +1,8 @@
 """Command-line surface tying the modules together.
 
-Exit codes: 0 success, 1 domain error (bad data, shape mismatch, ...),
-2 usage error. All stochastic subcommands accept --seed.
+Exit codes: 0 success, 1 domain error (bad data, shape mismatch, ...) or
+an array too large for memory, 2 usage error. All stochastic subcommands
+accept --seed.
 """
 from __future__ import annotations
 
@@ -205,6 +206,9 @@ def cli_main(argv=None) -> int:
         return args.fn(args)
     except DOMAIN_ERRORS as err:
         print(f"error: {err}", file=sys.stderr)
+        return 1
+    except MemoryError as err:  # a backstop for arrays too large to allocate
+        print(f"error: out of memory ({err})", file=sys.stderr)
         return 1
 
 

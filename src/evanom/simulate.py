@@ -9,7 +9,8 @@ deterministic for a fixed seed.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -47,6 +48,12 @@ class ObjectSpec:
         if not all(size > 0 for size in self.shape[1:]):
             raise ConfigError(f"shape: {_format_shape(self.shape)} has a "
                               f"size <= 0")
+        if not all(map(math.isfinite, self.shape[1:])):
+            raise ConfigError(f"shape: {_format_shape(self.shape)} has a "
+                              f"non-finite size")
+        if not all(map(math.isfinite, self.start)):
+            raise ConfigError(f"start: need finite x,y, got "
+                              f"{self.start[0]},{self.start[1]}")
         if self.label not in ("normal", "anomaly"):
             raise ConfigError(f"label: unknown label {self.label!r}")
         if self.active[0] >= self.active[1]:
@@ -54,39 +61,53 @@ class ObjectSpec:
                               f"{self.active[0]},{self.active[1]}")
         if not self.velocity:
             raise ConfigError("velocity: need at least one segment")
+        for t_from, vx, vy in self.velocity:
+            if not (math.isfinite(vx) and math.isfinite(vy)):
+                raise ConfigError(f"velocity: need finite speeds, got "
+                                  f"{t_from}:{vx},{vy}")
 
     def position(self, t_us: int) -> tuple[float, float]:
         """Integrate piecewise-constant velocity from t_on up to t_us."""
-        x, y = self.start
-        t_prev = self.active[0]
-        segs = sorted(self.velocity)
-        for i, (t_from, vx, vy) in enumerate(segs):
-            t_next = segs[i + 1][0] if i + 1 < len(segs) else t_us
-            a = max(t_prev, t_from)
-            b = min(t_us, t_next)
-            if b > a:
-                x += vx * (b - a) / 1e6
-                y += vy * (b - a) / 1e6
-        return x, y
+        x, y = self._positions(np.array([t_us], np.int64))
+        return float(x[0]), float(y[0])
 
     def mask(self, t_us: int, width: int, height: int) -> np.ndarray:
         """Binary occupancy at time t_us; all-zero outside [t_on, t_off)."""
-        out = np.zeros((height, width), dtype=bool)
-        if not (self.active[0] <= t_us < self.active[1]):
-            return out
-        px, py = self.position(t_us)
+        return self._masks(np.array([t_us], np.int64), width, height)[0]
+
+    def _positions(self, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """`position` at each of the int64 times `t`. The time arithmetic
+        is float64, exact up to 2**53 us."""
+        tf = t.astype(np.float64)
+        x = np.full(len(t), float(self.start[0]))
+        y = np.full(len(t), float(self.start[1]))
+        segs = sorted(self.velocity)
+        for i, (t_from, vx, vy) in enumerate(segs):
+            b = (np.minimum(tf, float(segs[i + 1][0])) if i + 1 < len(segs)
+                 else tf)
+            d = b - float(max(self.active[0], t_from))
+            x = np.where(d > 0, x + float(vx) * d / 1e6, x)
+            y = np.where(d > 0, y + float(vy) * d / 1e6, y)
+        return x, y
+
+    def _masks(self, t: np.ndarray, width: int, height: int) -> np.ndarray:
+        """`mask` at each of the int64 times `t`, as one (len(t), height,
+        width) array."""
+        px, py = self._positions(t)
+        live = (self.active[0] <= t) & (t < self.active[1])
+        cols, rows = np.arange(width), np.arange(height)
         if self.shape[0] == "rect":
+            # In float64, so an edge far off the sensor stays off it.
             _, w, h = self.shape
-            x0, y0 = int(np.floor(px)), int(np.floor(py))
-            xa, xb = max(x0, 0), min(x0 + w, width)
-            ya, yb = max(y0, 0), min(y0 + h, height)
-            if xa < xb and ya < yb:
-                out[ya:yb, xa:xb] = True
-        else:
-            _, r = self.shape
-            yy, xx = np.mgrid[0:height, 0:width]
-            out = (xx - px) ** 2 + (yy - py) ** 2 <= r ** 2
-        return out
+            x0, y0 = np.floor(px)[:, None], np.floor(py)[:, None]
+            in_x = (x0 <= cols) & (cols < x0 + w)
+            in_y = (y0 <= rows) & (rows < y0 + h) & live[:, None]
+            return in_y[:, :, None] & in_x[:, None, :]
+        _, r = self.shape
+        dx2 = (cols - px[:, None]) ** 2
+        dy2 = (rows - py[:, None]) ** 2
+        disk = dy2[:, :, None] + dx2[:, None, :] <= r ** 2
+        return disk & live[:, None, None]
 
 
 @dataclass(frozen=True)
@@ -105,14 +126,17 @@ class SceneConfig:
                 raise ConfigError(f"{key} must be positive, got {size}")
         if self.duration <= 0:
             raise ConfigError("duration must be positive")
+        if self.duration > np.iinfo(np.int64).max:
+            raise ConfigError("duration must fit int64")
         if self.micro_step <= 0:
             raise ConfigError("micro_step must be positive")
         if self.duration % self.micro_step != 0:
             raise ConfigError("duration must be a multiple of micro_step")
         if not self.objects:
             raise ConfigError("need at least one object")
-        if self.noise_rate < 0:
-            raise ConfigError("noise_rate must be >= 0")
+        if not 0 <= self.noise_rate < math.inf:
+            raise ConfigError(f"noise_rate must be finite and >= 0, got "
+                              f"{self.noise_rate}")
 
 
 @dataclass(frozen=True)
@@ -128,10 +152,29 @@ class LabelTrack:
 
 def occupancy(config: SceneConfig, t_us: int) -> np.ndarray:
     """Union occupancy of all active objects at t_us."""
-    mask = np.zeros((config.height, config.width), dtype=bool)
+    return _occupancy(config, np.array([t_us], np.int64))[0][0]
+
+
+def _occupancy(config: SceneConfig,
+               t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Union occupancy (len(t), height, width) at each of the int64 times
+    `t`, ascending, and whether some anomaly object is on the sensor at
+    each."""
+    occ = np.zeros((len(t), config.height, config.width), dtype=bool)
+    anomalous = np.zeros(len(t), dtype=bool)
     for obj in config.objects:
-        mask |= obj.mask(t_us, config.width, config.height)
-    return mask
+        if not (obj.active[0] <= t[-1] and t[0] < obj.active[1]):
+            continue  # inactive at every time of `t`
+        mask = obj._masks(t, config.width, config.height)
+        occ |= mask
+        if obj.label == "anomaly":
+            anomalous |= mask.any(axis=(1, 2))
+    return occ, anomalous
+
+
+# Micro-steps are rendered a block at a time, of about _BLOCK_PIXELS mask
+# pixels: 64 steps at 64x64, one at 512x512.
+_BLOCK_PIXELS = 1 << 18
 
 
 def render_scene(config: SceneConfig) -> tuple[EventStream, LabelTrack]:
@@ -140,32 +183,37 @@ def render_scene(config: SceneConfig) -> tuple[EventStream, LabelTrack]:
     Occupancy is sampled at every micro-step; a toggle between steps k-1
     and k emits one event stamped (k-1)*micro_step + jitter with jitter
     uniform in [0, micro_step), so all events land inside the duration.
+    Toggles are found a block of steps at a time, in the order step, row,
+    column, and their jitter is drawn in that order.
     """
     rng = np.random.default_rng(config.seed)
-    steps = config.duration // config.micro_step
+    ms, width = config.micro_step, config.width
+    pixels = config.width * config.height
+    steps = config.duration // ms
     xs, ys, ts, ps = [], [], [], []
-    labels = []
-    prev = occupancy(config, 0)
-    labels.append(_step_label(config, 0))
-    for k in range(1, steps + 1):
-        t = k * config.micro_step
-        cur = occupancy(config, t)
-        diff = cur != prev
-        if diff.any():
-            yy, xx = np.nonzero(diff)
-            pol = np.where(cur[yy, xx], 1, -1).astype(np.int8)
-            jit = rng.integers(0, config.micro_step, size=len(yy))
+    prev, anomalous = _occupancy(config, np.zeros(1, np.int64))
+    labels = [anomalous]
+    block = max(1, _BLOCK_PIXELS // pixels)
+    for k0 in range(1, steps + 1, block):
+        k = np.arange(k0, min(k0 + block, steps + 1), dtype=np.int64)
+        cur, anomalous = _occupancy(config, k * ms)
+        labels.append(anomalous)
+        diff = np.empty_like(cur)
+        np.not_equal(cur[0], prev[-1], out=diff[0])
+        np.not_equal(cur[1:], cur[:-1], out=diff[1:])
+        hit = np.flatnonzero(diff)
+        if len(hit):
+            step, pix = np.divmod(hit, pixels)
+            yy, xx = np.divmod(pix, width)
             xs.append(xx.astype(np.int32))
             ys.append(yy.astype(np.int32))
-            ts.append((k - 1) * config.micro_step + jit)
-            ps.append(pol)
+            ts.append((k0 - 1 + step) * ms
+                      + rng.integers(0, ms, size=len(hit)))
+            ps.append(np.where(cur.reshape(-1)[hit], 1, -1).astype(np.int8))
         prev = cur
-        if k < steps:
-            labels.append(_step_label(config, t))
 
     if config.noise_rate > 0:
-        n_pix = config.width * config.height
-        expect = config.noise_rate * n_pix * config.duration / 1e6
+        expect = config.noise_rate * pixels * config.duration / 1e6
         n = rng.poisson(expect)
         xs.append(rng.integers(0, config.width, n).astype(np.int32))
         ys.append(rng.integers(0, config.height, n).astype(np.int32))
@@ -179,25 +227,18 @@ def render_scene(config: SceneConfig) -> tuple[EventStream, LabelTrack]:
             np.concatenate(ts), np.concatenate(ps))
     else:
         stream = EventStream.empty(config.width, config.height)
-    return stream, _merge_labels(labels, config.micro_step, config.duration)
+    return stream, _merge_labels(np.concatenate(labels)[:steps], ms)
 
 
-def _step_label(config: SceneConfig, t_us: int) -> str:
-    for obj in config.objects:
-        if obj.label == "anomaly" and obj.mask(t_us, config.width, config.height).any():
-            return "anomaly"
-    return "normal"
-
-
-def _merge_labels(step_labels: list[str], micro_step: int, duration: int) -> LabelTrack:
-    intervals = []
-    run_start, run_label = 0, step_labels[0]
-    for k, lab in enumerate(step_labels[1:], start=1):
-        if lab != run_label:
-            intervals.append((run_start * micro_step, k * micro_step, run_label))
-            run_start, run_label = k, lab
-    intervals.append((run_start * micro_step, duration, run_label))
-    return LabelTrack(tuple(intervals))
+def _merge_labels(anomalous: np.ndarray, micro_step: int) -> LabelTrack:
+    """Runs of equal step labels as intervals; step k is
+    [k*micro_step, (k+1)*micro_step)."""
+    cuts = [0, *(np.flatnonzero(np.diff(anomalous)) + 1).tolist(),
+            len(anomalous)]
+    return LabelTrack(tuple(
+        (a * micro_step, b * micro_step,
+         "anomaly" if anomalous[a] else "normal")
+        for a, b in zip(cuts, cuts[1:])))
 
 
 def label_frames(track: LabelTrack, t0: int, frame_dt: int, n_frames: int,

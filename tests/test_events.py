@@ -395,6 +395,43 @@ def test_from_arrays_owns_its_fields(dtype, t):
         np.int32, np.int32, np.int64, np.int8)
 
 
+def _from_arrays_with_argsort_spy(t):
+    """from_arrays on t, with x the input index; and whether np.argsort
+    ran."""
+    n = len(t)
+    with mock.patch.object(events.np, "argsort",
+                           wraps=np.argsort) as argsort:
+        s = EventStream.from_arrays(n, 1, np.arange(n), np.zeros(n, int),
+                                    t, np.ones(n, int))
+    return s, argsort.called
+
+
+@pytest.mark.parametrize("offset", [0, 2**40])
+@pytest.mark.parametrize("seed", range(3))
+def test_from_arrays_orders_as_stable_argsort(seed, offset):
+    # 3000 timestamps over 40 values: every value is tied many times
+    t = offset + np.random.default_rng(seed).integers(0, 40, 3000)
+    s, used_argsort = _from_arrays_with_argsort_spy(t)
+    order = np.argsort(t, kind="stable")
+    assert not used_argsort
+    assert np.array_equal(s.x, order) and np.array_equal(s.t, t[order])
+
+
+@pytest.mark.parametrize("t", [[2**62, 0, 2**62], [2**62, 5, 0, 2**62, 0]])
+def test_from_arrays_falls_back_where_keys_overflow(t):
+    t = np.array(t, np.int64)
+    s, used_argsort = _from_arrays_with_argsort_spy(t)
+    assert used_argsort
+    assert np.array_equal(s.x, np.argsort(t, kind="stable"))
+
+
+def test_from_arrays_keeps_sorted_input_in_order():
+    t = np.array([0, 3, 3, 3, 8, 8, 2**62], np.int64)
+    s, used_argsort = _from_arrays_with_argsort_spy(t)
+    assert not used_argsort
+    assert np.array_equal(s.x, np.arange(len(t)))
+
+
 @pytest.mark.parametrize("row, exc", LATE_ROWS.values(), ids=LATE_ROWS.keys())
 def test_crlf_text_reports_the_lf_outcome(rng, row, exc):
     """A CRLF file with a bad or non-canonical row gets the LF file's

@@ -917,6 +917,51 @@ def test_cli_simulate_rejects_misspelled_scene_key(tmp_path, capsys):
     assert not ev.exists()
 
 
+@pytest.mark.parametrize("line, key", [
+    ("noise_rate=nan", "noise_rate"), ("noise_rate=inf", "noise_rate"),
+    ("object.1.start=inf,36.0", "object.1.start"),
+    ("object.0.velocity=0:nan,0.0", "object.0.velocity"),
+    ("object.0.shape=disk:inf", "object.0.shape"),
+])
+def test_cli_simulate_refuses_non_finite_values(tmp_path, capsys, line, key):
+    from evanom.simulate import write_scene_config
+
+    scene, ev, lab = (tmp_path / n for n in ("s.cfg", "ev.csv", "lab.csv"))
+    scene.write_text("".join(
+        line + "\n" if ln.startswith(key + "=") else ln + "\n"
+        for ln in write_scene_config(walking_scene(1, size=16)).splitlines()))
+    assert cli_main(["simulate", "--config", str(scene), "--out-events",
+                     str(ev), "--out-labels", str(lab)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {key}")
+    assert not ev.exists() and not lab.exists()
+
+
+def test_cli_maps_memory_error_to_exit_1(tmp_path):
+    """A volume of 10**7 bins on a 64x64 sensor (153 GiB) in a child
+    process whose address space is capped at 2 GiB: exit 1, one line."""
+    ev, out = tmp_path / "events.csv", tmp_path / "v.evol"
+    ev.write_text("t_us,x,y,p\n0,1,1,1\n5,2,3,-1\n")
+    script = ("import resource, sys\n"
+              "from evanom import cli\n"
+              "_, hard = resource.getrlimit(resource.RLIMIT_AS)\n"
+              "cap = 2**31 if hard == resource.RLIM_INFINITY "
+              "else min(2**31, hard)\n"
+              "resource.setrlimit(resource.RLIMIT_AS, (cap, hard))\n"
+              "sys.exit(cli.cli_main(sys.argv[1:]))\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
+    run = subprocess.run(
+        [sys.executable, "-c", script, "voxelize", "--events", str(ev),
+         "--width", "64", "--height", "64", "--bin-dt", "1",
+         "--bins", "10000000", "--out", str(out)],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert run.returncode == 1, run.stderr
+    assert run.stderr.startswith("error: out of memory")
+    assert run.stderr.count("\n") == 1 and "Traceback" not in run.stderr
+    assert not out.exists()
+
+
 def test_cli_score_rejects_ms_checkpoint_as_gan(tmp_path, capsys):
     ev, ms = tmp_path / "events.csv", tmp_path / "ms.evck"
     ev.write_text("t_us,x,y,p\n0,0,0,1\n")

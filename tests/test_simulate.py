@@ -1,8 +1,13 @@
+import dataclasses
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from evanom import simulate
 from evanom.simulate import (ConfigError, LabelTrack, ObjectSpec, SceneConfig,
                              label_frames, mixed_test_scene, occupancy,
                              parse_scene_config, render_scene,
@@ -29,6 +34,170 @@ def toggle_oracle(config):
         total += int((cur != prev).sum())
         prev = cur
     return total
+
+
+# --- reference renderer ---------------------------------------------------
+# One Python iteration per micro-step, with scalar position and mask: the
+# renderer as it was before it rendered blocks of steps. It shares no code
+# with render_scene, and sorts with numpy's stable argsort.
+
+def ref_position(obj, t_us):
+    x, y = obj.start
+    t_prev = obj.active[0]
+    segs = sorted(obj.velocity)
+    for i, (t_from, vx, vy) in enumerate(segs):
+        t_next = segs[i + 1][0] if i + 1 < len(segs) else t_us
+        a = max(t_prev, t_from)
+        b = min(t_us, t_next)
+        if b > a:
+            x += vx * (b - a) / 1e6
+            y += vy * (b - a) / 1e6
+    return x, y
+
+
+def ref_mask(obj, t_us, width, height):
+    out = np.zeros((height, width), dtype=bool)
+    if not (obj.active[0] <= t_us < obj.active[1]):
+        return out
+    px, py = ref_position(obj, t_us)
+    if obj.shape[0] == "rect":
+        _, w, h = obj.shape
+        x0, y0 = int(np.floor(px)), int(np.floor(py))
+        xa, xb = max(x0, 0), min(x0 + w, width)
+        ya, yb = max(y0, 0), min(y0 + h, height)
+        if xa < xb and ya < yb:
+            out[ya:yb, xa:xb] = True
+    else:
+        _, r = obj.shape
+        yy, xx = np.mgrid[0:height, 0:width]
+        out = (xx - px) ** 2 + (yy - py) ** 2 <= r ** 2
+    return out
+
+
+def ref_occupancy(config, t_us):
+    mask = np.zeros((config.height, config.width), dtype=bool)
+    for obj in config.objects:
+        mask |= ref_mask(obj, t_us, config.width, config.height)
+    return mask
+
+
+def ref_label(config, t_us):
+    for obj in config.objects:
+        if obj.label == "anomaly" and ref_mask(
+                obj, t_us, config.width, config.height).any():
+            return "anomaly"
+    return "normal"
+
+
+def ref_render(config):
+    """(x, y, t, p) sorted by t with ties in emission order, and the label
+    intervals."""
+    rng = np.random.default_rng(config.seed)
+    steps = config.duration // config.micro_step
+    xs, ys, ts, ps = [], [], [], []
+    labels = [ref_label(config, 0)]
+    prev = ref_occupancy(config, 0)
+    for k in range(1, steps + 1):
+        t = k * config.micro_step
+        cur = ref_occupancy(config, t)
+        diff = cur != prev
+        if diff.any():
+            yy, xx = np.nonzero(diff)
+            xs.append(xx)
+            ys.append(yy)
+            ts.append((k - 1) * config.micro_step
+                      + rng.integers(0, config.micro_step, size=len(yy)))
+            ps.append(np.where(cur[yy, xx], 1, -1))
+        prev = cur
+        if k < steps:
+            labels.append(ref_label(config, t))
+    if config.noise_rate > 0:
+        n = rng.poisson(config.noise_rate * config.width * config.height
+                        * config.duration / 1e6)
+        xs.append(rng.integers(0, config.width, n))
+        ys.append(rng.integers(0, config.height, n))
+        ts.append(rng.integers(0, config.duration, n))
+        ps.append(rng.choice(np.array([1, -1], dtype=np.int8), n))
+    x, y, t, p = (np.concatenate(a) if a else np.zeros(0, np.int64)
+                  for a in (xs, ys, ts, ps))
+    order = np.argsort(t, kind="stable")
+    intervals, start = [], 0
+    for k in range(1, len(labels) + 1):
+        if k == len(labels) or labels[k] != labels[start]:
+            end = k * config.micro_step if k < len(labels) else config.duration
+            intervals.append((start * config.micro_step, end, labels[start]))
+            start = k
+    return ((x[order].astype(np.int32), y[order].astype(np.int32),
+             t[order].astype(np.int64), p[order].astype(np.int8)),
+            tuple(intervals))
+
+
+def assert_renders_as_reference(config):
+    stream, track = render_scene(config)
+    fields, intervals = ref_render(config)
+    for got, want in zip((stream.x, stream.y, stream.t, stream.p), fields):
+        assert got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+    assert track == LabelTrack(intervals)
+
+
+PRESETS = [walking_scene, mixed_test_scene, trajectory_anomaly_scene]
+
+
+@pytest.mark.parametrize("noise", [0.0, 20.0])
+@pytest.mark.parametrize("make", PRESETS, ids=lambda f: f.__name__)
+@pytest.mark.parametrize("seed", range(6))
+def test_presets_render_as_reference(make, seed, noise):
+    assert_renders_as_reference(dataclasses.replace(make(seed),
+                                                    noise_rate=noise))
+
+
+def _segments(micro_step, steps):
+    """1-3 velocity segments, each 0-2.5 px per step either way."""
+    speed = st.floats(-2.5, 2.5).map(lambda v: v * 1e6 / micro_step)
+    seg = st.tuples(st.integers(-steps, 2 * steps).map(
+        lambda k: k * micro_step // 2), speed, speed)
+    return st.lists(seg, min_size=1, max_size=3).map(tuple)
+
+
+@st.composite
+def scenes(draw):
+    width, height = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+    micro_step = draw(st.sampled_from([1, 7, 1000, 5000]))
+    steps = draw(st.integers(1, 40))
+    duration = steps * micro_step
+    objects = []
+    for _ in range(draw(st.integers(1, 3))):
+        shape = draw(st.one_of(
+            st.tuples(st.just("rect"), st.integers(1, 6), st.integers(1, 6)),
+            st.tuples(st.just("disk"), st.floats(0.2, 5.0))))
+        start = (draw(st.floats(-15.0, 20.0)), draw(st.floats(-15.0, 20.0)))
+        t_on = draw(st.integers(-duration, duration))
+        t_off = draw(st.integers(t_on + 1, 2 * duration + 1))
+        objects.append(ObjectSpec(
+            shape, start, draw(_segments(micro_step, steps)),
+            active=(t_on, t_off),
+            label=draw(st.sampled_from(["normal", "anomaly"]))))
+    return SceneConfig(width, height, duration, micro_step, tuple(objects),
+                       seed=draw(st.integers(0, 2**16)),
+                       noise_rate=draw(st.sampled_from([0.0, 0.0, 3e3])))
+
+
+@settings(max_examples=80, deadline=None)
+@given(scenes(), st.integers(1, 7))
+def test_random_scenes_render_as_reference(config, block):
+    # blocks of 1-7 steps, so most step counts are not a multiple of one
+    pixels = config.width * config.height
+    with mock.patch.object(simulate, "_BLOCK_PIXELS", block * pixels):
+        assert_renders_as_reference(config)
+
+
+def test_far_off_sensor_rect_is_empty():
+    # a finite start beyond any int the sensor could hold renders nothing
+    cfg = simple_config(start=(1e300, -1e300), velocity=(5e4, 5e4))
+    stream, _ = render_scene(cfg)
+    assert len(stream) == 0
+    assert_renders_as_reference(cfg)
 
 
 def test_moving_rect_exact_event_count():
@@ -214,3 +383,29 @@ def test_trajectory_scene_continuity():
     # reversal position matches where the outbound leg stops
     x_end = out_leg.position(out_leg.active[1])[0]
     assert back_leg.start[0] == pytest.approx(x_end, abs=1e-6)
+
+
+# Object 0 of the mixed scene is a rect and object 4 a disk.
+@pytest.mark.parametrize("key, value, message", [
+    ("noise_rate", "nan", "noise_rate must be finite and >= 0, got nan"),
+    ("noise_rate", "inf", "noise_rate must be finite and >= 0, got inf"),
+    ("noise_rate", "-inf", "noise_rate must be finite and >= 0, got -inf"),
+    ("object.0.start", "inf,12.0",
+     "object.0.start: need finite x,y, got inf,12.0"),
+    ("object.0.start", "-6.0,nan",
+     "object.0.start: need finite x,y, got -6.0,nan"),
+    ("object.0.velocity", "0:inf,0.0",
+     "object.0.velocity: need finite speeds, got 0:inf,0.0"),
+    ("object.0.velocity", "0:35.0,0.0;500:1.0,nan",
+     "object.0.velocity: need finite speeds, got 500:1.0,nan"),
+    ("object.4.shape", "disk:inf",
+     "object.4.shape: disk:inf has a non-finite size"),
+])
+def test_scene_config_refuses_non_finite_values(key, value, message):
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        parse_scene_config(_mixed_config_with(key, value))
+
+
+def test_scene_config_refuses_a_duration_beyond_int64():
+    with pytest.raises(ConfigError, match="^duration must fit int64$"):
+        SceneConfig(8, 8, 2**63, 2**62, simple_config().objects)

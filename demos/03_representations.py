@@ -10,7 +10,7 @@ import numpy as np
 
 from evanom import io
 from evanom.events import EventStream
-from evanom.representation import discretize, normalize, sliding_windows
+from evanom.representation import discretize, normalize, window_block
 from evanom.simulate import render_scene, walking_scene
 
 # --- one event, three modes ---------------------------------------------
@@ -30,8 +30,9 @@ print("\ncount-mode total", vol.data.sum(), "== events in [0, 200ms):",
 
 # --- normalization and windows ------------------------------------------
 # Training uses sliding windows of B+1 bins: B input bins, then the
-# target bin the GAN learns to predict.
-windows = sliding_windows(stream, bin_dt=25_000, bins=8, stride=2)
+# target bin the GAN learns to predict. All windows come from one binning
+# pass, as the rows of one (n, B+1, H, W) array.
+windows = window_block(stream, bin_dt=25_000, bins=8, stride=2)
 print("windows:", len(windows), "window shape", windows[0].shape,
       "input shape", windows[0][:-1].shape, "target shape", windows[0][-1].shape)
 norm = normalize(windows[0][:-1], cap=5.0)

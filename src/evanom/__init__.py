@@ -8,12 +8,12 @@ input bins and the target bin), autodiff (tensor engine), msnet
 io (file formats), cli.
 """
 from .events import Event, EventStream, parse_event_csv, slice_time, write_event_csv
-from .representation import DiscretizedVolume, discretize, sliding_windows
+from .representation import DiscretizedVolume, discretize
 from .simulate import LabelTrack, ObjectSpec, SceneConfig, render_scene
 
 __all__ = [
     "Event", "EventStream", "parse_event_csv", "write_event_csv",
-    "slice_time", "DiscretizedVolume", "discretize", "sliding_windows",
+    "slice_time", "DiscretizedVolume", "discretize",
     "SceneConfig", "ObjectSpec", "LabelTrack", "render_scene",
 ]
 

@@ -558,7 +558,8 @@ class WrongParamShapes(ValueError):
 class Params(dict):
     """A network's parameter tensors keyed by checkpoint name, in NAMES order.
 
-    Each layer `l` owns `l.w` and `l.b`. Subclasses set NAMES and build
+    Each layer `l` owns `l.w` and `l.b`. Subclasses set NAMES and WIDTHS,
+    give their layer table as `layers(**geometry, **widths)` and build
     their layers with `init_layers`, so a checkpoint written from
     `to_arrays` lists tensors in NAMES order.
 
@@ -568,6 +569,7 @@ class Params(dict):
     """
 
     NAMES: tuple[str, ...] = ()
+    WIDTHS: dict[str, str] = {}
 
     @classmethod
     def init_layers(cls, rng: np.random.Generator, layers, dtype=np.float32):
@@ -593,11 +595,14 @@ class Params(dict):
     def to_arrays(self) -> dict[str, np.ndarray]:
         return {name: t.data for name, t in self.items()}
 
-    @staticmethod
-    def width(arrays: dict[str, np.ndarray], name: str) -> int:
-        """First-axis size of a checkpoint tensor; 0 if missing or scalar."""
-        shape = arrays[name].shape if name in arrays else ()
-        return shape[0] if shape else 0
+    @classmethod
+    def load(cls, arrays: dict[str, np.ndarray], **geometry):
+        """`from_arrays` checked against the layer table of the input
+        `geometry`, with each width in WIDTHS read as the first-axis size
+        of its tensor (0 if missing or scalar)."""
+        widths = {arg: (np.shape(arrays.get(name)) + (0,))[0]
+                  for arg, name in cls.WIDTHS.items()}
+        return cls.from_arrays(arrays, cls.layers(**geometry, **widths))
 
     @classmethod
     def from_arrays(cls, arrays: dict[str, np.ndarray], layers=None):

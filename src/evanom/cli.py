@@ -27,14 +27,9 @@ def _load_cfg(path: str | None) -> pipeline.PipelineConfig:
     return pipeline.PipelineConfig.from_text(Path(path).read_text())
 
 
-# A checkpoint is checked against the input geometry given by the config
-# and the CLI (bins, height, width); its layer widths are read from the
-# checkpoint itself, since scoring needs no training settings.
-
-def _load_ms(path: str, cfg: pipeline.PipelineConfig) -> msnet.MsNetParams:
-    arrays = io.read_evck(Path(path).read_bytes())
-    return msnet.MsNetParams.from_arrays(arrays, msnet.MsNetParams.layers(
-        cfg.bins, msnet.MsNetParams.width(arrays, "ms.enc1.w")))
+def _load_ckpt(cls, path: str, **geometry):
+    # Scoring needs no training settings: the widths come from the file.
+    return cls.load(io.read_evck(Path(path).read_bytes()), **geometry)
 
 
 def cmd_simulate(args) -> int:
@@ -73,7 +68,7 @@ def cmd_train_ms(args) -> int:
 def cmd_train_gan(args) -> int:
     cfg = _load_cfg(args.config)
     stream = _read_stream(args)
-    ms_params = _load_ms(args.ms_ckpt, cfg)
+    ms_params = _load_ckpt(msnet.MsNetParams, args.ms_ckpt, bins=cfg.bins)
     windows = pipeline.windows_for(stream, cfg)
     params, curves = gan.train_gan(windows, ms_params, cfg, seed=args.seed)
     Path(args.out).write_bytes(io.write_evck(params.to_arrays()))
@@ -86,9 +81,9 @@ def cmd_train_gan(args) -> int:
 def cmd_score(args) -> int:
     cfg = _load_cfg(args.config)
     stream = _read_stream(args)
-    ms_params = _load_ms(args.ms_ckpt, cfg)
-    gan_params = gan.GanParams.for_frames(
-        io.read_evck(Path(args.gan_ckpt).read_bytes()), args.height, args.width)
+    ms_params = _load_ckpt(msnet.MsNetParams, args.ms_ckpt, bins=cfg.bins)
+    gan_params = _load_ckpt(gan.GanParams, args.gan_ckpt, h=args.height,
+                            w=args.width)
     track = None
     if args.labels:
         track = pipeline.read_label_csv(Path(args.labels).read_text())
@@ -132,6 +127,13 @@ def cmd_verify_math(args) -> int:
     return 0 if ok else 1
 
 
+def _seed(text: str) -> int:
+    """--seed's type: numpy seeds only with integers >= 0."""
+    if int(text) < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {text}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="evanom",
@@ -147,7 +149,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True)
     p.add_argument("--out-events", required=True)
     p.add_argument("--out-labels", required=True)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=_seed, default=None)
 
     p = add("voxelize", cmd_voxelize, help="discretize events into a volume")
     p.add_argument("--events", required=True)
@@ -166,7 +168,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--height", type=int, required=True)
         p.add_argument("--config", default=None)
         p.add_argument("--out", required=True)
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--seed", type=_seed, default=0)
         if name == "train-gan":
             p.add_argument("--ms-ckpt", required=True)
 
@@ -179,7 +181,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", default=None)
     p.add_argument("--labels", default=None)
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
 
     p = add("eval", cmd_eval, help="ROC AUC / best F1 from a score CSV")
     p.add_argument("--scores", required=True)
@@ -191,7 +193,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("verify-math", cmd_verify_math,
             help="exact checks of the adversarial-objective derivations")
     p.add_argument("--instances", type=int, default=100)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
 
     return parser
 

@@ -16,7 +16,7 @@ import numpy as np
 from . import autodiff as ad
 from . import lanes
 from .autodiff import Tensor
-from .msnet import DivergenceDetected, EmptyDataset, MsNetParams, encode
+from .msnet import EmptyDataset, MsNetParams, encode, fit
 from .representation import window_arrays
 
 if TYPE_CHECKING:
@@ -40,6 +40,7 @@ class GanParams(ad.Params):
         "g.d1", "g.d2", "g.d3", "g.u1", "g.u2", "g.u3",
         "dxy.c1", "dxy.c2", "dxy.c3", "dxy.fc",
         "dx.c1", "dx.c2", "dx.c3", "dx.fc") for s in "wb")
+    WIDTHS = {"ngf": "g.d1.w", "ndf": "dxy.c1.w"}
 
     @staticmethod
     def layers(h: int, w: int, ngf: int, ndf: int):
@@ -74,15 +75,6 @@ class GanParams(ad.Params):
     def init(cls, h: int, w: int, ngf: int, ndf: int,
              rng: np.random.Generator) -> "GanParams":
         return cls.init_layers(rng, cls.layers(h, w, ngf, ndf))
-
-    @classmethod
-    def for_frames(cls, arrays, h: int, w: int) -> "GanParams":
-        """Tensors from checkpoint arrays for the nets on HxW frames, with
-        the layer widths the arrays hold: ShapeMismatch unless H and W are
-        multiples of 8, else `from_arrays`'s errors."""
-        return cls.from_arrays(arrays, cls.layers(
-            h, w, cls.width(arrays, "g.d1.w"), cls.width(arrays, "dxy.c1.w")))
-
 
 def g_forward_t(p: GanParams, y: Tensor, z: Tensor) -> Tensor:
     def down(x, layer):
@@ -193,9 +185,8 @@ def train_gan(windows, ms_params: MsNetParams, cfg: PipelineConfig,
     so do the G loss's two adversarial terms, each differentiated to its
     own copy of the frames. The checkpoint bytes are the same either way.
 
-    Returns (GanParams, curves) with per-epoch mean losses. Raises
-    DivergenceDetected (carrying the last finite parameters) if a loss
-    or, after a step, a parameter is non-finite.
+    Returns (GanParams, curves) with per-epoch mean losses. Diverging
+    raises as in `msnet.fit`.
     """
     if len(windows) == 0:
         raise EmptyDataset("no training windows")
@@ -205,36 +196,20 @@ def train_gan(windows, ms_params: MsNetParams, cfg: PipelineConfig,
     params = GanParams.init(h, w, cfg.gan_ngf, cfg.gan_ndf, rng)
     opts = {part: ad.AdamState(lr=cfg.gan_lr, beta1=cfg.gan_beta1)
             for part in ("g", *_D_PARTS)}
-    curves = {"d_xy": [], "d_x": [], "g": []}
-    last_good = params.to_arrays()
-    for _ in range(cfg.gan_epochs):
-        order = rng.permutation(n)
-        sums = {"d_xy": 0.0, "d_x": 0.0, "g": 0.0}
-        for start in range(0, n, cfg.gan_batch):
-            idx = order[start:start + cfg.gan_batch]
-            batch = GanBatch(
-                y=surfaces[idx], x=targets[idx],
-                z=rng.standard_normal((len(idx), 1, h, w)).astype(np.float32))
-            x_fake = g_forward_t(params, Tensor(batch.y), Tensor(batch.z))
-            v_dxy, v_dx = lanes.run_tasks([
-                functools.partial(_d_step, params, part, batch, x_fake,
-                                  opts[part]) for part in _D_PARTS])
-            vals = (v_dxy, v_dx,
-                    _g_step(params, batch, x_fake, cfg.gan_lambda_l1,
-                            opts["g"]))
-            del x_fake
-            arrays = params.to_arrays()
-            if not (all(np.isfinite(vals))
-                    and all(np.isfinite(a).all() for a in arrays.values())):
-                raise DivergenceDetected(
-                    f"non-finite loss {vals} or weights",
-                    params=GanParams.from_arrays(last_good))
-            for k, v in zip(("d_xy", "d_x", "g"), vals):
-                sums[k] += v * len(idx)
-            last_good = arrays
-        for k in curves:
-            curves[k].append(sums[k] / n)
-    return params, curves
+
+    def step(idx):
+        batch = GanBatch(
+            y=surfaces[idx], x=targets[idx],
+            z=rng.standard_normal((len(idx), 1, h, w)).astype(np.float32))
+        x_fake = g_forward_t(params, Tensor(batch.y), Tensor(batch.z))
+        v_dxy, v_dx = lanes.run_tasks([
+            functools.partial(_d_step, params, part, batch, x_fake,
+                              opts[part]) for part in _D_PARTS])
+        return v_dxy, v_dx, _g_step(params, batch, x_fake, cfg.gan_lambda_l1,
+                                    opts["g"])
+
+    curves = fit(params, rng, n, cfg.gan_epochs, cfg.gan_batch, step)
+    return params, dict(zip(("d_xy", "d_x", "g"), curves))
 
 
 def _d_step(params: GanParams, part: str, batch: GanBatch, x_fake: Tensor,

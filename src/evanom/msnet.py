@@ -56,6 +56,7 @@ class MsNetParams(ad.Params):
 
     NAMES = ("ms.enc1.w", "ms.enc1.b", "ms.enc2.w", "ms.enc2.b",
              "ms.dec1.w", "ms.dec1.b", "ms.dec2.w", "ms.dec2.b")
+    WIDTHS = {"filters": "ms.enc1.w"}
 
     @staticmethod
     def layers(bins: int, filters: int):
@@ -166,6 +167,34 @@ def _loss_and_grads(params: MsNetParams, plist: list[Tensor],
                for x, count in parts if count)
 
 
+def fit(params: ad.Params, rng: np.random.Generator, n: int, epochs: int,
+        batch: int, step) -> list[list[float]]:
+    """The minibatch loop both trainers share: each epoch draws one
+    permutation of range(n) from `rng`, and `step(idx)` updates `params`
+    on each slice of `batch` indices and returns a tuple of losses.
+    Returns each loss's curve of per-epoch means. Raises
+    DivergenceDetected, carrying the last finite parameters, if a loss
+    or, after a step, a parameter is non-finite."""
+    curves = []
+    last_good = params.to_arrays()
+    for _ in range(epochs):
+        order = rng.permutation(n)
+        total = 0.0
+        for start in range(0, n, batch):
+            idx = order[start:start + batch]
+            vals = step(idx)
+            arrays = params.to_arrays()
+            if not (np.isfinite(vals).all()
+                    and all(np.isfinite(a).all() for a in arrays.values())):
+                raise DivergenceDetected(
+                    f"non-finite loss {vals} or weights",
+                    params=type(params).from_arrays(last_good))
+            total = total + np.multiply(vals, len(idx))
+            last_good = arrays
+        curves.append(total / n)
+    return np.array(curves).T.tolist()
+
+
 # a diverging run reports DivergenceDetected, not numpy's overflow warnings
 @lanes.one_blas_thread()
 @np.errstate(over="ignore", invalid="ignore")
@@ -174,8 +203,7 @@ def train_ms(dataset, cfg: PipelineConfig, seed: int = 0):
     settings; returns (params, loss curve).
 
     Deterministic for a fixed seed: init, minibatch shuffling, and update
-    order are all driven by one seeded RNG. Raises DivergenceDetected if
-    a loss or, after a step, a parameter is non-finite.
+    order are all driven by one seeded RNG. Diverging raises as in `fit`.
     """
     data = np.asarray(dataset, dtype=np.float32)
     if data.ndim != 4 or data.shape[0] == 0:
@@ -184,19 +212,11 @@ def train_ms(dataset, cfg: PipelineConfig, seed: int = 0):
     params = MsNetParams.init(data.shape[1], cfg.ms_filters, rng)
     state = ad.AdamState(lr=cfg.ms_lr)
     plist = params.parameters()
-    curve = []
-    n = len(data)
-    for _ in range(cfg.ms_epochs):
-        order = rng.permutation(n)
-        total = 0.0
-        for start in range(0, n, cfg.ms_batch):
-            idx = order[start:start + cfg.ms_batch]
-            loss = _loss_and_grads(params, plist, data[idx],
-                                   cfg.ms_lambda_sparse)
-            ad.adam_step(plist, state)
-            if not (np.isfinite(loss)
-                    and all(np.isfinite(p.data).all() for p in plist)):
-                raise DivergenceDetected(f"non-finite loss {loss} or weights")
-            total += loss * len(idx)
-        curve.append(total / n)
+
+    def step(idx):
+        loss = _loss_and_grads(params, plist, data[idx], cfg.ms_lambda_sparse)
+        ad.adam_step(plist, state)
+        return (loss,)
+
+    (curve,) = fit(params, rng, len(data), cfg.ms_epochs, cfg.ms_batch, step)
     return params, curve

@@ -216,8 +216,10 @@ def verify(instances: int = 100, seed: int = 0,
 
     Returns worst-case residuals: closed-form vs numeric discriminators,
     the JSD decomposition identity, and local optimality of D* under
-    +-1e-3 perturbation.
+    +-1e-3 perturbation. ValueError if no instance would be checked.
     """
+    if instances < 1:
+        raise ValueError(f"instances must be >= 1, got {instances}")
     rng = np.random.default_rng(seed)
     worst = {"d_xy": 0.0, "d_x": 0.0, "decomposition": 0.0,
              "perturbation_gain": -np.inf}

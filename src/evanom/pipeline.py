@@ -159,7 +159,7 @@ def score_sequence(ms_params: MsNetParams, gan_params: gan_mod.GanParams,
     """
     h, w = stream.height, stream.width
     check_bins(ms_params, cfg.bins)
-    gan_mod.GanParams.for_frames(gan_params.to_arrays(), h, w)  # or raises
+    gan_mod.GanParams.load(gan_params.to_arrays(), h=h, w=w)  # or raises
     step = cfg.stride * cfg.bin_dt_us
     n = window_count(stream, cfg.bin_dt_us, cfg.bins, cfg.stride, cfg.mode,
                      t0=0, duration=int(stream.t[-1]) if len(stream) else 0)

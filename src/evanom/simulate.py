@@ -66,18 +66,9 @@ class ObjectSpec:
                 raise ConfigError(f"velocity: need finite speeds, got "
                                   f"{t_from}:{vx},{vy}")
 
-    def position(self, t_us: int) -> tuple[float, float]:
-        """Integrate piecewise-constant velocity from t_on up to t_us."""
-        x, y = self._positions(np.array([t_us], np.int64))
-        return float(x[0]), float(y[0])
-
-    def mask(self, t_us: int, width: int, height: int) -> np.ndarray:
-        """Binary occupancy at time t_us; all-zero outside [t_on, t_off)."""
-        return self._masks(np.array([t_us], np.int64), width, height)[0]
-
     def _positions(self, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """`position` at each of the int64 times `t`. The time arithmetic
-        is float64, exact up to 2**53 us."""
+        """(x, y) at each of the int64 times `t`, moved from t_on at the
+        segments' velocities in float64, exact up to 2**53 us."""
         tf = t.astype(np.float64)
         x = np.full(len(t), float(self.start[0]))
         y = np.full(len(t), float(self.start[1]))
@@ -91,8 +82,8 @@ class ObjectSpec:
         return x, y
 
     def _masks(self, t: np.ndarray, width: int, height: int) -> np.ndarray:
-        """`mask` at each of the int64 times `t`, as one (len(t), height,
-        width) array."""
+        """Binary occupancy at each of the int64 times `t`, all-zero outside
+        [t_on, t_off), as one (len(t), height, width) array."""
         px, py = self._positions(t)
         live = (self.active[0] <= t) & (t < self.active[1])
         cols, rows = np.arange(width), np.arange(height)
@@ -124,6 +115,8 @@ class SceneConfig:
         for key, size in (("width", self.width), ("height", self.height)):
             if size <= 0:
                 raise ConfigError(f"{key} must be positive, got {size}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.duration <= 0:
             raise ConfigError("duration must be positive")
         if self.duration > np.iinfo(np.int64).max:
@@ -148,11 +141,6 @@ class LabelTrack:
     def overlaps_anomaly(self, a: int, b: int) -> bool:
         return any(lab == "anomaly" and t0 < b and a < t1
                    for t0, t1, lab in self.intervals)
-
-
-def occupancy(config: SceneConfig, t_us: int) -> np.ndarray:
-    """Union occupancy of all active objects at t_us."""
-    return _occupancy(config, np.array([t_us], np.int64))[0][0]
 
 
 def _occupancy(config: SceneConfig,

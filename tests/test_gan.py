@@ -10,14 +10,14 @@ import evanom.autodiff as ad
 from evanom import gan as gan_mod
 from evanom import io, lanes
 from evanom.autodiff import ShapeMismatch, Tensor
-from evanom.gan import (DivergenceDetected, GanBatch, GanParams,
-                        d_forward_t, d_loss, g_adv_loss, g_forward,
-                        g_forward_t, l1_loss, prepare_batches, train_gan)
-from evanom.msnet import MsNetParams, train_ms
+from evanom.gan import (GanBatch, GanParams, d_forward_t, d_loss, g_adv_loss,
+                        g_forward, g_forward_t, l1_loss, prepare_batches,
+                        train_gan)
+from evanom.msnet import DivergenceDetected, MsNetParams, train_ms
 from evanom.oracle import (LOG2, DiscreteJoint, dual_objective, optimal_d_x,
                            optimal_d_xy)
 from evanom.pipeline import PipelineConfig
-from evanom.representation import sliding_windows
+from evanom.representation import window_block
 from evanom.simulate import render_scene, walking_scene
 
 
@@ -101,6 +101,19 @@ def test_params_shapes_checked_against_layer_table(rng):
     arrays["dx.c3.b"] = arrays["dx.c3.b"][:1]
     with pytest.raises(ad.WrongParamShapes, match=r"dx\.c3\.b .* \(8,\)"):
         GanParams.from_arrays(arrays, GanParams.layers(16, 16, 2, 2))
+
+
+def test_load_reads_widths_from_checkpoint(rng):
+    """ngf and ndf come from the arrays; the frame size is checked."""
+    arrays = GanParams.init(16, 24, 2, 3, rng).to_arrays()
+    back = GanParams.load(arrays, h=16, w=24)
+    assert io.write_evck(back.to_arrays()) == io.write_evck(arrays)
+    with pytest.raises(ad.WrongParamShapes,
+                       match=r"dxy\.fc\.w .* for gan_ndf=3, height=16, "
+                             r"width=16"):
+        GanParams.load(arrays, h=16, w=16)
+    with pytest.raises(ShapeMismatch, match="divisible by 8"):
+        GanParams.load(arrays, h=16, w=20)
 
 
 def test_discriminator_logit_shape(rng):
@@ -271,8 +284,8 @@ def test_minimax_value_at_zero_logits():
 @pytest.fixture(scope="module")
 def trained_setup():
     stream, _ = render_scene(walking_scene(3, duration=500_000, size=16))
-    windows = sliding_windows(stream, bin_dt=25_000, bins=4, stride=2,
-                              mode="bilinear")
+    windows = window_block(stream, bin_dt=25_000, bins=4, stride=2,
+                           mode="bilinear")
     vols = np.stack([np.clip(w[:-1], -5, 5) / 5.0 for w in windows])
     ms_params, _ = train_ms(
         vols, PipelineConfig(ms_filters=8, ms_epochs=5, ms_batch=8), seed=1)
@@ -404,9 +417,8 @@ def test_train_gan_rejects_empty(trained_setup):
 
 def test_divergence_carries_last_params(trained_setup, monkeypatch):
     windows, ms_params = trained_setup
-    bad = [w.copy() for w in windows]
-    for w in bad:
-        w[-1] = np.nan
+    bad = windows.copy()
+    bad[:, -1] = np.nan
     for n in (1, 2):
         monkeypatch.setattr(lanes, "usable_cpus", lambda n=n: n)
         with pytest.raises(DivergenceDetected) as exc:

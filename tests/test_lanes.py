@@ -4,8 +4,8 @@ import threading
 import pytest
 
 from evanom import lanes
-from evanom.gan import DivergenceDetected, train_gan
-from evanom.msnet import train_ms
+from evanom.gan import train_gan
+from evanom.msnet import DivergenceDetected, train_ms
 from evanom.pipeline import (PipelineConfig, score_sequence, windows_for,
                              write_score_csv)
 from evanom.representation import window_arrays

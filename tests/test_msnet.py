@@ -9,8 +9,8 @@ import pytest
 from evanom import autodiff as ad
 from evanom import io, msnet
 from evanom.autodiff import ShapeMismatch, Tensor
-from evanom.msnet import (EmptyDataset, MsNetParams, encode, encode_t,
-                          reconstruct, train_ms)
+from evanom.msnet import (DivergenceDetected, EmptyDataset, MsNetParams,
+                          encode, encode_t, reconstruct, train_ms)
 from evanom.pipeline import PipelineConfig
 
 
@@ -119,6 +119,35 @@ def test_train_deterministic(rng):
             ms_filters=8, ms_epochs=3, ms_batch=4), seed=9)
         return io.write_evck(params.to_arrays())
     assert ckpt() == ckpt()
+
+
+def test_divergence_carries_last_finite_params(rng):
+    """At lr 1e30 the first step leaves finite weights near 1e30, whose
+    reconstruction MSE overflows float32 on the next step."""
+    data = rng.random((8, 4, 6, 6)).astype(np.float32)
+    with pytest.raises(DivergenceDetected, match="non-finite") as exc:
+        train_ms(data, PipelineConfig(ms_filters=8, ms_epochs=2, ms_batch=4,
+                                      ms_lr=1e30), seed=0)
+    params = exc.value.params
+    assert isinstance(params, MsNetParams)
+    assert list(params) == list(MsNetParams.NAMES)
+    assert np.abs(params["ms.enc1.w"].data).max() > 1e29   # one step taken
+    for arr in params.to_arrays().values():
+        assert np.isfinite(arr).all()
+
+
+def test_load_reads_width_from_checkpoint(params):
+    """The filter count comes from the arrays; the bins are checked."""
+    back = MsNetParams.load(params.to_arrays(), bins=4)
+    assert io.write_evck(back.to_arrays()) == io.write_evck(params.to_arrays())
+    with pytest.raises(ad.WrongParamShapes,
+                       match=r"ms\.enc1\.w has shape \(8, 4\), expected "
+                             r"\(8, 6\) for bins=6, ms_filters=8"):
+        MsNetParams.load(params.to_arrays(), bins=6)
+    arrays = params.to_arrays()
+    del arrays["ms.enc1.w"]
+    with pytest.raises(ad.WrongParamNames, match=r"missing \['ms\.enc1\.w'\]"):
+        MsNetParams.load(arrays, bins=4)
 
 
 def test_overfit_single_sample(rng):

@@ -163,3 +163,11 @@ def test_verify_suite_residuals():
     assert worst["d_x"] < 1e-8
     assert worst["decomposition"] < 1e-10
     assert worst["perturbation_gain"] <= 0.0
+
+
+@pytest.mark.parametrize("instances", [0, -1])
+def test_verify_refuses_no_instances(instances):
+    """With no instance checked, every residual would read as a pass."""
+    with pytest.raises(ValueError, match=f"instances must be >= 1, got "
+                                         f"{instances}"):
+        verify(instances)

@@ -23,7 +23,7 @@ from evanom.pipeline import (EmptySeries, EvalMetrics, PipelineConfig,
                              ScoreSeries, SingleClass, evaluate, plot_scores,
                              read_label_csv, read_score_csv, score_sequence,
                              windows_for, write_label_csv, write_score_csv)
-from evanom.representation import sliding_windows
+from evanom.representation import window_block
 from evanom.simulate import LabelTrack, render_scene, walking_scene
 
 
@@ -424,8 +424,8 @@ def tiny_models():
                          ms_batch=8, gan_ngf=4, gan_ndf=4, gan_epochs=1,
                          gan_batch=8)
     stream, track = render_scene(walking_scene(2, duration=500_000, size=16))
-    windows = sliding_windows(stream, cfg.bin_dt_us, cfg.bins,
-                              stride=cfg.stride, mode=cfg.mode)
+    windows = window_block(stream, cfg.bin_dt_us, cfg.bins,
+                           stride=cfg.stride, mode=cfg.mode)
     vols = np.stack([np.clip(w[:-1], -5, 5) / 5.0 for w in windows])
     ms_params, _ = train_ms(vols, cfg, seed=1)
     gan_params, _ = train_gan(windows, ms_params, cfg, seed=1)
@@ -1046,6 +1046,37 @@ def test_cli_verify_math(capsys):
     assert cli_main(["verify-math", "--instances", "5", "--seed", "2"]) == 0
     out = capsys.readouterr().out
     assert out.count("PASS") == 4 and "FAIL" not in out
+
+
+@pytest.mark.parametrize("instances", ["0", "-1"])
+def test_cli_verify_math_refuses_no_instances(capsys, instances):
+    """With no instance checked, no check may print PASS."""
+    assert cli_main(["verify-math", "--instances", instances]) == 1
+    out, err = capsys.readouterr()
+    assert "PASS" not in out
+    assert f"error: instances must be >= 1, got {instances}" in err
+
+
+# Each subcommand that takes --seed, with its other required arguments;
+# the parser refuses the seed before any file is read.
+SEEDED = {
+    "simulate": ["--config", "s.cfg", "--out-events", "e.csv",
+                 "--out-labels", "l.csv"],
+    "train-ms": ["--events", "e.csv", "--width", "8", "--height", "8",
+                 "--out", "ms.evck"],
+    "train-gan": ["--events", "e.csv", "--width", "8", "--height", "8",
+                  "--ms-ckpt", "ms.evck", "--out", "gan.evck"],
+    "score": ["--events", "e.csv", "--width", "8", "--height", "8",
+              "--ms-ckpt", "ms.evck", "--gan-ckpt", "gan.evck",
+              "--out", "s.csv"],
+    "verify-math": [],
+}
+
+
+@pytest.mark.parametrize("command", SEEDED)
+def test_cli_refuses_a_negative_seed(capsys, command):
+    assert cli_main([command, *SEEDED[command], "--seed", "-1"]) == 2
+    assert "argument --seed: must be >= 0, got -1" in capsys.readouterr().err
 
 
 def test_cli_end_to_end(tmp_path, capsys):

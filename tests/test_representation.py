@@ -144,41 +144,43 @@ def test_normalize_rejects_bad_cap():
 def test_window_count_boundary():
     n = 9 * 1000
     s = EventStream.from_arrays(8, 8, [0, 0], [0, 0], [0, n], [1, 1])
-    wins = sliding_windows(s, 1000, 8, stride=1)
+    wins = window_block(s, 1000, 8, stride=1)
     assert len(wins) == 1
 
 
 def test_window_count_arithmetic():
     s = EventStream.from_arrays(8, 8, [0, 0], [0, 0], [0, 11_000], [1, 1])
-    wins = sliding_windows(s, 1000, 8, stride=1)
+    wins = window_block(s, 1000, 8, stride=1)
     assert len(wins) == 3
 
 
 def test_windows_extend_a_list():
-    """A list of windows grows by `+=`; with an array on the right, numpy
-    would broadcast an addition instead."""
+    """`sliding_windows` gives `window_block`'s rows as a list, which grows
+    by `+=` (the benchmark's callers do this); with an array on the right,
+    numpy would broadcast an addition instead."""
     s = EventStream.from_arrays(8, 8, [0, 1], [0, 2], [0, 11_000], [1, -1])
     windows = []
     windows += sliding_windows(s, 1000, 8, stride=1)
     windows += sliding_windows(s, 1000, 8, stride=2)
     assert [w.shape for w in windows] == [(9, 8, 8)] * 5
+    np.testing.assert_array_equal(
+        windows, np.concatenate([window_block(s, 1000, 8, stride=1),
+                                 window_block(s, 1000, 8, stride=2)]))
 
 
 def test_windows_too_short():
     s = EventStream.from_arrays(8, 8, [0], [0], [100], [1])
     with pytest.raises(TooShort):
-        sliding_windows(s, 1000, 8)
+        window_block(s, 1000, 8)
 
 
 def test_windows_match_slice_restriction(rng):
     s = random_stream(rng, n=500, t_max=60_000)
-    wins = sliding_windows(s, 5000, 4, stride=1, t0=0, duration=60_000)
+    wins = window_block(s, 5000, 4, stride=1, t0=0, duration=60_000)
     restricted = slice_time(s, 0, 60_000)
-    wins2 = sliding_windows(restricted, 5000, 4, stride=1, t0=0,
-                            duration=60_000)
-    assert len(wins) == len(wins2)
-    for a, b in zip(wins, wins2):
-        np.testing.assert_array_equal(a, b)
+    wins2 = window_block(restricted, 5000, 4, stride=1, t0=0,
+                         duration=60_000)
+    np.testing.assert_array_equal(wins, wins2)
 
 
 @pytest.mark.parametrize("mode", MODES)
@@ -186,8 +188,8 @@ def test_windows_match_slice_restriction(rng):
 def test_window_shapes_and_target_bin(stride, mode):
     s = random_stream(np.random.default_rng(0), n=300, t_max=50_000)
     t0, bin_dt, bins = 1000, 5000, 4
-    wins = sliding_windows(s, bin_dt, bins, stride=stride, mode=mode, t0=t0,
-                           duration=49_000)
+    wins = window_block(s, bin_dt, bins, stride=stride, mode=mode, t0=t0,
+                        duration=49_000)
     assert len(wins) == (49_000 - 5 * bin_dt) // (stride * bin_dt) + 1
     for k, w in enumerate(wins):
         full = discretize(s, t0 + k * stride * bin_dt, bin_dt, bins + 1, mode)
@@ -196,9 +198,8 @@ def test_window_shapes_and_target_bin(stride, mode):
     inputs, targets = window_arrays(wins, 2.0)
     assert inputs.shape == (len(wins), bins, 12, 16)
     assert targets.shape == (len(wins), 12, 16)
-    stacked = np.stack(wins)
-    assert inputs.tobytes() == normalize(stacked[:, :bins], 2.0).tobytes()
-    assert targets.tobytes() == normalize(stacked[:, bins], 2.0).tobytes()
+    assert inputs.tobytes() == normalize(wins[:, :bins], 2.0).tobytes()
+    assert targets.tobytes() == normalize(wins[:, bins], 2.0).tobytes()
     # Separate arrays: keeping the targets must not keep the inputs alive.
     assert not np.shares_memory(inputs, targets)
 
@@ -227,18 +228,14 @@ def test_every_window_is_discretize_at_its_offset(data):
         [t0 - 1] + ts,
         data.draw(st.lists(st.sampled_from([1, -1]), min_size=n + 1,
                            max_size=n + 1)))
-    wins = sliding_windows(s, bin_dt, bins, stride=stride, mode=mode, t0=t0,
-                           duration=duration)
     block = window_block(s, bin_dt, bins, stride=stride, mode=mode, t0=t0,
                          duration=duration)
     n = (duration - (bins + 1) * bin_dt) // (stride * bin_dt) + 1
-    assert isinstance(wins, list) and len(wins) == n
     assert isinstance(block, np.ndarray) and block.flags.c_contiguous
     assert block.dtype == np.float32
     assert block.shape == (n, bins + 1, height, width)
-    for k, w in enumerate(wins):
+    for k, w in enumerate(block):
         offset = t0 + k * stride * bin_dt
-        assert w.tobytes() == block[k].tobytes()
         assert w.tobytes() == discretize(s, offset, bin_dt, bins + 1,
                                          mode).data.tobytes()
         assert w.tobytes() == per_window_reference(s, offset, bin_dt,
@@ -259,8 +256,8 @@ def test_crowded_pixels_match_reference(mode):
     s = random_stream(np.random.default_rng(3), n=4000, width=2, height=2,
                       t_max=20_000)
     for stride in (1, 2, 3):
-        wins = sliding_windows(s, 1000, 4, stride=stride, mode=mode, t0=0,
-                               duration=20_000)
+        wins = window_block(s, 1000, 4, stride=stride, mode=mode, t0=0,
+                            duration=20_000)
         for k, w in enumerate(wins):
             ref = per_window_reference(s, k * stride * 1000, 1000, 5, mode)
             assert w.tobytes() == ref.tobytes()
@@ -280,8 +277,8 @@ def test_window_edges_by_hand(mode):
     expected = np.zeros((4, 1, 4), dtype=np.float32)
     expected[2, 0, 1] = 1 if mode == "count" else -1
     expected[3, 0, 2] = 1
-    win = sliding_windows(s, bin_dt, bins, mode=mode, t0=t0,
-                          duration=4 * bin_dt)
+    win = window_block(s, bin_dt, bins, mode=mode, t0=t0,
+                       duration=4 * bin_dt)
     assert len(win) == 1
     assert win[0].tobytes() == expected.tobytes()
     assert discretize(s, t0, bin_dt, 4, mode).data.tobytes() == \

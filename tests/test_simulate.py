@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from evanom import simulate
 from evanom.simulate import (ConfigError, LabelTrack, ObjectSpec, SceneConfig,
-                             label_frames, mixed_test_scene, occupancy,
+                             label_frames, mixed_test_scene,
                              parse_scene_config, render_scene,
                              trajectory_anomaly_scene, walking_scene,
                              write_scene_config)
@@ -22,18 +22,6 @@ def simple_config(velocity=(200_000.0, 0.0), steps=10, micro=5000, label="normal
         seed=seed, noise_rate=noise,
         objects=(ObjectSpec(shape, start, ((0, velocity[0], velocity[1]),),
                             label=label),))
-
-
-def toggle_oracle(config):
-    """Brute-force per-step mask diff count; independent of render_scene."""
-    steps = config.duration // config.micro_step
-    prev = occupancy(config, 0)
-    total = 0
-    for k in range(1, steps + 1):
-        cur = occupancy(config, k * config.micro_step)
-        total += int((cur != prev).sum())
-        prev = cur
-    return total
 
 
 # --- reference renderer ---------------------------------------------------
@@ -79,6 +67,18 @@ def ref_occupancy(config, t_us):
     for obj in config.objects:
         mask |= ref_mask(obj, t_us, config.width, config.height)
     return mask
+
+
+def toggle_oracle(config):
+    """Brute-force per-step mask diff count; independent of render_scene."""
+    steps = config.duration // config.micro_step
+    prev = ref_occupancy(config, 0)
+    total = 0
+    for k in range(1, steps + 1):
+        cur = ref_occupancy(config, k * config.micro_step)
+        total += int((cur != prev).sum())
+        prev = cur
+    return total
 
 
 def ref_label(config, t_us):
@@ -381,7 +381,7 @@ def test_trajectory_scene_continuity():
     cfg = trajectory_anomaly_scene(0)
     out_leg, back_leg = cfg.objects
     # reversal position matches where the outbound leg stops
-    x_end = out_leg.position(out_leg.active[1])[0]
+    x_end = ref_position(out_leg, out_leg.active[1])[0]
     assert back_leg.start[0] == pytest.approx(x_end, abs=1e-6)
 
 
@@ -404,6 +404,13 @@ def test_trajectory_scene_continuity():
 def test_scene_config_refuses_non_finite_values(key, value, message):
     with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
         parse_scene_config(_mixed_config_with(key, value))
+
+
+def test_scene_config_refuses_a_negative_seed():
+    with pytest.raises(ConfigError, match="^seed must be >= 0, got -1$"):
+        parse_scene_config(_mixed_config_with("seed", "-1"))
+    with pytest.raises(ConfigError, match="^seed must be >= 0, got -3$"):
+        dataclasses.replace(simple_config(), seed=-3)
 
 
 def test_scene_config_refuses_a_duration_beyond_int64():

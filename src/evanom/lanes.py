@@ -4,13 +4,13 @@ on the CPUs that leaves idle.
 `msnet.train_ms`, `gan.train_gan` and `pipeline.score_sequence` run under
 `one_blas_thread`, so no output byte depends on `OPENBLAS_NUM_THREADS`
 (OpenBLAS splits a long reduction differently at one thread and at
-two). Scoring splits a stream's generator calls into parts, each of
-which bins, encodes and predicts its own calls' windows, and each GAN
-training step runs its two discriminators' work as two tasks: the
-calling thread runs the first task and a pool opened for the call runs
-the others (numpy drops the GIL inside BLAS and the large elementwise
-ops); every task has finished, and every pool thread is joined, before
-the call returns or raises. The caller runs a task itself because each
+two). `run_tasks` alone spreads work over CPUs: it cuts its callers'
+self-contained tasks (a scoring call's 16 frames, a GAN step's two
+discriminators) into one contiguous run per usable CPU; the calling
+thread runs the first run and a pool opened for the call runs the
+others (numpy drops the GIL inside BLAS and the large elementwise
+ops); every run has finished, and every pool thread is joined, before
+the call returns or raises. The caller runs a run itself because each
 further thread gets its own malloc arena, which raises peak RSS.
 """
 from __future__ import annotations
@@ -88,17 +88,21 @@ def usable_cpus() -> int:
 
 def run_tasks(tasks) -> list:
     """Call each of `tasks` (callables of no argument); their results in
-    order. With `usable_cpus()` >= 2 the calling thread runs the first
-    while a pool opened for this call runs the rest, each in a copy of
-    the caller's context (so `np.errstate` reaches it); otherwise the
-    caller runs them in order. The first task's error, in task order,
-    is raised once every started task has finished. Call it inside
-    `one_blas_thread`."""
-    workers = min(len(tasks), usable_cpus()) - 1
-    if workers < 1:
+    order. The tasks are cut into k = min(len(tasks), `usable_cpus()`)
+    contiguous runs; with k >= 2 the calling thread runs the first run
+    while a pool opened for this call runs the others, each in a copy of
+    the caller's context (so `np.errstate` reaches it). A run stops at
+    its first error; the first error in task order is raised once every
+    run has finished. Call it inside `one_blas_thread`."""
+    n, k = len(tasks), min(len(tasks), usable_cpus())
+    if k < 2:
         return [task() for task in tasks]
-    with ThreadPoolExecutor(workers) as pool:
-        futures = [pool.submit(contextvars.copy_context().run, task)
-                   for task in tasks[1:]]
-        first = tasks[0]()
-    return [first] + [f.result() for f in futures]
+
+    def run(i: int) -> list:
+        return [task() for task in tasks[n * i // k:n * (i + 1) // k]]
+
+    with ThreadPoolExecutor(k - 1) as pool:
+        futures = [pool.submit(contextvars.copy_context().run, run, i)
+                   for i in range(1, k)]
+        first = run(0)
+    return first + [r for f in futures for r in f.result()]

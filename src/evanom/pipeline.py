@@ -28,13 +28,21 @@ class EmptySeries(ValueError):
     pass
 
 
-# (keys, check, rule as reported) for PipelineConfig's values.
+_COUNTS = ("bins", "bin_dt_us", "stride", "ms_filters", "ms_epochs",
+           "ms_batch", "gan_ngf", "gan_ndf", "gan_epochs", "gan_batch")
+
+# (keys, check, rule as reported) for PipelineConfig's values. Every int
+# must fit numpy's int64, which binning and array shapes compute in; the
+# cap must stay finite and positive as the float32 that `normalize`
+# divides by.
 _CONFIG_RULES = (
     (("mode",), lambda v: v in MODES, f"one of {MODES}"),
-    (("bins", "bin_dt_us", "stride", "ms_filters", "ms_epochs", "ms_batch",
-      "gan_ngf", "gan_ndf", "gan_epochs", "gan_batch"), lambda v: v >= 1,
-     ">= 1"),
-    (("cap", "ms_lr", "gan_lr"), lambda v: 0 < v < np.inf, "finite and > 0"),
+    (_COUNTS, lambda v: v >= 1, ">= 1"),
+    (_COUNTS + ("noise_samples",), lambda v: v <= 2**63 - 1,
+     "<= 2**63 - 1"),
+    (("cap",), lambda v: 0 < np.float32(v) < np.inf,
+     "finite and > 0 as a float32"),
+    (("ms_lr", "gan_lr"), lambda v: 0 < v < np.inf, "finite and > 0"),
     (("noise_samples", "ms_lambda_sparse", "gan_lambda_l1"),
      lambda v: 0 <= v < np.inf, "finite and >= 0"),
     (("gan_beta1",), lambda v: 0 <= v < 1, "in [0, 1)"),
@@ -69,7 +77,9 @@ class PipelineConfig:
     def __post_init__(self):
         for keys, ok, rule in _CONFIG_RULES:
             for key in keys:
-                if not ok(getattr(self, key)):
+                with np.errstate(over="ignore"):  # float32(1e39) is inf
+                    good = ok(getattr(self, key))
+                if not good:
                     raise ValueError(
                         f"config {key}={getattr(self, key)!r}: must be {rule}")
 
@@ -153,9 +163,10 @@ def score_sequence(ms_params: MsNetParams, gan_params: gan_mod.GanParams,
     """Per-window prediction MSE over a stream, deterministic by default.
 
     With cfg.noise_samples == 0 the generator runs with an all-zero noise
-    grid; with k > 0 the score is the mean over k seeded noise draws.
-    The MS net's bin count, the frame size and the window count are
-    checked before any work.
+    grid; with k > 0 the score is the mean over k noise draws, which each
+    16-frame generator call (one `lanes.run_tasks` task) takes from
+    `np.random.default_rng((seed, its first frame))`. The MS net's bin
+    count, the frame size and the window count are checked before any work.
     """
     h, w = stream.height, stream.width
     check_bins(ms_params, cfg.bins)
@@ -163,34 +174,27 @@ def score_sequence(ms_params: MsNetParams, gan_params: gan_mod.GanParams,
     step = cfg.stride * cfg.bin_dt_us
     n = window_count(stream, cfg.bin_dt_us, cfg.bins, cfg.stride, cfg.mode,
                      t0=0, duration=int(stream.t[-1]) if len(stream) else 0)
-    if cfg.noise_samples == 0:
-        zs = [np.zeros((n, 1, h, w), dtype=np.float32)]
-    else:
-        rng = np.random.default_rng(seed)
-        zs = [rng.standard_normal((n, 1, h, w)).astype(np.float32)
-              for _ in range(cfg.noise_samples)]
     scores = np.zeros(n, dtype=np.float64)
 
-    def run(starts: range):
-        for a in starts:
-            frames = min(_G_FRAMES, n - a)
-            windows = window_block(
-                stream, cfg.bin_dt_us, cfg.bins, stride=cfg.stride,
-                mode=cfg.mode, t0=a * step,
-                duration=(cfg.bins + 1) * cfg.bin_dt_us + (frames - 1) * step)
-            surfaces, targets = gan_mod.prepare_batches(windows, ms_params,
-                                                        cfg.cap)
-            sl = slice(a, a + frames)
-            for z in zs:
-                d = gan_mod.g_forward(gan_params, surfaces, z[sl]) - targets
-                scores[sl] += d.reshape(frames, -1).__pow__(2).mean(axis=1)
+    def score_call(a: int):
+        frames = min(_G_FRAMES, n - a)
+        windows = window_block(
+            stream, cfg.bin_dt_us, cfg.bins, stride=cfg.stride,
+            mode=cfg.mode, t0=a * step,
+            duration=(cfg.bins + 1) * cfg.bin_dt_us + (frames - 1) * step)
+        surfaces, targets = gan_mod.prepare_batches(windows, ms_params,
+                                                    cfg.cap)
+        rng = np.random.default_rng((seed, a))
+        z = np.zeros((frames, 1, h, w), dtype=np.float32)
+        for _ in range(max(1, cfg.noise_samples)):
+            if cfg.noise_samples:
+                z = rng.standard_normal(z.shape, dtype=np.float32)
+            d = gan_mod.g_forward(gan_params, surfaces, z) - targets
+            scores[a:a + frames] += d.reshape(frames, -1).__pow__(2).mean(1)
 
-    calls = range(0, n, _G_FRAMES)
-    k = max(1, min(len(calls), lanes.usable_cpus()))
-    parts = [calls[len(calls) * i // k:len(calls) * (i + 1) // k]
-             for i in range(k)]
-    lanes.run_tasks([functools.partial(run, part) for part in parts])
-    scores /= len(zs)
+    lanes.run_tasks([functools.partial(score_call, a)
+                     for a in range(0, n, _G_FRAMES)])
+    scores /= max(1, cfg.noise_samples)
     t0 = cfg.bins * cfg.bin_dt_us  # window 0 starts at t=0
     labels = None
     if track is not None:
@@ -200,13 +204,12 @@ def score_sequence(ms_params: MsNetParams, gan_params: gan_mod.GanParams,
     return ScoreSeries(t0, step, scores, labels)
 
 
-# A stream's frames are scored 16 a generator call, from frame 0, in
-# contiguous parts of calls, one per usable CPU, that `lanes.run_tasks`
-# runs at once; each part bins, encodes and predicts its own calls'
-# windows (a window's bytes do not depend on where binning starts). A
-# frame's prediction can change bits with the batch it is computed in (at
-# 16x16 frames, 8 a call moves the last of each call), so parts are cut
-# between calls and each frame's call is the same at any part count.
+# A stream's frames are scored 16 a generator call, from frame 0, each
+# call one `lanes.run_tasks` task (a window's bytes do not depend on where
+# binning starts, and a call's noise on which lane draws it). A frame's
+# prediction can change bits with the batch it is computed in (at 16x16
+# frames, 8 a call moves the last of each call), so each frame's call is
+# the same at any lane count.
 _G_FRAMES = 16
 
 

@@ -1,3 +1,4 @@
+import functools
 import os
 import threading
 
@@ -64,6 +65,38 @@ def test_pin_is_counted_across_nesting_threads_and_errors(blas_get):
         other.join()
         assert blas_get() == 1
     assert blas_get() == 2 and lanes._pin_depth == 0
+
+
+@pytest.mark.parametrize("fails, want", [
+    ((), [0, 1, 2, 3, 4]), ((3,), [0, 1, 2, 3]), ((0, 3), [0, 2, 3])])
+def test_run_tasks_cuts_one_contiguous_run_per_cpu(monkeypatch, fails,
+                                                   want):
+    """At 2 usable CPUs, tasks 0-1 run in the calling thread and 2-4 in
+    one pool thread; results come back in task order. A failing task
+    stops only its own run, and the first error in task order is raised
+    once both runs are done."""
+    monkeypatch.setattr(lanes, "usable_cpus", lambda: 2)
+    ran = []
+
+    def task(i):
+        ran.append((i, threading.current_thread()))
+        if i in fails:
+            raise ValueError(i)
+        return 10 * i
+
+    tasks = [functools.partial(task, i) for i in range(5)]
+    if not fails:
+        assert lanes.run_tasks(tasks) == [0, 10, 20, 30, 40]
+    else:
+        with pytest.raises(ValueError) as err:
+            lanes.run_tasks(tasks)
+        assert err.value.args == (fails[0],)
+    threads = dict(ran)
+    assert sorted(threads) == want
+    caller = threading.current_thread()
+    assert {threads[i] for i in want if i < 2} == {caller}
+    pool = {threads[i] for i in want if i >= 2}
+    assert len(pool) == 1 and caller not in pool
 
 
 def test_entry_points_restore_blas_threads(tiny, blas_get, monkeypatch):

@@ -5,6 +5,7 @@ import subprocess
 import sys
 import threading
 import time
+import tracemalloc
 import warnings
 from dataclasses import FrozenInstanceError, fields, replace
 from pathlib import Path
@@ -254,6 +255,9 @@ CONFIG_RULES = {
     "finite": [(f.name, v, getattr(PipelineConfig(), f.name))
                for f in fields(PipelineConfig) if f.type == "float"
                for v in (float("inf"), float("nan"))],
+    "an int64": [(f.name, 2**63, 2**63 - 1)
+                 for f in fields(PipelineConfig) if f.type == "int"],
+    "a float32 cap": [("cap", v, 1e-44) for v in (1e-320, 1e39)],
 }
 
 
@@ -321,6 +325,51 @@ def test_cli_train_with_zero_epochs_exits_1(tmp_path, capsys, command, key):
                                  if command == "train-gan" else [])]) == 1
     assert f"config {key}=0: must be >= 1" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("key", [f.name for f in fields(PipelineConfig)
+                                 if f.type == "int"])
+def test_cli_int_beyond_int64_exits_1(tmp_path, capsys, key):
+    """An int config value of 2**63 is refused, naming its key, before
+    numpy computes with it (such a stride overflows the int64 window
+    offsets)."""
+    ev, cfg = tmp_path / "events.csv", tmp_path / "pipe.cfg"
+    stream, _ = render_scene(walking_scene(1, duration=500_000, size=16))
+    ev.write_text(write_event_csv(stream))
+    cfg.write_text(f"{key}={2**63}\n")
+    args = ["--events", str(ev), "--width", "16", "--height", "16",
+            "--config", str(cfg), "--out", str(tmp_path / "out")]
+    ckpts = ["--ms-ckpt", str(tmp_path / "ms.evck"),
+             "--gan-ckpt", str(tmp_path / "gan.evck")]
+    for command, extra in (("train-ms", []), ("score", ckpts)):
+        assert cli_main([command, *args, *extra]) == 1, command
+        err = capsys.readouterr().err
+        assert f"config {key}={2**63}: must be <= 2**63 - 1" in err, command
+        assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("cap, code", [("1e-320", 1), ("1e-44", 0)])
+def test_cli_cap_must_be_positive_as_float32(tiny_models, tmp_path, capsys,
+                                             cap, code):
+    """`normalize` divides by float32(cap): 1e-320 is 0 there and is
+    refused, naming cap; 1e-44 is not 0 there, and both commands run."""
+    _, _, _, ms_params, gan_params = tiny_models
+    ev, cfg, ms, gp = (tmp_path / n for n in ("events.csv", "pipe.cfg",
+                                              "ms.evck", "gan.evck"))
+    stream, _ = render_scene(walking_scene(1, duration=500_000, size=16))
+    ev.write_text(write_event_csv(stream))
+    cfg.write_text(f"bins=4\nms_filters=4\nms_epochs=1\ncap={cap}\n")
+    gp.write_bytes(io.write_evck(gan_params.to_arrays()))
+    args = ["--events", str(ev), "--width", "16", "--height", "16",
+            "--config", str(cfg)]
+    assert cli_main(["train-ms", *args, "--out", str(ms)]) == code
+    if code:
+        ms.write_bytes(io.write_evck(ms_params.to_arrays()))
+    assert cli_main(["score", *args, "--ms-ckpt", str(ms), "--gan-ckpt",
+                     str(gp), "--out", str(tmp_path / "s.csv")]) == code
+    err = capsys.readouterr().err
+    assert err.count(f"config cap={float(cap)!r}: must be finite and > 0 "
+                     "as a float32") == 2 * code
 
 
 @pytest.mark.parametrize("setting", ["ms_lr=1e30", "ms_lambda_sparse=1e40"])
@@ -453,6 +502,30 @@ def test_score_sequence_noise_sampling(tiny_models):
     assert not np.array_equal(a.scores, c.scores)
 
 
+def test_score_sequence_memory_does_not_grow_with_noise_samples(
+        monkeypatch):
+    """Each generator call draws its own noise, so no noise grid of the
+    whole stream is held: on the desk mixed scene with random-init nets,
+    the tracemalloc peak at 8 noise samples is within 4 MiB of that at 1
+    (a stream-wide grid is 1.5 MiB a sample here)."""
+    cfg = experiments.desk_config()
+    stream, _ = render_scene(simulate.mixed_test_scene(1001))
+    rng = np.random.default_rng(0)
+    ms_params = MsNetParams.init(cfg.bins, cfg.ms_filters, rng)
+    gan_params = GanParams.init(64, 64, cfg.gan_ngf, cfg.gan_ndf, rng)
+    monkeypatch.setattr(lanes, "usable_cpus", lambda: 2)
+    peaks = []
+    for k in (1, 8):
+        tracemalloc.start()
+        try:
+            score_sequence(ms_params, gan_params, stream,
+                           replace(cfg, noise_samples=k))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] < 4 * 2**20, [p / 2**20 for p in peaks]
+
+
 def test_score_sequence_no_track_means_no_labels(tiny_models):
     cfg, stream, _, ms_params, gan_params = tiny_models
     s = score_sequence(ms_params, gan_params, stream, cfg)
@@ -471,25 +544,31 @@ def _stream_of(n_frames, cfg):
 
 
 def _one_frame_per_call(ms_params, gan_params, stream, cfg, seed):
+    """Each frame's score from a generator call of its own, with the
+    noise its 16-frame call draws: sample after sample of that call's
+    frames from default_rng((seed, its first frame))."""
     surfaces, targets = prepare_batches(windows_for(stream, cfg), ms_params,
                                         cfg.cap)
     n, _, h, w = surfaces.shape
-    rng = np.random.default_rng(seed)
-    zs = ([np.zeros((n, 1, h, w), dtype=np.float32)] if cfg.noise_samples == 0
-          else [rng.standard_normal((n, 1, h, w)).astype(np.float32)
-                for _ in range(cfg.noise_samples)])
+    calls = range(0, n, pipeline._G_FRAMES)
+    rngs = [np.random.default_rng((seed, a)) for a in calls]
+    z = np.zeros((n, 1, h, w), dtype=np.float32)
     scores = np.zeros(n)
-    for z in zs:
+    for _ in range(max(1, cfg.noise_samples)):
+        if cfg.noise_samples:
+            z = np.concatenate([rng.standard_normal(
+                (min(pipeline._G_FRAMES, n - a), 1, h, w), dtype=np.float32)
+                for a, rng in zip(calls, rngs)])
         for i in range(n):
             d = g_forward(gan_params, surfaces[i:i + 1], z[i:i + 1]) \
                 - targets[i:i + 1]
             scores[i] += (d.reshape(1, -1) ** 2).mean(axis=1)[0]
-    return scores / len(zs)
+    return scores / max(1, cfg.noise_samples)
 
 
 @pytest.mark.parametrize("noise_samples", [0, 2])
 @pytest.mark.parametrize("n", [1, 7, 8, 9, 17, 33])
-@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("workers", [1, 2, 7])
 def test_score_sequence_bits_do_not_depend_on_workers(
         tiny_models, monkeypatch, workers, n, noise_samples):
     cfg, _, _, ms_params, gan_params = tiny_models
@@ -502,24 +581,23 @@ def test_score_sequence_bits_do_not_depend_on_workers(
     assert got.scores.tobytes() == want.tobytes()
 
 
-def _first_frame(z):
-    """The frame a generator call's noise, a view of the stream's noise
-    grid, starts at."""
-    offset = (z.__array_interface__["data"][0]
-              - z.base.__array_interface__["data"][0])
-    return offset // z.strides[0]
-
-
 def _score_with_fake_generator(tiny_models, monkeypatch, n, parts, forward):
-    """score_sequence on an n-frame stream split into `parts` parts, with
-    forward(first_frame, frames) in place of each generator call."""
+    """score_sequence on an n-frame stream at `parts` lanes, with
+    forward(first_frame, frames) in place of each generator call (its
+    first frame is the one its task binned last, in the same thread)."""
     cfg, _, _, ms_params, gan_params = tiny_models
+    binned = threading.local()
+
+    def windows(*args, t0, **kwargs):
+        binned.first = t0 // (cfg.stride * cfg.bin_dt_us)
+        return representation.window_block(*args, t0=t0, **kwargs)
 
     def g_forward(params, y, z):
-        forward(_first_frame(z), len(z))
+        forward(binned.first, len(z))
         return np.zeros_like(z)
 
     monkeypatch.setattr(lanes, "usable_cpus", lambda: parts)
+    monkeypatch.setattr(pipeline, "window_block", windows)
     monkeypatch.setattr(pipeline.gan_mod, "g_forward", g_forward)
     return score_sequence(ms_params, gan_params, _stream_of(n, cfg), cfg)
 
@@ -545,8 +623,9 @@ def test_score_sequence_scores_each_frame_once_with_more_parts_than_cpus(
 @pytest.mark.parametrize("failing", [(0,), (2,), (0, 2)])
 def test_score_sequence_raises_after_every_part_finished(
         tiny_models, monkeypatch, failing):
-    """Part 0 runs in the calling thread, parts 1 and 2 in the pool; the
-    first failing part's error is raised once the others are done."""
+    """At 3 lanes call 0 runs in the calling thread, calls 1 and 2 in
+    the pool; the first failing call's error is raised once the others
+    are done."""
     finished = []
 
     def forward(start, frames):
@@ -584,8 +663,8 @@ def test_score_sequence_leaves_no_thread_running(tiny_models, monkeypatch,
 
 def test_score_sequence_in_forked_child_after_scoring(tiny_models,
                                                       monkeypatch):
-    """A child forked after its parent scored at 2 parts scores the same
-    bytes at 2 parts."""
+    """A child forked after its parent scored at 2 lanes scores the same
+    bytes at 2 lanes."""
     cfg, _, _, ms_params, gan_params = tiny_models
     stream = _stream_of(3 * pipeline._G_FRAMES, cfg)
     monkeypatch.setattr(lanes, "usable_cpus", lambda: 2)
@@ -617,7 +696,7 @@ def test_score_sequence_in_forked_child_after_scoring(tiny_models,
 
 def test_score_sequence_bins_one_call_of_windows_at_a_time(tiny_models,
                                                            monkeypatch):
-    """Each part bins its own calls: every `window_block` call asks for
+    """Each call bins its own windows: every `window_block` call asks for
     at most one generator call's windows, and together they cover each
     frame once."""
     cfg, _, _, ms_params, gan_params = tiny_models

@@ -170,6 +170,26 @@ def prepare_batches(windows, ms_params: MsNetParams, cap: float):
     return encode(ms_params, vols)[:, None], targets[:, None]
 
 
+_G_SHARDS = 2   # fixed shards of G's batch, whatever the CPU count
+
+
+def _shard_bounds(n: int) -> list[tuple[int, int]]:
+    """The fixed shards of a batch of n rows: [0, ceil(n/2)) and
+    [ceil(n/2), n), or one shard if n is 1."""
+    edges = sorted({-(-n * i // _G_SHARDS) for i in range(_G_SHARDS + 1)})
+    return list(zip(edges, edges[1:]))
+
+
+def _g_shard(params: GanParams, batch: GanBatch, lo: int, hi: int):
+    """(leaves, frames): the generator's frames for batch rows [lo, hi),
+    run on leaf tensors `leaves` that share G's arrays, so a backward from
+    the frames fills only the leaves' `.grad`."""
+    leaves = GanParams((name, Tensor(t.data, requires_grad=True))
+                       for name, t in params.items() if name.startswith("g."))
+    return leaves, g_forward_t(leaves, Tensor(batch.y[lo:hi]),
+                               Tensor(batch.z[lo:hi]))
+
+
 @lanes.one_blas_thread()
 @np.errstate(over="ignore", invalid="ignore")
 def train_gan(windows, ms_params: MsNetParams, cfg: PipelineConfig,
@@ -179,11 +199,16 @@ def train_gan(windows, ms_params: MsNetParams, cfg: PipelineConfig,
     fixed seed.
 
     The generator runs once per batch: the D steps only change D's arrays,
-    so its frames serve both the D losses and the G loss. The D_xy and
-    D_x steps share nothing, so they run as two tasks (`lanes.run_tasks`:
-    at once on two or more CPUs, else in turn; BLAS runs one thread);
-    so do the G loss's two adversarial terms, each differentiated to its
-    own copy of the frames. The checkpoint bytes are the same either way.
+    so its frames serve both the D losses and the G loss. A step is three
+    rounds of `lanes.run_tasks` tasks (at once on two or more CPUs, else
+    in turn; BLAS runs one thread):
+    - G's forward over the two fixed half-batch shards of `_shard_bounds`;
+    - the D_xy step, then the G loss's D_xy term, and the D_x step, then
+      its D_x and L1 terms, each term differentiated to its own copy of
+      the frames;
+    - G's backward over the two shards.
+    The shards are fixed, not one per CPU, so the checkpoint bytes are the
+    same however many CPUs run them.
 
     Returns (GanParams, curves) with per-epoch mean losses. Diverging
     raises as in `msnet.fit`.
@@ -201,12 +226,16 @@ def train_gan(windows, ms_params: MsNetParams, cfg: PipelineConfig,
         batch = GanBatch(
             y=surfaces[idx], x=targets[idx],
             z=rng.standard_normal((len(idx), 1, h, w)).astype(np.float32))
-        x_fake = g_forward_t(params, Tensor(batch.y), Tensor(batch.z))
-        v_dxy, v_dx = lanes.run_tasks([
-            functools.partial(_d_step, params, part, batch, x_fake,
-                              opts[part]) for part in _D_PARTS])
-        return v_dxy, v_dx, _g_step(params, batch, x_fake, cfg.gan_lambda_l1,
-                                    opts["g"])
+        shards = lanes.run_tasks([
+            functools.partial(_g_shard, params, batch, lo, hi)
+            for lo, hi in _shard_bounds(len(idx))])
+        x_fake = Tensor(np.concatenate([frames.data for _, frames in shards]))
+        terms = _g_terms(params, batch, cfg.gan_lambda_l1)
+        (v_dxy, g_dxy), (v_dx, g_dx) = lanes.run_tasks([
+            functools.partial(_d_step_then_terms, params, part, batch,
+                              x_fake, opts[part], after)
+            for part, after in zip(_D_PARTS, (terms[:1], terms[1:]))])
+        return v_dxy, v_dx, _g_step(params, shards, g_dxy + g_dx, opts["g"])
 
     curves = fit(params, rng, n, cfg.gan_epochs, cfg.gan_batch, step)
     return params, dict(zip(("d_xy", "d_x", "g"), curves))
@@ -216,44 +245,57 @@ def _d_step(params: GanParams, part: str, batch: GanBatch, x_fake: Tensor,
             state: ad.AdamState) -> float:
     """One Adam step on discriminator `part`; returns its loss value."""
     loss = d_loss(params, part, batch, x_fake)
-    _step(loss, params.parameters(f"{part}."), state)
+    plist = params.parameters(f"{part}.")
+    for p in plist:
+        p.zero_grad()
+    ad.backward(loss, plist)
+    ad.adam_step(plist, state)
     return loss.item()
+
+
+def _d_step_then_terms(params: GanParams, part: str, batch: GanBatch,
+                       x_fake: Tensor, state: ad.AdamState, terms):
+    """`_d_step` on discriminator `part`, then `_leaf_grad` of each
+    generator loss term in `terms`, which read no other discriminator's
+    weights; returns (D's loss value, the terms' (value, gradient)). D's
+    graph is freed before the terms build theirs."""
+    return (_d_step(params, part, batch, x_fake, state),
+            [_leaf_grad(term, x_fake) for term in terms])
 
 
 def _leaf_grad(term, x_fake: Tensor):
     """(value, gradient) of term(frames) at x_fake's frames, taken on a
-    leaf copy of them: the graph behind x_fake is left alone, and the
-    term's own graph is freed on return."""
+    leaf tensor of its own that shares them; the term's graph is freed on
+    return."""
     leaf = Tensor(x_fake.data, requires_grad=True)
     loss = term(leaf)
     ad.backward(loss)
     return loss.detach(), leaf.grad
 
 
-def _g_step(params: GanParams, batch: GanBatch, x_fake: Tensor,
-            lambda_l1: float, state: ad.AdamState) -> float:
-    """One Adam step on the generator from the sum of `_g_terms`; returns
-    that loss's value.
+def _g_step(params: GanParams, shards, done, state: ad.AdamState) -> float:
+    """One Adam step on the generator, given its `_g_shard` (leaves,
+    frames) pairs in shard order and the (value, frame gradient) of each
+    of its loss's terms (`_g_terms`, in order); returns that loss's value.
 
-    Each term's gradient to the frames is taken on its own (the terms as
-    `lanes.run_tasks` tasks), then they are summed in the order backward
-    through one graph of the summed loss adds them, and the sum is sent
-    back through the generator's graph, so the step's bits are those of
-    one backward pass over the summed loss.
+    The terms' gradients are summed in the order backward through one
+    graph of the summed loss adds them. The sum is cut by shard, and each
+    shard's cut is sent back through that shard's graph (as
+    `lanes.run_tasks` tasks). G's gradient is then shard 0's plus shard
+    1's, in that order: `run_tasks` has joined both backwards before the
+    sum. So the step's bits do not depend on how many CPUs run it.
     """
-    done = lanes.run_tasks([functools.partial(_leaf_grad, term, x_fake)
-                            for term in _g_terms(params, batch, lambda_l1)])
     loss, seed = done[0]
     for value, grad in done[1:]:
         loss = ad.add(loss, value)
         seed += grad
-    _step(x_fake, params.parameters("g."), state, grad=seed)
+    lanes.run_tasks([
+        functools.partial(ad.backward, frames, leaves.parameters(),
+                          grad=seed[lo:hi])
+        for (leaves, frames), (lo, hi) in zip(shards,
+                                              _shard_bounds(len(seed)))])
+    for name in shards[0][0]:
+        params[name].grad = functools.reduce(
+            np.add, [leaves[name].grad for leaves, _ in shards])
+    ad.adam_step(params.parameters("g."), state)
     return loss.item()
-
-
-def _step(root: Tensor, plist, state: ad.AdamState, grad=None):
-    """One Adam step on plist from backward(root, plist, grad)."""
-    for p in plist:
-        p.zero_grad()
-    ad.backward(root, plist, grad=grad)
-    ad.adam_step(plist, state)

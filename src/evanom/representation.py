@@ -25,6 +25,7 @@ where it starts or on how many other windows share the pass.
 """
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,9 +69,18 @@ def _check(bin_dt: int, bins: int, mode: str):
 def _windows(stream: EventStream, t0: int, bin_dt: int, bins: int, n: int,
              stride: int, mode: str) -> np.ndarray:
     """One binning pass, cut by one gather of its grid rows into an (n,
-    bins, H, W) float32 array; window k starts at t0 + k*stride*bin_dt."""
+    bins, H, W) float32 array; window k starts at t0 + k*stride*bin_dt.
+    Refuses, before allocating, a grid and windows larger together than
+    physical memory."""
     hw = stream.height * stream.width
     centres = (n - 1) * stride + bins
+    grid_b, cut_b = (centres + 1) * hw * 4, n * bins * hw * 4
+    phys = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    if grid_b + cut_b > phys:
+        raise ValueError(
+            f"bins={bins}, stride={stride} need a {grid_b / 2**30:.1f} GiB "
+            f"grid and {cut_b / 2**30:.1f} GiB of windows, more than this "
+            f"machine's physical memory")
     t = stream.t
     lo, hi = time_index(t, t0), time_index(t, t0 + centres * bin_dt)
     # with no event selected, t0 may lie beyond int64

@@ -38,7 +38,7 @@ def tiny_batch(rng, n=2, h=8, w=8):
 
 
 def generated(params, batch):
-    """The generator's frames for a batch, as train_gan feeds both losses."""
+    """The generator's frames for a batch, from one forward pass."""
     return g_forward_t(params, Tensor(batch.y), Tensor(batch.z))
 
 
@@ -317,8 +317,13 @@ def test_train_gan_smoke_and_determinism(trained_setup):
 
 
 def _reference_train_gan(windows, ms_params, cfg, seed):
-    """train_gan's update sequence with the generator run twice per batch:
-    once for the D losses and again for the G loss, after the D steps."""
+    """train_gan's update sequence, written out on one thread. The
+    generator runs on the fixed half-batch rows [0, ceil(n/2)) and
+    [ceil(n/2), n) (one shard if n is 1), and both losses see the
+    shards' frames concatenated. The D steps are plain backward passes.
+    G's gradient is one backward per shard, seeded with that shard's rows
+    of the gradient of the whole-batch G loss (one graph) to the frames,
+    and the shards' gradients are added in shard order."""
     surfaces, targets = prepare_batches(windows, ms_params, cfg.cap)
     n, _, h, w = surfaces.shape
     rng = np.random.default_rng(seed)
@@ -326,12 +331,12 @@ def _reference_train_gan(windows, ms_params, cfg, seed):
     opts = {prefix: ad.AdamState(lr=cfg.gan_lr, beta1=cfg.gan_beta1)
             for prefix in ("g.", "dxy.", "dx.")}
 
-    def step(loss, prefix):
+    def step(loss, prefix, grad=None):
         plist = params.parameters(prefix)
         for p in plist:
             p.zero_grad()
-        ad.backward(loss, plist)
-        ad.adam_step(plist, opts[prefix])
+        ad.backward(loss, plist, grad=grad)
+        return plist
 
     for _ in range(cfg.gan_epochs):
         order = rng.permutation(n)
@@ -340,22 +345,34 @@ def _reference_train_gan(windows, ms_params, cfg, seed):
             batch = GanBatch(
                 y=surfaces[idx], x=targets[idx],
                 z=rng.standard_normal((len(idx), 1, h, w)).astype(np.float32))
-            l_dxy, l_dx = d_losses(params, batch, generated(params, batch))
-            step(l_dxy, "dxy.")
-            step(l_dx, "dx.")
-            step(g_loss(params, batch, generated(params, batch),
-                        cfg.gan_lambda_l1), "g.")
+            cut = -(-len(idx) // 2)
+            halves = [(0, cut), (cut, len(idx))] if len(idx) > 1 else [(0, 1)]
+            shards = [g_forward_t(params, Tensor(batch.y[lo:hi]),
+                                  Tensor(batch.z[lo:hi])) for lo, hi in halves]
+            frames = np.concatenate([f.data for f in shards])
+            for loss, prefix in zip(d_losses(params, batch, Tensor(frames)),
+                                    ("dxy.", "dx.")):
+                ad.adam_step(step(loss, prefix), opts[prefix])
+            leaf = Tensor(frames, requires_grad=True)
+            ad.backward(g_loss(params, batch, leaf, cfg.gan_lambda_l1))
+            grads = []
+            for f, (lo, hi) in zip(shards, halves):
+                plist = step(f, "g.", grad=leaf.grad[lo:hi])
+                grads.append([p.grad for p in plist])
+            for p, *gs in zip(plist, *grads):
+                p.grad = functools.reduce(np.add, gs)
+            ad.adam_step(plist, opts["g."])
     return params
 
 
 @pytest.mark.parametrize("lambda_l1", [0.0, 0.5])
 def test_train_gan_runs_generator_once_per_batch(trained_setup, monkeypatch,
                                                  lambda_l1):
-    # The D steps leave G's arrays alone, so one G forward per batch must
-    # give the same checkpoint bytes as a fresh forward for each loss.
-    # At 2 lanes the D steps, and the G loss's adversarial terms, run at
-    # once on two threads, switching as often as the interpreter allows;
-    # the bytes must not change.
+    # The D steps leave G's arrays alone, so one G forward per shard of a
+    # batch must give the same checkpoint bytes as the reference. At 2
+    # lanes the shards, the D steps and the G loss's adversarial terms run
+    # at once on two threads, switching as often as the interpreter
+    # allows; the bytes must not change.
     windows, ms_params = trained_setup
     cfg = PipelineConfig(gan_ngf=4, gan_ndf=4, gan_epochs=2, gan_batch=8,
                          gan_lambda_l1=lambda_l1)
@@ -368,6 +385,8 @@ def test_train_gan_runs_generator_once_per_batch(trained_setup, monkeypatch,
         return g_forward_t(*args)
     monkeypatch.setattr(gan_mod, "g_forward_t", counted)
     interval = sys.getswitchinterval()
+    sizes = [min(cfg.gan_batch, len(windows) - start)
+             for start in range(0, len(windows), cfg.gan_batch)]
     for n in (1, 2):
         monkeypatch.setattr(lanes, "usable_cpus", lambda n=n: n)
         calls.clear()
@@ -377,16 +396,38 @@ def test_train_gan_runs_generator_once_per_batch(trained_setup, monkeypatch,
         finally:
             sys.setswitchinterval(interval)
         assert io.write_evck(params.to_arrays()) == want, f"{n} lanes"
-        assert len(calls) == cfg.gan_epochs * -(-len(windows)
-                                                // cfg.gan_batch)
+        assert len(calls) == cfg.gan_epochs * sum(min(2, s) for s in sizes)
 
 
-@pytest.mark.parametrize("fails", [None, "dxy", "dx"])
+@pytest.mark.parametrize("gan_batch", [3, 1])
+def test_train_gan_bytes_do_not_depend_on_lanes(trained_setup, monkeypatch,
+                                                gan_batch):
+    """G's shards are fixed halves of its batch, not one per CPU: the
+    checkpoint bytes are the reference's at 1, 2 and 7 usable CPUs, for
+    an odd batch (whose last batch here is 1 row) and a batch of 1."""
+    windows, ms_params = trained_setup
+    assert len(windows) % 3 == 1    # gan_batch=3 ends on a batch of one
+    cfg = PipelineConfig(gan_ngf=4, gan_ndf=4, gan_epochs=1,
+                         gan_batch=gan_batch, gan_lambda_l1=0.5)
+    want = io.write_evck(
+        _reference_train_gan(windows, ms_params, cfg, seed=3).to_arrays())
+    interval = sys.getswitchinterval()
+    for n in (1, 2, 7):
+        monkeypatch.setattr(lanes, "usable_cpus", lambda n=n: n)
+        sys.setswitchinterval(1e-6 if n == 2 else interval)
+        try:
+            params, _ = train_gan(windows, ms_params, cfg, seed=3)
+        finally:
+            sys.setswitchinterval(interval)
+        assert io.write_evck(params.to_arrays()) == want, f"{n} lanes"
+
+
+@pytest.mark.parametrize("fails", [None, "dxy", "dx", "shard 0", "shard 1"])
 def test_train_gan_leaves_no_thread_running(trained_setup, monkeypatch,
                                             fails):
-    """At 2 lanes the D_x step runs in a pool thread opened for the step;
-    it is joined before train_gan returns or raises, and the failing
-    step's error is the one raised."""
+    """At 2 lanes G's second shard and the D_x step run in pool threads
+    opened for the step; they are joined before train_gan returns or
+    raises, and the failing task's error is the one raised."""
     windows, ms_params = trained_setup
     before, ran = set(threading.enumerate()), set()
 
@@ -396,8 +437,16 @@ def test_train_gan_leaves_no_thread_running(trained_setup, monkeypatch,
             raise ValueError(part)
         return d_loss(params, part, batch, x_fake)
 
+    def shard(params, batch, lo, hi):
+        ran.add(threading.current_thread())
+        if fails == f"shard {int(lo > 0)}":
+            raise ValueError(fails)
+        return g_shard(params, batch, lo, hi)
+
+    g_shard = gan_mod._g_shard
     monkeypatch.setattr(lanes, "usable_cpus", lambda: 2)
     monkeypatch.setattr(gan_mod, "d_loss", recorded)
+    monkeypatch.setattr(gan_mod, "_g_shard", shard)
     with (pytest.raises(ValueError, match=fails) if fails
           else contextlib.nullcontext()):
         train_gan(windows, ms_params, PipelineConfig(

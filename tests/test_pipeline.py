@@ -1016,8 +1016,10 @@ def test_cli_simulate_refuses_non_finite_values(tmp_path, capsys, line, key):
 
 
 def test_cli_maps_memory_error_to_exit_1(tmp_path):
-    """A volume of 10**7 bins on a 64x64 sensor (153 GiB) in a child
-    process whose address space is capped at 2 GiB: exit 1, one line."""
+    """A volume of 98304 bins on a 64x64 sensor (a 1.5 GiB grid and
+    1.5 GiB of windows, under physical memory, so `_windows` does not
+    refuse it) in a child process whose address space is capped at
+    2 GiB: exit 1, one line."""
     ev, out = tmp_path / "events.csv", tmp_path / "v.evol"
     ev.write_text("t_us,x,y,p\n0,1,1,1\n5,2,3,-1\n")
     script = ("import resource, sys\n"
@@ -1033,11 +1035,41 @@ def test_cli_maps_memory_error_to_exit_1(tmp_path):
     run = subprocess.run(
         [sys.executable, "-c", script, "voxelize", "--events", str(ev),
          "--width", "64", "--height", "64", "--bin-dt", "1",
-         "--bins", "10000000", "--out", str(out)],
+         "--bins", "98304", "--out", str(out)],
         env=env, capture_output=True, text=True, timeout=120)
     assert run.returncode == 1, run.stderr
     assert run.stderr.startswith("error: out of memory")
     assert run.stderr.count("\n") == 1 and "Traceback" not in run.stderr
+    assert not out.exists()
+
+
+def test_windows_larger_than_memory_are_refused_unallocated(tmp_path,
+                                                            capsys):
+    """A volume whose grid and windows exceed physical memory (under
+    overcommit they might be allocated, and the process killed later) is
+    a ValueError naming bins and stride, raised before any allocation;
+    voxelize exits 1 with it."""
+    phys = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    bins = phys // (2 * 64 * 64 * 4) + 1    # grid plus windows > phys
+    stream = EventStream.from_arrays(64, 64, np.array([0, 5]),
+                                     np.array([1, 2]), np.array([1, 3]),
+                                     np.array([1, -1]))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError,
+                           match=rf"bins={bins}, stride=1 .* GiB grid .* GiB"):
+            representation.discretize(stream, 0, 1, bins)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    ev, out = tmp_path / "events.csv", tmp_path / "v.evol"
+    ev.write_text(write_event_csv(stream))
+    assert cli_main(["voxelize", "--events", str(ev), "--width", "64",
+                     "--height", "64", "--bin-dt", "1", "--bins", str(bins),
+                     "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: bins={bins}") and "Traceback" not in err
     assert not out.exists()
 
 

@@ -9,6 +9,8 @@ code uses float32 storage; gradient checks run the same ops in float64.
 """
 from __future__ import annotations
 
+import math
+import os
 import warnings
 from dataclasses import dataclass, field
 
@@ -574,7 +576,17 @@ class Params(dict):
     @classmethod
     def init_layers(cls, rng: np.random.Generator, layers, dtype=np.float32):
         """Weights draw uniform(-1/sqrt(fan_in), 1/sqrt(fan_in)) from `rng`
-        in table order; biases start at zero."""
+        in table order; biases start at zero. Refuses, before drawing, a
+        table whose float64 draws exceed physical memory (under overcommit
+        they might be allocated, and the process killed later), naming
+        the largest layer's settings."""
+        sizes = [math.prod(shape) * 8 for _, shape, _, _, _ in layers]
+        phys = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+        if sum(sizes) > phys:
+            settings = layers[sizes.index(max(sizes))][4]
+            raise ValueError(
+                f"{settings} need {sum(sizes) / 2**30:.1f} GiB of weight "
+                f"draws, more than this machine's physical memory")
         p = cls()
         for name, shape, fan_in, n_out, _ in layers:
             bound = 1.0 / np.sqrt(fan_in)

@@ -6,24 +6,29 @@ order for ties) and are safe to share across threads for reading.
 """
 from __future__ import annotations
 
+import functools
+import itertools
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple
 
 import numpy as np
 
+from . import lanes
+
 HEADER = "t_us,x,y,p"
 _T_MAX = np.iinfo(np.int64).max
 
-# Rows are read a chunk of about _CHUNK characters at a time, so the
-# byte passes' and the row loop's temporaries stay a few MiB however long
-# the stream.
-# A 6.6 MB dense stream (2 vCPUs, numpy 2.4) parsed in a median 99 ms at
-# 16 KiB chunks, 60 at 64 KiB, 53 at 256 KiB, 59 at 1 MiB and 76 at
-# 4 MiB: small chunks pay numpy's per-call cost, large ones miss cache.
+# Rows are read a chunk of about _CHUNK characters at a time, one chunk a
+# lane, so the byte passes' and the row loop's temporaries stay a few MiB
+# a lane however long the stream. A stream of one chunk (a desk test
+# stream is ~0.1 MB) opens no pool.
+# A 6.6 MB dense stream (2 vCPUs, numpy 2.4, one lane) parsed in a median
+# 99 ms at 16 KiB chunks, 60 at 64 KiB, 53 at 256 KiB, 59 at 1 MiB and 76
+# at 4 MiB: small chunks pay numpy's per-call cost, large ones miss cache.
 _CHUNK = 1 << 18
 # Canonical field lengths: t fits int64 in 18 digits, x and y int32 in 9,
 # p is "1" or "-1". The longest row adds 3 commas and a newline.
-_FIELD_MAX = np.array([[18], [9], [9], [2]], np.uint64)
+_FIELD_MAX = (18, 9, 9, 2)
 _ROW_MAX = 42
 
 
@@ -173,7 +178,7 @@ def _decode(d: np.ndarray, end: np.ndarray, length: np.ndarray, dtype):
     at = end - top
     for k in range(top, 0, -1):
         v *= 10
-        v += d[at] if k <= full else np.where(length >= k, d[at], 0)
+        v += d[at] if k <= full else d[at] * (length >= k)
         at += 1
     return v
 
@@ -193,26 +198,31 @@ def _canonical_chunk(chunk: str, width: int, height: int):
         return None
     # With 3n of the 4n separators commas, a newline at every fourth one
     # leaves three commas in each row and no stray byte.
-    c0, c1, c2, nl = seps.reshape(n, 4).T.copy()
+    c0, c1, c2, nl = seps.reshape(n, 4).T
     if np.any(b[nl] != ord("\n")):
         return None
     # By row, the lengths of t, x, y and p: the gaps between separators.
     # Less one and as uint64, an empty field wraps past every maximum.
-    lens = (np.diff(seps, prepend=-1) - 1).reshape(n, 4).T.copy()
-    if np.any((lens - 1).view(np.uint64) >= _FIELD_MAX):
-        return None
-    lt, lx, ly, lp = lens
-    # Each p ends in "1"; each "-" starts a two-byte p, so no other field
-    # holds a non-digit.
-    minus = nl[lp == 2] - 2
-    if (np.any(d[nl - 1] != 1) or np.any(b[minus] != ord("-"))
-            or np.count_nonzero(b == ord("-")) != len(minus)):
+    lt = c0 - 1
+    lt[0] += 1  # the first row starts the chunk
+    lt[1:] -= nl[:-1]
+    lx, ly, lp = c1 - c0 - 1, c2 - c1 - 1, nl - c2 - 1
+    for length, top in zip((lt, lx, ly, lp), _FIELD_MAX):
+        if np.any((length - 1).view(np.uint64) >= top):
+            return None
+    # Each p ends in "1", and starts with "-" exactly where it has two
+    # bytes; no other "-" is in the chunk, so no other field holds a
+    # non-digit.
+    neg = b[c2 + 1] == ord("-")
+    if (np.any(d[nl - 1] != 1) or not np.array_equal(neg, lp == 2)
+            or np.count_nonzero(b == ord("-")) != np.count_nonzero(neg)):
         return None
     x, y = _decode(d, c1, lx, np.int32), _decode(d, c2, ly, np.int32)
     if x.max() >= width or y.max() >= height:
         return None
-    return (_decode(d, c0, lt, np.int64), x, y,
-            np.where(lp == 1, 1, -1).astype(np.int8))
+    p = np.ones(n, np.int8)
+    p[neg] = -1
+    return _decode(d, c0, lt, np.int64), x, y, p
 
 
 def _row_chunk(chunk: str, line_no: int, width: int, height: int):
@@ -221,37 +231,53 @@ def _row_chunk(chunk: str, line_no: int, width: int, height: int):
     lines = chunk.split("\n")
     if lines[-1] == "":
         lines.pop()
-    rows = [_parse_row(line.strip(), i, width, height)
-            for i, line in enumerate(lines, start=line_no)]
-    return np.array(rows, dtype=np.int64).reshape(-1, 4).T
+    rows = (_parse_row(line.strip(), i, width, height)
+            for i, line in enumerate(lines, start=line_no))
+    # one int64 array filled as the rows are read, with no tuple per row
+    return np.fromiter(itertools.chain.from_iterable(rows), np.int64,
+                       4 * len(lines)).reshape(-1, 4).T
+
+
+def _chunk_columns(text: str, head: int, start: int, end: int,
+                   width: int, height: int):
+    """Columns (t, x, y, p) of the rows in text[start:end], a chunk of the
+    body that begins at `head`: decoded in bulk if every row is canonical,
+    else by the row loop, its first line numbered from the newlines
+    before it."""
+    chunk = text[start:end]
+    part = _canonical_chunk(chunk, width, height)
+    if part is None:
+        line_no = 2 + text.count("\n", head, start)
+        part = _row_chunk(chunk, line_no, width, height)
+    return part
 
 
 def parse_event_csv(text: str, width: int, height: int) -> EventStream:
     """Parse the event CSV format (header `t_us,x,y,p`); strict validation.
 
-    The rows are read a bounded chunk at a time. A chunk whose rows all
-    read exactly as write_event_csv writes them is decoded in bulk byte
-    passes; any other chunk is checked row by row, so the first bad row
-    is reported with its line number either way.
+    The rows are read a bounded chunk at a time, the chunks spread over
+    `lanes.run_tasks`. A chunk whose rows all read exactly as
+    write_event_csv writes them is decoded in bulk byte passes; any other
+    chunk is checked row by row, so the first bad row in file order is
+    reported with its line number either way, at any lane count.
     Rows out of time order are stably sorted; already-sorted input keeps
-    its row order, including ties.
+    its row order, including ties. The stream does not depend on the
+    lane count.
     """
-    start = text.find("\n") + 1 or len(text)
-    if text[:start].strip() != HEADER:
+    head = text.find("\n") + 1 or len(text)
+    if text[:head].strip() != HEADER:
         raise MalformedRow(1, f"missing header {HEADER!r}")
-    cols, line_no = [], 2
-    while start < len(text):
-        # cut just after the first newline at or past start + _CHUNK - 1
-        end = text.find("\n", start + _CHUNK - 1) + 1 or len(text)
-        chunk = text[start:end]
-        part = _canonical_chunk(chunk, width, height)
-        if part is None:
-            part = _row_chunk(chunk, line_no, width, height)
-        cols.append(part)
-        line_no += len(part[0])
-        start = end
-    if not cols:
+    cuts = [head]
+    while cuts[-1] < len(text):
+        # cut after the first newline at or past the last cut + _CHUNK - 1
+        cuts.append(text.find("\n", cuts[-1] + _CHUNK - 1) + 1 or len(text))
+    if len(cuts) == 1:
         return EventStream.empty(width, height)
+    with lanes.one_blas_thread():
+        cols = lanes.run_tasks([
+            functools.partial(_chunk_columns, text, head, start, end,
+                              width, height)
+            for start, end in zip(cuts, cuts[1:])])
     t, x, y, p = (np.concatenate(c) for c in zip(*cols))
     del cols  # free the chunks' columns before from_arrays copies
     return EventStream.from_arrays(width, height, x, y, t, p)

@@ -5,9 +5,10 @@ on the CPUs that leaves idle.
 `one_blas_thread`, so no output byte depends on `OPENBLAS_NUM_THREADS`
 (OpenBLAS splits a long reduction differently at one thread and at
 two). `run_tasks` alone spreads work over CPUs: it cuts its callers'
-self-contained tasks (a scoring call's 16 frames; in a GAN step, the
-generator's two half-batch shards, forward and then backward, the two
-discriminators and the generator loss's terms) into one contiguous run
+self-contained tasks (an event CSV's chunks; a scoring call's 16 frames;
+in a GAN step, the generator's two half-batch shards, forward and then
+backward, the two discriminators and the generator loss's terms) into
+one contiguous run
 per usable CPU; the calling thread runs the first run and a pool opened
 for the call runs the others (numpy drops the GIL inside BLAS and the
 large elementwise ops); every run has finished, and every pool thread

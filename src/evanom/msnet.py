@@ -13,12 +13,18 @@ weights the zero vector's terms by its count, so the loss equals the
 dense mean over every pixel; `encode_t`/`decode_t` on a whole (N,B,H,W)
 batch give the same values and serve as the reference in the tests.
 
-The non-zero rows run in consecutive blocks of `BLOCK` rows. A training
-step runs each block's forward and backward in turn, its term weighted
+The non-zero rows run in consecutive blocks. A training step runs each
+block of `BLOCK` rows' forward and backward in turn, its term weighted
 by its share of the batch's pixels, so a block's (BLOCK,F) activations
-stay in cache and each weight gradient is a sum of per-block products
-in block order. At 2048 rows a block runs as fast as any size tried on
-dense scenes.
+and their gradients stay in cache and each weight gradient is a sum of
+per-block products in block order; the block size is part of the MS
+checkpoint's bytes. A forward pass alone (`encode`, `reconstruct`,
+scoring and the GAN's inputs) keeps no graph to walk back, so it runs
+`_ENCODE_BLOCK` rows a block: fewer, larger numpy calls, which on two
+lanes hand the GIL back and forth less often. `encode` gave the bits of
+2048-row blocks at every block size tried up to 131072 rows, on dense
+and desk volumes; one pass over all rows need not. `reconstruct`'s
+(B,F) output layer can round an ulp differently at 8192 rows.
 """
 from __future__ import annotations
 
@@ -34,11 +40,15 @@ if TYPE_CHECKING:
     from .pipeline import PipelineConfig
 
 
-# Rows per block. On dense data 2048 and 4096 tie as the fastest of 1024 to
+# Rows per training block. On dense data 2048 and 4096 tie as the fastest of 1024 to
 # 8192 (2 epochs of train_ms on 64 volumes of 8x64x64 at 98% non-zero
 # pixels, one BLAS thread: 0.28 s at both, 0.32 s at 8192, 0.56 s
 # unblocked).
 BLOCK = 2048
+# Rows per block of a forward pass alone. Scoring a dense 415k-event
+# stream (desk nets, 2 lanes on 2 vCPUs, median of 12) took 73.0 ms at
+# 2048, 62.8 ms at 8192 and 81.5 ms in one pass, with byte-equal scores.
+_ENCODE_BLOCK = 8192
 
 
 class EmptyDataset(ValueError):
@@ -85,9 +95,9 @@ def _pixel_rows(batch: np.ndarray):
     return mask, np.moveaxis(batch, 1, -1)[mask][:, :, None, None]
 
 
-def _blocks(rows: np.ndarray) -> list[np.ndarray]:
-    """Consecutive views of `rows`, BLOCK rows each but the last."""
-    return np.split(rows, range(BLOCK, len(rows), BLOCK))
+def _blocks(rows: np.ndarray, block: int = BLOCK) -> list[np.ndarray]:
+    """Consecutive views of `rows`, `block` rows each but the last."""
+    return np.split(rows, range(block, len(rows), block))
 
 
 def _zero_row(batch: np.ndarray) -> np.ndarray:
@@ -114,15 +124,17 @@ def check_bins(params: MsNetParams, bins: int):
 
 def _per_pixel(params: MsNetParams, batch: np.ndarray, net) -> np.ndarray:
     """`net`, an (R,B,1,1) -> (R,K,1,1) Tensor function, on each pixel of an
-    (N,B,H,W) batch -> (N,H,W,K). The non-zero rows run BLOCK at a time, so
-    the bits are the blocked pass's, which need not equal one pass over all
-    rows; the all-zero row runs once and its output fills the rest."""
+    (N,B,H,W) batch -> (N,H,W,K). The non-zero rows run _ENCODE_BLOCK at a
+    time, so the bits are the blocked pass's, which need not equal one pass
+    over all rows; the all-zero row runs once and its output fills the
+    rest."""
     check_bins(params, batch.shape[1])
     mask, rows = _pixel_rows(batch)
     zero = net(params, Tensor(_zero_row(batch))).data.reshape(-1)
     out = np.full(mask.shape + zero.shape, zero, dtype=zero.dtype)
     out[mask] = np.concatenate([net(params, Tensor(x)).data
-                                for x in _blocks(rows)]).reshape(-1, len(zero))
+                                for x in _blocks(rows, _ENCODE_BLOCK)]
+                               ).reshape(-1, len(zero))
     return out
 
 

@@ -1,3 +1,4 @@
+import threading
 import time
 import tracemalloc
 from unittest import mock
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from evanom import events
+from evanom import events, lanes
 from evanom.events import (BadPolarity, EventStream, InvalidRange,
                            MalformedRow, OutOfBounds, parse_event_csv,
                            slice_time, write_event_csv)
@@ -289,11 +290,17 @@ LATE_ROWS = {"plus polarity": ("5,1,2,+1", None),
              "blank line": ("", MalformedRow)}
 
 
+def _lanes(n):
+    """Pin `lanes.run_tasks` to `n` lanes inside the block."""
+    return mock.patch.object(lanes, "usable_cpus", lambda: n)
+
+
 @pytest.mark.parametrize("chunk", [None, 4096])
 @pytest.mark.parametrize("row, exc", LATE_ROWS.values(), ids=LATE_ROWS.keys())
 def test_rows_past_the_first_chunk(rng, chunk, row, exc):
     """Bad or non-canonical rows beyond the first chunk get the row
-    loop's outcome: its exception class and line number, or its stream."""
+    loop's outcome, its exception class and line number or its stream,
+    at 1, 2 and 7 lanes."""
     chunk = chunk or events._CHUNK
     _, text = _canonical_text(rng, 5 * chunk // 2, 16, 12)
     lines = text.split("\n")
@@ -301,43 +308,117 @@ def test_rows_past_the_first_chunk(rng, chunk, row, exc):
     lines.insert(line_no - 1, row)
     text = "\n".join(lines)
     assert len("\n".join(lines[:line_no - 1])) > 2 * chunk
-    with mock.patch.object(events, "_CHUNK", chunk):
-        fast = _outcome(text, 16, 12)
-    assert fast == _row_loop(text, 16, 12)
+    want = _row_loop(text, 16, 12)
+    for cpus in (1, 2, 7):
+        with mock.patch.object(events, "_CHUNK", chunk), _lanes(cpus):
+            assert _outcome(text, 16, 12) == want
     if exc is None:
-        assert isinstance(fast, EventStream)
-        assert len(fast) == len(lines) - 2
+        assert isinstance(want, EventStream)
+        assert len(want) == len(lines) - 2
     else:
-        assert fast == (exc, line_no)
+        assert want == (exc, line_no)
 
 
-@pytest.mark.parametrize("row, exc", LATE_ROWS.values(), ids=LATE_ROWS.keys())
-def test_only_the_bad_chunk_takes_the_row_loop(rng, row, exc):
-    """Each chunk goes to the bulk decoder once, in order. Only the chunk
-    holding the bad or non-canonical row goes on to the row loop, which
-    numbers its lines from the rows of the chunks before it."""
-    chunk = 4096
+def _body_chunks(body, chunk):
+    """`body` cut just after the first newline at or past each chunk
+    start + chunk - 1, as parse_event_csv cuts it."""
+    cuts = [0]
+    while cuts[-1] < len(body):
+        cuts.append(body.find("\n", cuts[-1] + chunk - 1) + 1 or len(body))
+    return [body[a:b] for a, b in zip(cuts, cuts[1:])]
+
+
+def _with_rows(rng, chunk, rows):
+    """A canonical text of over 4 chunks with each (fraction, row) of
+    `rows` inserted as its own line about fraction of the way into the
+    body; (text, body, the body's chunks)."""
     _, text = _canonical_text(rng, 4 * chunk, 16, 12)
     head = len(events.HEADER) + 1
-    at = text.index("\n", head + 5 * chunk // 2) + 1 - head  # in the body
-    text = text[:head + at] + row + "\n" + text[head + at:]
-    body = text[head:]
+    for frac, row in sorted(rows, reverse=True):
+        at = text.index("\n", head + int(frac * (len(text) - head))) + 1
+        text = text[:at] + row + "\n" + text[at:]
+    return text, text[head:], _body_chunks(text[head:], chunk)
+
+
+def _spy_parse(text, chunk):
+    """The parse's outcome, the chunks handed to the bulk decoder in call
+    order, and the (chunk, line number) of each row-loop call."""
     with mock.patch.object(events, "_CHUNK", chunk), \
             mock.patch.object(events, "_canonical_chunk",
                               wraps=events._canonical_chunk) as bulk, \
             mock.patch.object(events, "_row_chunk",
                               wraps=events._row_chunk) as rows:
-        _outcome(text, 16, 12)
-    seen = [c.args[0] for c in bulk.call_args_list]
-    ends = np.cumsum([len(c) for c in seen])
-    bad = int(np.searchsorted(ends, at, side="right"))
-    assert [c.args[:2] for c in rows.call_args_list] == [
-        (seen[bad], 2 + "".join(seen[:bad]).count("\n"))]
-    assert bad >= 2
-    if exc is None:
-        assert "".join(seen) == body and len(seen) > bad + 1
-    else:
-        assert "".join(seen) == body[:ends[bad]] and len(seen) == bad + 1
+        outcome = _outcome(text, 16, 12)
+    return (outcome, [c.args[0] for c in bulk.call_args_list],
+            [c.args[:2] for c in rows.call_args_list])
+
+
+@pytest.mark.parametrize("row, exc", LATE_ROWS.values(), ids=LATE_ROWS.keys())
+def test_only_the_bad_chunk_takes_the_row_loop(rng, row, exc):
+    """Only the chunk holding the bad or non-canonical row goes on to the
+    row loop, once, numbering its lines from the newlines before it, and
+    the outcome is the row loop's, at 1, 2 and 7 lanes. On one lane each
+    chunk goes to the bulk decoder once, in order, and after a bad row
+    no later chunk is decoded; on more lanes the other runs still decode
+    their own chunks, so that holds only on one."""
+    chunk = 4096
+    text, body, chunks = _with_rows(rng, chunk, [(0.6, row)])
+    ends = np.cumsum([len(c) for c in chunks])
+    bad = int(np.searchsorted(ends, body.index("\n" + row + "\n") + 1,
+                              side="right"))
+    assert 2 <= bad < len(chunks) - 1
+    want = _row_loop(text, 16, 12)
+    for cpus in (1, 2, 7):
+        with _lanes(cpus):
+            outcome, seen, row_calls = _spy_parse(text, chunk)
+        assert outcome == want
+        assert row_calls == [
+            (chunks[bad], 2 + "".join(chunks[:bad]).count("\n"))]
+        if cpus == 1:
+            assert seen == (chunks if exc is None else chunks[:bad + 1])
+        else:
+            assert sorted(seen, key=body.index) == [
+                c for c in chunks if c in seen]
+            assert exc is not None or sorted(seen) == sorted(chunks)
+
+
+@pytest.mark.parametrize("cpus", [2, 7])
+def test_the_earlier_bad_row_is_raised_from_any_lane(rng, cpus):
+    """With bad rows in the runs of two lanes, the parse raises the error
+    of the row earlier in the file, as the row loop does."""
+    text, _, chunks = _with_rows(rng, 4096, [(0.3, "5,1,12,1"),
+                                             (0.9, "5,1,2,0")])
+    bad = [k for k, c in enumerate(chunks) if "\n5,1," in "\n" + c]
+    assert len(bad) == 2 and bad[0] < len(chunks) // 2 <= bad[1]
+    want = _row_loop(text, 16, 12)
+    assert want[0] is OutOfBounds
+    with _lanes(cpus):
+        outcome, _, row_calls = _spy_parse(text, 4096)
+    assert outcome == want
+    for c, line_no in row_calls:
+        k = chunks.index(c)
+        assert k in bad and line_no == 2 + "".join(chunks[:k]).count("\n")
+
+
+@pytest.mark.parametrize("cpus", [2, 7])
+def test_a_chunk_failing_in_the_pool_raises_and_leaves_no_thread(rng, cpus):
+    """The last chunk's bad row is decoded in a pool thread: its error
+    is raised, and every pool thread has ended when the parse returns."""
+    text, _, _ = _with_rows(rng, 4096, [(0.95, "5,1,2,2")])
+    want = _row_loop(text, 16, 12)
+    assert want[0] is BadPolarity
+    before, ran, real = set(threading.enumerate()), set(), events._row_chunk
+
+    def row_chunk(*args):
+        ran.add(threading.current_thread())
+        return real(*args)
+
+    with _lanes(cpus), mock.patch.object(events, "_CHUNK", 4096), \
+            mock.patch.object(events, "_row_chunk", row_chunk):
+        assert _outcome(text, 16, 12) == want
+    assert ran and threading.current_thread() not in ran
+    assert not any(t.is_alive() for t in ran)
+    assert set(threading.enumerate()) == before
 
 
 def test_crlf_text_parses_in_bounded_memory(rng):

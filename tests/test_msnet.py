@@ -55,8 +55,8 @@ def test_reconstruct_is_decode_of_encode(params, rng):
     # composition: deterministic
     np.testing.assert_array_equal(out, reconstruct(params, vol))
     # past one block of rows it still matches the dense 4-D forward
-    batch = _sparse_batch(rng, (2, 4, 48, 48), 0.6)
-    assert batch.any(axis=1).sum() > msnet.BLOCK
+    batch = _sparse_batch(rng, (2, 4, 72, 72), 0.9)
+    assert batch.any(axis=1).sum() > msnet._ENCODE_BLOCK
     np.testing.assert_allclose(
         reconstruct(params, batch),
         msnet.decode_t(params, encode_t(params, Tensor(batch))).data,
@@ -230,16 +230,32 @@ def test_encode_matches_dense_encode(params, rng, shape, active):
                                rtol=0, atol=1e-6)
 
 
-# At 8 filters (the `params` fixture) the blocked and one-pass bits agree
-# only below ~20k rows: past that, OpenBLAS rounds the (R,8) x (8,1) enc2
-# product differently. This batch has ~5.5k rows. At the shipped 32
-# filters they agreed up to 385k rows. `encode` returns the blocked bits.
+# `encode` runs the non-zero rows _ENCODE_BLOCK (8192) a block, training
+# BLOCK (2048). One pass over all rows need not give a blocked pass's
+# bits: at 8 filters (the `params` fixture) OpenBLAS rounds the (R,8) x
+# (8,1) enc2 product of 18k and 59k rows differently. This batch's ~5.5k
+# rows, over two training blocks, are one encode block, and match one
+# pass; the next test covers several encode blocks.
 def test_blocked_encode_equals_one_pass(params, rng):
     batch = _sparse_batch(rng, (3, 4, 48, 48), 0.8)
     mask, rows = msnet._pixel_rows(batch)
     assert len(rows) > 2 * msnet.BLOCK and len(rows) % msnet.BLOCK
     one_pass = encode_t(params, Tensor(rows)).data.reshape(-1)
     np.testing.assert_array_equal(encode(params, batch)[mask], one_pass)
+
+
+def test_encode_blocks_give_the_training_blocks_bits(rng):
+    """At the shipped 32 filters on 8 bins, two full encode blocks and a
+    partial one give the bits of the 2048-row blocked pass."""
+    params = MsNetParams.init(bins=8, filters=32, rng=rng)
+    batch = _sparse_batch(rng, (2, 8, 128, 80), 0.9)
+    mask, rows = msnet._pixel_rows(batch)
+    assert (len(rows) > 2 * msnet._ENCODE_BLOCK
+            and len(rows) % msnet._ENCODE_BLOCK)
+    blocked = np.concatenate([encode_t(params, Tensor(x)).data
+                              for x in msnet._blocks(rows)])
+    np.testing.assert_array_equal(encode(params, batch)[mask],
+                                  blocked.reshape(-1))
 
 
 # Trains both nets on a small walking scene and scores it; prints the

@@ -1073,6 +1073,36 @@ def test_windows_larger_than_memory_are_refused_unallocated(tmp_path,
     assert not out.exists()
 
 
+def test_layers_larger_than_memory_are_refused_undrawn(tmp_path, capsys):
+    """An MS net whose weight draws exceed physical memory is a ValueError
+    naming bins, ms_filters and the size, raised before any draw;
+    train-ms exits 1 with it."""
+    phys = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    filters = phys // (8 * 8) + 1    # enc1's float64 draw alone > phys
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError,
+                           match=rf"bins=8, ms_filters={filters} need "
+                                 rf"[0-9.]+ GiB"):
+            MsNetParams.init(8, filters, np.random.default_rng(0))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    ev, cfg, out = (tmp_path / n for n in ("events.csv", "pipe.cfg",
+                                           "ms.evck"))
+    stream, _ = render_scene(walking_scene(1, duration=500_000, size=16))
+    ev.write_text(write_event_csv(stream))
+    cfg.write_text(f"ms_filters={filters}\n")
+    assert cli_main(["train-ms", "--events", str(ev), "--width", "16",
+                     "--height", "16", "--config", str(cfg),
+                     "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: bins=8, ms_filters={filters}")
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_cli_score_rejects_ms_checkpoint_as_gan(tmp_path, capsys):
     ev, ms = tmp_path / "events.csv", tmp_path / "ms.evck"
     ev.write_text("t_us,x,y,p\n0,0,0,1\n")

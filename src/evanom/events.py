@@ -273,11 +273,10 @@ def parse_event_csv(text: str, width: int, height: int) -> EventStream:
         cuts.append(text.find("\n", cuts[-1] + _CHUNK - 1) + 1 or len(text))
     if len(cuts) == 1:
         return EventStream.empty(width, height)
-    with lanes.one_blas_thread():
-        cols = lanes.run_tasks([
-            functools.partial(_chunk_columns, text, head, start, end,
-                              width, height)
-            for start, end in zip(cuts, cuts[1:])])
+    cols = lanes.run_tasks([
+        functools.partial(_chunk_columns, text, head, start, end,
+                          width, height)
+        for start, end in zip(cuts, cuts[1:])])
     t, x, y, p = (np.concatenate(c) for c in zip(*cols))
     del cols  # free the chunks' columns before from_arrays copies
     return EventStream.from_arrays(width, height, x, y, t, p)

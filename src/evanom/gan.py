@@ -150,34 +150,17 @@ def l1_loss(batch: GanBatch, x_fake: Tensor, lambda_l1: float) -> Tensor:
     return ad.mul(ad.l1_norm(ad.add(x_fake, Tensor(-batch.x))), lambda_l1)
 
 
-def _g_terms(params: GanParams, batch: GanBatch, lambda_l1: float):
-    """The terms of the non-saturating generator loss, each a function of
-    the generator's frames x_hat, in the order they are added:
-    -mean log D_xy(x_hat, y), -mean log D_x(x_hat) and, if lambda_l1 > 0,
-    lambda_l1 * mean|x_hat - x|."""
-    if lambda_l1 < 0:
-        raise ValueError("lambda_l1 must be >= 0")
-    terms = [functools.partial(g_adv_loss, params, part, batch)
-             for part in _D_PARTS]
-    if lambda_l1 > 0:
-        terms.append(functools.partial(l1_loss, batch, lambda_l1=lambda_l1))
-    return terms
-
-
 def prepare_batches(windows, ms_params: MsNetParams, cap: float):
     """Windows -> (surfaces (N,1,H,W), normalized targets (N,1,H,W))."""
     vols, targets = window_arrays(windows, cap)
     return encode(ms_params, vols)[:, None], targets[:, None]
 
 
-_G_SHARDS = 2   # fixed shards of G's batch, whatever the CPU count
-
-
-def _shard_bounds(n: int) -> list[tuple[int, int]]:
-    """The fixed shards of a batch of n rows: [0, ceil(n/2)) and
+def _halves(n: int) -> list[tuple[int, int]]:
+    """G's fixed shards of a batch of n rows: [0, ceil(n/2)) and
     [ceil(n/2), n), or one shard if n is 1."""
-    edges = sorted({-(-n * i // _G_SHARDS) for i in range(_G_SHARDS + 1)})
-    return list(zip(edges, edges[1:]))
+    m = -(-n // 2)
+    return [(0, 1)] if n == 1 else [(0, m), (m, n)]
 
 
 def _g_shard(params: GanParams, batch: GanBatch, lo: int, hi: int):
@@ -202,12 +185,12 @@ def train_gan(windows, ms_params: MsNetParams, cfg: PipelineConfig,
     so its frames serve both the D losses and the G loss. A step is three
     rounds of `lanes.run_tasks` tasks (at once on two or more CPUs, else
     in turn; BLAS runs one thread):
-    - G's forward over the two fixed half-batch shards of `_shard_bounds`;
-    - the D_xy step, then the G loss's D_xy term, and the D_x step, then
-      its D_x and L1 terms, each term differentiated to its own copy of
-      the frames;
-    - G's backward over the two shards.
-    The shards are fixed, not one per CPU, so the checkpoint bytes are the
+    - `_g_shard`: G's forward over the two fixed halves of the batch;
+    - `_d_round`, once per discriminator: its step, then the G loss's
+      terms that read only its weights, each differentiated to its own
+      copy of the frames;
+    - G's backward over the two halves, in `_g_step`.
+    The halves are fixed, not one per CPU, so the checkpoint bytes are the
     same however many CPUs run them.
 
     Returns (GanParams, curves) with per-epoch mean losses. Diverging
@@ -228,55 +211,53 @@ def train_gan(windows, ms_params: MsNetParams, cfg: PipelineConfig,
             z=rng.standard_normal((len(idx), 1, h, w)).astype(np.float32))
         shards = lanes.run_tasks([
             functools.partial(_g_shard, params, batch, lo, hi)
-            for lo, hi in _shard_bounds(len(idx))])
+            for lo, hi in _halves(len(idx))])
         x_fake = Tensor(np.concatenate([frames.data for _, frames in shards]))
-        terms = _g_terms(params, batch, cfg.gan_lambda_l1)
         (v_dxy, g_dxy), (v_dx, g_dx) = lanes.run_tasks([
-            functools.partial(_d_step_then_terms, params, part, batch,
-                              x_fake, opts[part], after)
-            for part, after in zip(_D_PARTS, (terms[:1], terms[1:]))])
+            functools.partial(_d_round, params, part, batch, x_fake,
+                              opts[part], cfg.gan_lambda_l1)
+            for part in _D_PARTS])
         return v_dxy, v_dx, _g_step(params, shards, g_dxy + g_dx, opts["g"])
 
     curves = fit(params, rng, n, cfg.gan_epochs, cfg.gan_batch, step)
     return params, dict(zip(("d_xy", "d_x", "g"), curves))
 
 
-def _d_step(params: GanParams, part: str, batch: GanBatch, x_fake: Tensor,
-            state: ad.AdamState) -> float:
-    """One Adam step on discriminator `part`; returns its loss value."""
+def _d_round(params: GanParams, part: str, batch: GanBatch, x_fake: Tensor,
+             state: ad.AdamState, lambda_l1: float):
+    """One Adam step on discriminator `part`, then the generator loss's
+    terms that read no other discriminator's weights: -mean log D(x_fake)
+    and, for "dx" with lambda_l1 > 0, lambda_l1 * mean|x_fake - x|. D's
+    graph is freed before the terms build theirs, and each term is
+    differentiated on a leaf tensor of its own that shares x_fake's
+    frames. Returns (D's loss value, the terms' (value, frame gradient)
+    pairs)."""
     loss = d_loss(params, part, batch, x_fake)
     plist = params.parameters(f"{part}.")
     for p in plist:
         p.zero_grad()
     ad.backward(loss, plist)
     ad.adam_step(plist, state)
-    return loss.item()
+    d_value = loss.item()
+    del loss
+    terms = [functools.partial(g_adv_loss, params, part, batch)]
+    if part == "dx" and lambda_l1 > 0:
+        terms.append(functools.partial(l1_loss, batch, lambda_l1=lambda_l1))
 
+    def value_and_grad(term):
+        leaf = Tensor(x_fake.data, requires_grad=True)
+        value = term(leaf)
+        ad.backward(value)
+        return value.detach(), leaf.grad
 
-def _d_step_then_terms(params: GanParams, part: str, batch: GanBatch,
-                       x_fake: Tensor, state: ad.AdamState, terms):
-    """`_d_step` on discriminator `part`, then `_leaf_grad` of each
-    generator loss term in `terms`, which read no other discriminator's
-    weights; returns (D's loss value, the terms' (value, gradient)). D's
-    graph is freed before the terms build theirs."""
-    return (_d_step(params, part, batch, x_fake, state),
-            [_leaf_grad(term, x_fake) for term in terms])
-
-
-def _leaf_grad(term, x_fake: Tensor):
-    """(value, gradient) of term(frames) at x_fake's frames, taken on a
-    leaf tensor of its own that shares them; the term's graph is freed on
-    return."""
-    leaf = Tensor(x_fake.data, requires_grad=True)
-    loss = term(leaf)
-    ad.backward(loss)
-    return loss.detach(), leaf.grad
+    return d_value, [value_and_grad(term) for term in terms]
 
 
 def _g_step(params: GanParams, shards, done, state: ad.AdamState) -> float:
     """One Adam step on the generator, given its `_g_shard` (leaves,
     frames) pairs in shard order and the (value, frame gradient) of each
-    of its loss's terms (`_g_terms`, in order); returns that loss's value.
+    of its loss's terms from `_d_round`, in the order D_xy, D_x, L1;
+    returns that loss's value.
 
     The terms' gradients are summed in the order backward through one
     graph of the summed loss adds them. The sum is cut by shard, and each
@@ -292,8 +273,7 @@ def _g_step(params: GanParams, shards, done, state: ad.AdamState) -> float:
     lanes.run_tasks([
         functools.partial(ad.backward, frames, leaves.parameters(),
                           grad=seed[lo:hi])
-        for (leaves, frames), (lo, hi) in zip(shards,
-                                              _shard_bounds(len(seed)))])
+        for (leaves, frames), (lo, hi) in zip(shards, _halves(len(seed)))])
     for name in shards[0][0]:
         params[name].grad = functools.reduce(
             np.add, [leaves[name].grad for leaves, _ in shards])

@@ -4,17 +4,17 @@ on the CPUs that leaves idle.
 `msnet.train_ms`, `gan.train_gan` and `pipeline.score_sequence` run under
 `one_blas_thread`, so no output byte depends on `OPENBLAS_NUM_THREADS`
 (OpenBLAS splits a long reduction differently at one thread and at
-two). `run_tasks` alone spreads work over CPUs: it cuts its callers'
-self-contained tasks (an event CSV's chunks; a scoring call's 16 frames;
-in a GAN step, the generator's two half-batch shards, forward and then
-backward, the two discriminators and the generator loss's terms) into
-one contiguous run
-per usable CPU; the calling thread runs the first run and a pool opened
-for the call runs the others (numpy drops the GIL inside BLAS and the
-large elementwise ops); every run has finished, and every pool thread
-is joined, before the call returns or raises. The caller runs a run
-itself because each further thread gets its own malloc arena, which
-raises peak RSS.
+two). `run_tasks` alone spreads work over CPUs, and pins BLAS itself
+while its tasks run: it cuts its callers' self-contained tasks (an event
+CSV's chunks; a scoring call's 16 frames; in a GAN step, the generator's
+two half-batch shards, forward and then backward, and one task per
+discriminator with the generator loss's terms that read it) into one
+contiguous run per usable CPU; the calling thread runs the first run
+and a pool opened for the call runs the others (numpy drops the GIL
+inside BLAS and the large elementwise ops); every run has finished, and
+every pool thread is joined, before the call returns or raises. The
+caller runs a run itself because each further thread gets its own
+malloc arena, which raises peak RSS.
 """
 from __future__ import annotations
 
@@ -89,14 +89,15 @@ def usable_cpus() -> int:
     return len(os.sched_getaffinity(0)) if _openblas() is not None else 1
 
 
+@one_blas_thread()
 def run_tasks(tasks) -> list:
-    """Call each of `tasks` (callables of no argument); their results in
-    order. The tasks are cut into k = min(len(tasks), `usable_cpus()`)
-    contiguous runs; with k >= 2 the calling thread runs the first run
-    while a pool opened for this call runs the others, each in a copy of
-    the caller's context (so `np.errstate` reaches it). A run stops at
-    its first error; the first error in task order is raised once every
-    run has finished. Call it inside `one_blas_thread`."""
+    """Call each of `tasks` (callables of no argument), with BLAS at one
+    thread; their results in order. The tasks are cut into
+    k = min(len(tasks), `usable_cpus()`) contiguous runs; with k >= 2 the
+    calling thread runs the first run while a pool opened for this call
+    runs the others, each in a copy of the caller's context (so
+    `np.errstate` reaches it). A run stops at its first error; the first
+    error in task order is raised once every run has finished."""
     n, k = len(tasks), min(len(tasks), usable_cpus())
     if k < 2:
         return [task() for task in tasks]

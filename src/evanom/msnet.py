@@ -13,18 +13,20 @@ weights the zero vector's terms by its count, so the loss equals the
 dense mean over every pixel; `encode_t`/`decode_t` on a whole (N,B,H,W)
 batch give the same values and serve as the reference in the tests.
 
-The non-zero rows run in consecutive blocks. A training step runs each
-block of `BLOCK` rows' forward and backward in turn, its term weighted
-by its share of the batch's pixels, so a block's (BLOCK,F) activations
-and their gradients stay in cache and each weight gradient is a sum of
-per-block products in block order; the block size is part of the MS
-checkpoint's bytes. A forward pass alone (`encode`, `reconstruct`,
-scoring and the GAN's inputs) keeps no graph to walk back, so it runs
-`_ENCODE_BLOCK` rows a block: fewer, larger numpy calls, which on two
-lanes hand the GIL back and forth less often. `encode` gave the bits of
-2048-row blocks at every block size tried up to 131072 rows, on dense
-and desk volumes; one pass over all rows need not. `reconstruct`'s
-(B,F) output layer can round an ulp differently at 8192 rows.
+Training and the forward pass cut a batch the same way (`_pixel_rows`):
+the non-zero rows in consecutive blocks, then the all-zero row. Only
+the block size differs. A training step runs each block of `BLOCK`
+rows' forward and backward in turn, its term weighted by its share of
+the batch's pixels, so a block's (BLOCK,F) activations and their
+gradients stay in cache and each weight gradient is a sum of per-block
+products in block order; the block size is part of the MS checkpoint's
+bytes. A forward pass alone (`encode`, `reconstruct`, scoring and the
+GAN's inputs) keeps no graph to walk back, so it runs `_ENCODE_BLOCK`
+rows a block: fewer, larger numpy calls, which on two lanes hand the
+GIL back and forth less often. `encode` gave the bits of 2048-row
+blocks at every block size tried up to 131072 rows, on dense and desk
+volumes; one pass over all rows need not. `reconstruct`'s (B,F) output
+layer can round an ulp differently at 8192 rows.
 """
 from __future__ import annotations
 
@@ -88,20 +90,16 @@ class MsNetParams(ad.Params):
         return self["ms.enc1.w"].shape[1]
 
 
-def _pixel_rows(batch: np.ndarray):
-    """(N,B,H,W) -> ((N,H,W) mask of pixels with any non-zero bin, their
-    B-vectors as an (R,B,1,1) array in mask order)."""
+def _pixel_rows(batch: np.ndarray, block: int):
+    """(N,B,H,W) -> ((N,H,W) mask of pixels with any non-zero bin, parts).
+    Each part is (rows, the pixels they stand for): the mask's B-vectors
+    as (R,B,1,1) blocks of `block` rows in mask order, then the all-zero
+    row, which stands for every pixel outside the mask."""
     mask = batch.any(axis=1)
-    return mask, np.moveaxis(batch, 1, -1)[mask][:, :, None, None]
-
-
-def _blocks(rows: np.ndarray, block: int = BLOCK) -> list[np.ndarray]:
-    """Consecutive views of `rows`, `block` rows each but the last."""
-    return np.split(rows, range(block, len(rows), block))
-
-
-def _zero_row(batch: np.ndarray) -> np.ndarray:
-    return np.zeros((1, batch.shape[1], 1, 1), dtype=batch.dtype)
+    rows = np.moveaxis(batch, 1, -1)[mask][:, :, None, None]
+    blocks = np.split(rows, range(block, len(rows), block))
+    zero = np.zeros((1, batch.shape[1], 1, 1), dtype=batch.dtype)
+    return mask, [(x, len(x)) for x in blocks] + [(zero, mask.size - len(rows))]
 
 
 def _mix(params: MsNetParams, layer: str, x: Tensor) -> Tensor:
@@ -129,12 +127,11 @@ def _per_pixel(params: MsNetParams, batch: np.ndarray, net) -> np.ndarray:
     over all rows; the all-zero row runs once and its output fills the
     rest."""
     check_bins(params, batch.shape[1])
-    mask, rows = _pixel_rows(batch)
-    zero = net(params, Tensor(_zero_row(batch))).data.reshape(-1)
+    mask, (*blocks, (zero_row, _)) = _pixel_rows(batch, _ENCODE_BLOCK)
+    zero = net(params, Tensor(zero_row)).data.reshape(-1)
     out = np.full(mask.shape + zero.shape, zero, dtype=zero.dtype)
     out[mask] = np.concatenate([net(params, Tensor(x)).data
-                                for x in _blocks(rows, _ENCODE_BLOCK)]
-                               ).reshape(-1, len(zero))
+                                for x, _ in blocks]).reshape(-1, len(zero))
     return out
 
 
@@ -170,9 +167,7 @@ def _loss_and_grads(params: MsNetParams, plist: list[Tensor],
     every pixel of an (N,B,H,W) batch, and return that loss: the sum of
     one term per block of non-zero pixel rows, in block order, then the
     all-zero row's, each weighted by the share of pixels it stands for."""
-    mask, rows = _pixel_rows(batch)
-    parts = [(x, len(x)) for x in _blocks(rows)]
-    parts.append((_zero_row(batch), mask.size - len(rows)))
+    mask, parts = _pixel_rows(batch, BLOCK)
     for p in plist:
         p.zero_grad()
     return sum(_term_grads(params, plist, x, count / mask.size, lambda_sparse)

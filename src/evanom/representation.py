@@ -79,7 +79,8 @@ def _windows(stream: EventStream, t0: int, bin_dt: int, bins: int, n: int,
     if grid_b + cut_b > phys:
         raise ValueError(
             f"bins={bins}, stride={stride} need a {grid_b / 2**30:.1f} GiB "
-            f"grid and {cut_b / 2**30:.1f} GiB of windows, more than this "
+            f"grid and {cut_b / 2**30:.1f} GiB of windows on a "
+            f"{stream.width}x{stream.height} sensor, more than this "
             f"machine's physical memory")
     t = stream.t
     lo, hi = time_index(t, t0), time_index(t, t0 + centres * bin_dt)

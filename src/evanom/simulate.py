@@ -10,6 +10,7 @@ deterministic for a fixed seed.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -81,6 +82,10 @@ class ObjectSpec:
             y = np.where(d > 0, y + float(vy) * d / 1e6, y)
         return x, y
 
+    # A finite speed or size can still overflow float64: the position
+    # or squared distance becomes inf (or nan), which leaves the shape
+    # off the sensor, and a disk's squared radius inf, which covers it.
+    @np.errstate(over="ignore", invalid="ignore")
     def _masks(self, t: np.ndarray, width: int, height: int) -> np.ndarray:
         """Binary occupancy at each of the int64 times `t`, all-zero outside
         [t_on, t_off), as one (len(t), height, width) array."""
@@ -97,7 +102,7 @@ class ObjectSpec:
         _, r = self.shape
         dx2 = (cols - px[:, None]) ** 2
         dy2 = (rows - py[:, None]) ** 2
-        disk = dy2[:, :, None] + dx2[:, None, :] <= r ** 2
+        disk = dy2[:, :, None] + dx2[:, None, :] <= np.float64(r) ** 2
         return disk & live[:, None, None]
 
 
@@ -173,10 +178,28 @@ def render_scene(config: SceneConfig) -> tuple[EventStream, LabelTrack]:
     uniform in [0, micro_step), so all events land inside the duration.
     Toggles are found a block of steps at a time, in the order step, row,
     column, and their jitter is drawn in that order.
+
+    Refuses, before drawing, a sensor whose one micro-step's mask (a byte
+    a pixel) or a noise rate whose expected events (17 bytes each) would
+    exceed physical memory.
     """
-    rng = np.random.default_rng(config.seed)
     ms, width = config.micro_step, config.width
     pixels = config.width * config.height
+    phys = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    if pixels > phys:
+        raise ConfigError(
+            f"width={config.width}, height={config.height} need a "
+            f"{pixels >> 30} GiB mask each micro-step, more than this "
+            f"machine's physical memory")
+    expect = config.noise_rate * pixels * config.duration / 1e6
+    if expect * 17 > phys:
+        raise ConfigError(
+            f"noise_rate={config.noise_rate} needs "
+            f"{expect * 17 / 2**30:.1f} GiB of noise events on a "
+            f"{config.width}x{config.height} sensor "
+            f"over {config.duration} us, more than this machine's physical "
+            f"memory")
+    rng = np.random.default_rng(config.seed)
     steps = config.duration // ms
     xs, ys, ts, ps = [], [], [], []
     prev, anomalous = _occupancy(config, np.zeros(1, np.int64))
@@ -201,7 +224,6 @@ def render_scene(config: SceneConfig) -> tuple[EventStream, LabelTrack]:
         prev = cur
 
     if config.noise_rate > 0:
-        expect = config.noise_rate * pixels * config.duration / 1e6
         n = rng.poisson(expect)
         xs.append(rng.integers(0, config.width, n).astype(np.int32))
         ys.append(rng.integers(0, config.height, n).astype(np.int32))

@@ -99,6 +99,14 @@ def test_run_tasks_cuts_one_contiguous_run_per_cpu(monkeypatch, fails,
     assert len(pool) == 1 and caller not in pool
 
 
+def test_run_tasks_pins_blas_for_its_tasks(blas_get, monkeypatch):
+    """Called unpinned, run_tasks runs every task, in the calling thread
+    and in the pool, with BLAS at one thread, and restores the count."""
+    monkeypatch.setattr(lanes, "usable_cpus", lambda: 2)
+    assert lanes.run_tasks([blas_get] * 3) == [1, 1, 1]
+    assert blas_get() == 2 and lanes._pin_depth == 0
+
+
 def test_entry_points_restore_blas_threads(tiny, blas_get, monkeypatch):
     stream, track, windows, ms_params, gan_params = tiny
     seen = _recording(monkeypatch, blas_get)

@@ -238,7 +238,8 @@ def test_encode_matches_dense_encode(params, rng, shape, active):
 # pass; the next test covers several encode blocks.
 def test_blocked_encode_equals_one_pass(params, rng):
     batch = _sparse_batch(rng, (3, 4, 48, 48), 0.8)
-    mask, rows = msnet._pixel_rows(batch)
+    mask, parts = msnet._pixel_rows(batch, msnet.BLOCK)
+    rows = np.concatenate([x for x, _ in parts[:-1]])
     assert len(rows) > 2 * msnet.BLOCK and len(rows) % msnet.BLOCK
     one_pass = encode_t(params, Tensor(rows)).data.reshape(-1)
     np.testing.assert_array_equal(encode(params, batch)[mask], one_pass)
@@ -249,11 +250,11 @@ def test_encode_blocks_give_the_training_blocks_bits(rng):
     partial one give the bits of the 2048-row blocked pass."""
     params = MsNetParams.init(bins=8, filters=32, rng=rng)
     batch = _sparse_batch(rng, (2, 8, 128, 80), 0.9)
-    mask, rows = msnet._pixel_rows(batch)
-    assert (len(rows) > 2 * msnet._ENCODE_BLOCK
-            and len(rows) % msnet._ENCODE_BLOCK)
+    mask, parts = msnet._pixel_rows(batch, msnet._ENCODE_BLOCK)
+    assert len(parts) > 3 and len(parts[-2][0]) < msnet._ENCODE_BLOCK
+    _, parts = msnet._pixel_rows(batch, msnet.BLOCK)
     blocked = np.concatenate([encode_t(params, Tensor(x)).data
-                              for x in msnet._blocks(rows)])
+                              for x, _ in parts[:-1]])
     np.testing.assert_array_equal(encode(params, batch)[mask],
                                   blocked.reshape(-1))
 

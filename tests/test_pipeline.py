@@ -996,6 +996,23 @@ def test_cli_simulate_rejects_misspelled_scene_key(tmp_path, capsys):
     assert not ev.exists()
 
 
+_PHYS = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+
+
+def _walking_scene_with(tmp_path, line):
+    """Write the 16x16 walking scene's config to tmp_path with the line
+    of `line`'s key replaced by `line`; the (scene, events, labels)
+    paths."""
+    from evanom.simulate import write_scene_config
+
+    key = line.partition("=")[0]
+    scene, ev, lab = (tmp_path / n for n in ("s.cfg", "ev.csv", "lab.csv"))
+    scene.write_text("".join(
+        line + "\n" if ln.startswith(key + "=") else ln + "\n"
+        for ln in write_scene_config(walking_scene(1, size=16)).splitlines()))
+    return scene, ev, lab
+
+
 @pytest.mark.parametrize("line, key", [
     ("noise_rate=nan", "noise_rate"), ("noise_rate=inf", "noise_rate"),
     ("object.1.start=inf,36.0", "object.1.start"),
@@ -1003,15 +1020,38 @@ def test_cli_simulate_rejects_misspelled_scene_key(tmp_path, capsys):
     ("object.0.shape=disk:inf", "object.0.shape"),
 ])
 def test_cli_simulate_refuses_non_finite_values(tmp_path, capsys, line, key):
-    from evanom.simulate import write_scene_config
-
-    scene, ev, lab = (tmp_path / n for n in ("s.cfg", "ev.csv", "lab.csv"))
-    scene.write_text("".join(
-        line + "\n" if ln.startswith(key + "=") else ln + "\n"
-        for ln in write_scene_config(walking_scene(1, size=16)).splitlines()))
+    scene, ev, lab = _walking_scene_with(tmp_path, line)
     assert cli_main(["simulate", "--config", str(scene), "--out-events",
                      str(ev), "--out-labels", str(lab)]) == 1
     assert capsys.readouterr().err.startswith(f"error: {key}")
+    assert not ev.exists() and not lab.exists()
+
+
+@pytest.mark.parametrize("line", ["object.0.shape=disk:1e300",
+                                  "object.0.velocity=0:1e308,0"])
+def test_cli_simulate_renders_values_beyond_float64(tmp_path, capsys, line):
+    scene, ev, lab = _walking_scene_with(tmp_path, line)
+    assert cli_main(["simulate", "--config", str(scene), "--out-events",
+                     str(ev), "--out-labels", str(lab)]) == 0
+    assert capsys.readouterr().err == ""
+    assert ev.exists() and lab.exists()
+
+
+@pytest.mark.parametrize("line, key", [
+    ("noise_rate=1e30", "noise_rate"),
+    (f"noise_rate={2 * _PHYS / (16 * 16 * 2 * 17)}", "noise_rate"),
+    (f"width={_PHYS}", "width"),
+    ("width=100000000000000000000", "width"),
+], ids=["noise 1e30", "noise sized from memory", "width sized from memory",
+        "width 1e20"])
+def test_cli_simulate_refuses_scenes_larger_than_memory(tmp_path, capsys,
+                                                        line, key):
+    scene, ev, lab = _walking_scene_with(tmp_path, line)
+    assert cli_main(["simulate", "--config", str(scene), "--out-events",
+                     str(ev), "--out-labels", str(lab)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {key}=") and "Traceback" not in err
+    assert err.count("\n") == 1
     assert not ev.exists() and not lab.exists()
 
 
@@ -1070,6 +1110,22 @@ def test_windows_larger_than_memory_are_refused_unallocated(tmp_path,
                      "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: bins={bins}") and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_voxelize_names_the_sensor_too_large_for_memory(tmp_path, capsys):
+    """A sensor whose 4-bin grid and window (36 bytes a pixel) exceed
+    physical memory: the refusal names the sensor as well as bins and
+    stride."""
+    width = _PHYS // (36 * 16) + 1
+    ev, out = tmp_path / "events.csv", tmp_path / "v.evol"
+    ev.write_text("t_us,x,y,p\n1,0,0,1\n")
+    assert cli_main(["voxelize", "--events", str(ev), "--width", str(width),
+                     "--height", "16", "--bin-dt", "1000", "--bins", "4",
+                     "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: bins=4, stride=1 need")
+    assert f" on a {width}x16 sensor, " in err and "Traceback" not in err
     assert not out.exists()
 
 

@@ -1,5 +1,7 @@
 import dataclasses
+import os
 import re
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -416,3 +418,57 @@ def test_scene_config_refuses_a_negative_seed():
 def test_scene_config_refuses_a_duration_beyond_int64():
     with pytest.raises(ConfigError, match="^duration must fit int64$"):
         SceneConfig(8, 8, 2**63, 2**62, simple_config().objects)
+
+
+# Finite values whose float64 arithmetic overflows render without a
+# warning (the suite turns warnings into errors).
+def test_disk_beyond_float64_squares_covers_the_sensor_while_active():
+    obj = ObjectSpec(("disk", 1e300), (-6.0, 12.0), ((0, 35.0, 0.0),),
+                     active=(10_000, 30_000))
+    t = np.arange(0, 50_000, 5000, dtype=np.int64)
+    live = (t >= 10_000) & (t < 30_000)
+    mask = obj._masks(t, 16, 8)
+    assert mask.shape == (10, 8, 16)
+    assert (mask == live[:, None, None]).all()
+    stream, _ = render_scene(SceneConfig(16, 8, 50_000, 5000, (obj,)))
+    assert len(stream) == 2 * 16 * 8
+    assert sorted(np.unique(stream.p).tolist()) == [-1, 1]
+
+
+@pytest.mark.parametrize("shape, start, velocity", [
+    (("rect", 6, 12), (-6.0, 12.0), ((0, 1e308, 0.0),)),
+    (("disk", 3.0), (4.0, 4.0), ((0, 0.0, -1e308),)),
+    (("disk", 3.0), (1e200, 4.0), ((0, 0.0, 0.0),)),
+    (("rect", 2, 2), (4.0, 4.0), ((0, 1e308, 0.0), (10_000, -1e308, 0.0))),
+], ids=["rect to inf", "disk to -inf", "disk far off", "inf then nan"])
+def test_objects_moved_beyond_float64_leave_the_sensor(shape, start,
+                                                       velocity):
+    obj = ObjectSpec(shape, start, velocity)
+    t = np.arange(5000, 50_000, 5000, dtype=np.int64)
+    assert not obj._masks(t, 16, 8).any()
+    render_scene(SceneConfig(16, 8, 50_000, 5000, (obj,)))
+
+
+def _phys():
+    return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+
+
+@pytest.mark.parametrize("make, match", [
+    (lambda: dataclasses.replace(
+        simple_config(), noise_rate=2 * _phys() / (32 * 16 * 0.05 * 17)),
+     r"^noise_rate=\S+ needs [0-9.]+ GiB of noise events on a 32x16 sensor"),
+    (lambda: dataclasses.replace(simple_config(), noise_rate=1e30),
+     r"^noise_rate=1e\+30 needs [0-9.]+ GiB of noise events"),
+    (lambda: dataclasses.replace(simple_config(), width=_phys() // 16 + 1),
+     r"^width=\d+, height=16 need a \d+ GiB mask each micro-step"),
+], ids=["noise sized from memory", "noise 1e30", "width"])
+def test_scenes_larger_than_memory_are_refused_undrawn(make, match):
+    config = make()
+    tracemalloc.start()
+    try:
+        with pytest.raises(ConfigError, match=match):
+            render_scene(config)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20

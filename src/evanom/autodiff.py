@@ -15,7 +15,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import expit
 
 
 class ShapeMismatch(ValueError):
@@ -120,14 +119,20 @@ def mul(a: Tensor, b) -> Tensor:
     return _result(out_data, (a, b), back, "mul")
 
 
-def sigmoid(x: Tensor) -> Tensor:
-    """1/(1+exp(-x)), computed in place on one buffer. exp(-x) overflows
-    to inf for very negative x, which gives exactly 0."""
-    s = np.negative(x.data, out=np.empty_like(x.data))
+def _logistic(x: np.ndarray) -> np.ndarray:
+    """1/(1+exp(-x)) in x's dtype, computed in place on one new buffer.
+    exp(-x) overflows to inf for very negative x, which gives exactly 0."""
+    s = np.negative(x, out=np.empty_like(x))
     with np.errstate(over="ignore"):
         np.exp(s, out=s)
     s += 1
     np.reciprocal(s, out=s)
+    return s
+
+
+def sigmoid(x: Tensor) -> Tensor:
+    """Logistic function 1/(1+exp(-x)); its backward reuses the output."""
+    s = _logistic(x.data)
 
     def back(g):
         d = np.subtract(1, s)
@@ -451,7 +456,7 @@ def bce_with_logits(logits: Tensor, targets: Tensor) -> Tensor:
         val = np.mean(np.logaddexp(0.0, l) - t * l)
 
     def back(g):
-        _acc(logits, g * (expit(l) - t) / n)
+        _acc(logits, g * (_logistic(l) - t) / n)
         if targets.requires_grad:
             _acc(targets, g * (-l) / n)
     return _result(val, (logits, targets), back, "bce_with_logits")

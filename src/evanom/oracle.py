@@ -3,17 +3,19 @@
 Everything here works on explicit probability tables in float64, with the
 0*log(0) = 0 convention, so the closed-form optimal discriminators, the
 Jensen-Shannon decomposition of the objective, and the generator optimum
-can be checked against brute-force numeric optimization to tight
-tolerances. This module never touches the tensor engine.
+can be checked against independent numeric optimization to tight
+tolerances: bisection for each discriminator value, and exponentiated
+gradient (Kivinen & Warmuth, 1997) for the generator. The module needs
+numpy alone and never touches the tensor engine.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize, minimize_scalar
 
 LOG2 = float(np.log(2.0))
+EG_STEPS = 3000  # exponentiated-gradient steps of the best response, size 1
 
 
 class TooLarge(ValueError):
@@ -132,10 +134,10 @@ def jsd(p: np.ndarray, q: np.ndarray) -> float:
 def numeric_optimal_d(weight_pos: float, weight_neg: float) -> float:
     """Per-point maximizer of a*log(d) + b*log(1-d) over d in (0,1).
 
-    Independent of the closed form: bounded scalar search on the payoff,
-    then bisection on the sign of the payoff's derivative to push past
-    the flatness limit of value-comparison methods. Degenerate weights
-    take their limit values.
+    Independent of the closed form: 80 bisection steps on the sign of the
+    payoff's derivative a/d - b/(1-d), which strictly decreases on (0,1),
+    started on [1e-12, 1 - 1e-12]. Degenerate weights take their limit
+    values.
     """
     a, b = weight_pos, weight_neg
     if a <= 0 and b <= 0:
@@ -144,23 +146,10 @@ def numeric_optimal_d(weight_pos: float, weight_neg: float) -> float:
         return 0.0
     if b <= 0:
         return 1.0
-
-    def neg_payoff(d):
-        return -(a * np.log(d) + b * np.log(1.0 - d))
-
-    res = minimize_scalar(neg_payoff, bounds=(1e-9, 1.0 - 1e-9),
-                          method="bounded", options={"xatol": 1e-10})
-    x = float(res.x)
-
-    def slope(d):
-        return a / d - b / (1.0 - d)  # strictly decreasing on (0,1)
-
-    lo, hi = max(x - 1e-4, 1e-12), min(x + 1e-4, 1.0 - 1e-12)
-    if slope(lo) < 0 or slope(hi) > 0:
-        lo, hi = 1e-12, 1.0 - 1e-12
+    lo, hi = 1e-12, 1.0 - 1e-12
     for _ in range(80):
         mid = 0.5 * (lo + hi)
-        if slope(mid) > 0:
+        if a / mid - b / (1.0 - mid) > 0:
             lo = mid
         else:
             hi = mid
@@ -176,38 +165,27 @@ def decomposition_residual(j: DiscreteJoint) -> float:
     return abs(lhs - rhs)
 
 
-def best_response_generator(p_dd: np.ndarray, restarts: int = 8,
-                            seed: int = 0) -> tuple[np.ndarray, float]:
+def best_response_generator(p_dd: np.ndarray) -> tuple[np.ndarray, float]:
     """Generator conditionals minimizing the objective at the optimal Ds.
 
-    Softmax-parametrized multi-start Nelder-Mead over the n simplices of
-    p_g(.|y); small instances only (m*n <= 9). Returns (p_g_cond, value).
+    Exponentiated-gradient descent on each simplex p_g(.|y), from uniform,
+    for EG_STEPS steps of size 1. The envelope gradient of the objective
+    at the optimal Ds is p_d(y) * [log(1 - D*_xy) + log(1 - D*_x)], with
+    a D* taken as 0 at points with no mass. Small instances only
+    (m*n <= 9). Returns (p_g_cond, value).
     """
     p_dd = np.asarray(p_dd, dtype=np.float64)
     m, n = p_dd.shape
     if m * n > 9:
         raise TooLarge(f"instance {m}x{n} exceeds m*n <= 9")
-    rng = np.random.default_rng(seed)
-
-    def unpack(theta):
-        z = theta.reshape(m, n)
-        z = z - z.max(axis=0, keepdims=True)
-        e = np.exp(z)
-        return e / e.sum(axis=0, keepdims=True)
-
-    def value_at(theta):
-        j = DiscreteJoint(p_dd, unpack(theta))
-        return dual_objective(j, optimal_d_xy(j), optimal_d_x(j))
-
-    best_theta, best_val = None, np.inf
-    starts = [np.zeros(m * n)] + [rng.normal(size=m * n) for _ in range(restarts - 1)]
-    for theta0 in starts:
-        res = minimize(value_at, theta0, method="Nelder-Mead",
-                       options={"xatol": 1e-10, "fatol": 1e-12,
-                                "maxiter": 20000, "maxfev": 40000})
-        if res.fun < best_val:
-            best_val, best_theta = res.fun, res.x
-    return unpack(best_theta), float(best_val)
+    p_d_y = p_dd.sum(axis=0)
+    j = DiscreteJoint(p_dd, np.full((m, n), 1.0 / m))
+    for _ in range(EG_STEPS):
+        d_xy, d_x = map(np.nan_to_num, (optimal_d_xy(j), optimal_d_x(j)))
+        p_g = j.p_g_cond * np.exp(-p_d_y * (np.log1p(-d_xy)
+                                            + np.log1p(-d_x)[:, None]))
+        j = DiscreteJoint(p_dd, p_g / p_g.sum(axis=0))
+    return j.p_g_cond, dual_objective(j, optimal_d_xy(j), optimal_d_x(j))
 
 
 def verify(instances: int = 100, seed: int = 0,

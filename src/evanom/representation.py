@@ -78,8 +78,8 @@ def _windows(stream: EventStream, t0: int, bin_dt: int, bins: int, n: int,
     phys = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
     if grid_b + cut_b > phys:
         raise ValueError(
-            f"bins={bins}, stride={stride} need a {grid_b / 2**30:.1f} GiB "
-            f"grid and {cut_b / 2**30:.1f} GiB of windows on a "
+            f"bins={bins}, stride={stride} need a {grid_b >> 30} GiB "
+            f"grid and {cut_b >> 30} GiB of windows on a "
             f"{stream.width}x{stream.height} sensor, more than this "
             f"machine's physical memory")
     t = stream.t

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import os
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,7 +50,8 @@ class ObjectSpec:
         if not all(size > 0 for size in self.shape[1:]):
             raise ConfigError(f"shape: {_format_shape(self.shape)} has a "
                               f"size <= 0")
-        if not all(map(math.isfinite, self.shape[1:])):
+        # finite as a float64: a rect's int sizes may lie beyond it
+        if not all(size <= sys.float_info.max for size in self.shape[1:]):
             raise ConfigError(f"shape: {_format_shape(self.shape)} has a "
                               f"non-finite size")
         if not all(map(math.isfinite, self.start)):

@@ -5,7 +5,11 @@ shows the margins. Training-based criteria share session fixtures so the
 expensive artifacts are built once (and rebuilt once more for the
 determinism criterion).
 """
+import hashlib
+import json
+import platform
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -220,6 +224,47 @@ def test_acceptance_6_determinism(desk_cfg, ms_run, seed_runs):
         assert csv2 == csv, f"seed {seed}: score CSV differs"
     report(6, "determinism",
            f"repeat of criteria 4-5 bit-identical over seeds {SEEDS}")
+
+
+# ---------------------------------------------------- pinned recipe bytes
+
+DIGESTS = Path(__file__).with_name("recipe_digests.json")
+
+
+def recipe_environment():
+    """What the recipe's bytes depend on besides (data, seed): the numpy
+    build, its BLAS, the CPU model (by which BLAS picks its kernels) and
+    the machine."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    cpu = "unknown"
+    try:
+        with open("/proc/cpuinfo") as f:
+            cpu = next((ln.partition(":")[2].strip() for ln in f
+                        if ln.startswith("model name")), cpu)
+    except OSError:
+        pass
+    return {"numpy": np.__version__,
+            "blas": f"{blas.get('name')} {blas.get('version')}",
+            "cpu": cpu, "machine": platform.machine()}
+
+
+def test_recipe_bytes_match_the_pinned_digests(seed_runs):
+    """The five desk seeds' MS checkpoint, GAN checkpoint and score CSV
+    have the SHA-256 digests committed for this environment. A change
+    that moves them on purpose updates recipe_digests.json."""
+    env = recipe_environment()
+    pinned = next((e["digests"] for e in json.loads(DIGESTS.read_text())
+                   if e["environment"] == env), None)
+    if pinned is None:
+        pytest.skip(f"no pinned digests for environment {env}")
+    got = {}
+    for seed in SEEDS:
+        (ms, gan), csv, _, _, _ = seed_runs[seed]
+        got[str(seed)] = {
+            name: hashlib.sha256(blob).hexdigest()
+            for name, blob in (("ms", ms), ("gan", gan),
+                               ("csv", csv.encode()))}
+    assert got == pinned
 
 
 # ------------------------------------------------------------- criterion 7

@@ -171,3 +171,13 @@ def test_verify_refuses_no_instances(instances):
     with pytest.raises(ValueError, match=f"instances must be >= 1, got "
                                          f"{instances}"):
         verify(instances)
+
+
+def test_best_response_with_points_of_no_mass():
+    """An outcome x that the data never takes: the generator's mass there
+    underflows, its optimal D_x becomes 0/0 and is taken as 0, and the
+    descent still reaches -4 log 2 with the data conditionals."""
+    p_dd = np.array([[0.3, 0.2, 0.0], [0.0, 0.0, 0.0], [0.1, 0.2, 0.2]])
+    p_g, val = best_response_generator(p_dd)
+    assert val == pytest.approx(-4 * LOG2, abs=1e-9)
+    np.testing.assert_allclose(p_g, p_dd / p_dd.sum(axis=0), atol=1e-9)

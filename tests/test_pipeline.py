@@ -507,13 +507,15 @@ def test_score_sequence_memory_does_not_grow_with_noise_samples(
     """Each generator call draws its own noise, so no noise grid of the
     whole stream is held: on the desk mixed scene with random-init nets,
     the tracemalloc peak at 8 noise samples is within 4 MiB of that at 1
-    (a stream-wide grid is 1.5 MiB a sample here)."""
+    (a stream-wide grid is 1.5 MiB a sample here). Scoring runs on one
+    lane: on two, the peak depends on whether the two threads' working
+    sets overlap in time, and it spread by over 5 MiB between runs."""
     cfg = experiments.desk_config()
     stream, _ = render_scene(simulate.mixed_test_scene(1001))
     rng = np.random.default_rng(0)
     ms_params = MsNetParams.init(cfg.bins, cfg.ms_filters, rng)
     gan_params = GanParams.init(64, 64, cfg.gan_ngf, cfg.gan_ndf, rng)
-    monkeypatch.setattr(lanes, "usable_cpus", lambda: 2)
+    monkeypatch.setattr(lanes, "usable_cpus", lambda: 1)
     peaks = []
     for k in (1, 8):
         tracemalloc.start()
@@ -1027,6 +1029,20 @@ def test_cli_simulate_refuses_non_finite_values(tmp_path, capsys, line, key):
     assert not ev.exists() and not lab.exists()
 
 
+def test_cli_simulate_refuses_a_rect_beyond_float64(tmp_path, capsys):
+    """A rect width of 401 digits, which no float64 holds, is refused by
+    name rather than overflowing."""
+    scene, ev, lab = _walking_scene_with(
+        tmp_path, f"object.0.shape=rect:1{'0' * 400}x5")
+    assert cli_main(["simulate", "--config", str(scene), "--out-events",
+                     str(ev), "--out-labels", str(lab)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: object.0.shape: rect:1000")
+    assert err.endswith("x5 has a non-finite size\n")
+    assert "Traceback" not in err
+    assert not ev.exists() and not lab.exists()
+
+
 @pytest.mark.parametrize("line", ["object.0.shape=disk:1e300",
                                   "object.0.velocity=0:1e308,0"])
 def test_cli_simulate_renders_values_beyond_float64(tmp_path, capsys, line):
@@ -1118,6 +1134,21 @@ def test_voxelize_names_the_sensor_too_large_for_memory(tmp_path, capsys):
     physical memory: the refusal names the sensor as well as bins and
     stride."""
     width = _PHYS // (36 * 16) + 1
+    ev, out = tmp_path / "events.csv", tmp_path / "v.evol"
+    ev.write_text("t_us,x,y,p\n1,0,0,1\n")
+    assert cli_main(["voxelize", "--events", str(ev), "--width", str(width),
+                     "--height", "16", "--bin-dt", "1000", "--bins", "4",
+                     "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: bins=4, stride=1 need")
+    assert f" on a {width}x16 sensor, " in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_voxelize_refuses_a_sensor_beyond_float64(tmp_path, capsys):
+    """A 401-digit width, whose sizes no float64 holds: the refusal
+    formats them without a float division, which would overflow."""
+    width = 10**400
     ev, out = tmp_path / "events.csv", tmp_path / "v.evol"
     ev.write_text("t_us,x,y,p\n1,0,0,1\n")
     assert cli_main(["voxelize", "--events", str(ev), "--width", str(width),

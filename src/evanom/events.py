@@ -253,13 +253,20 @@ def _chunk_columns(text: str, head: int, start: int, end: int,
 
 
 def parse_event_csv(text: str, width: int, height: int) -> EventStream:
-    """Parse the event CSV format (header `t_us,x,y,p`); strict validation.
+    """Parse the event CSV format (header `t_us,x,y,p`).
+
+    A row is stripped, cut at its commas into four fields, and each field
+    read by Python's `int()`, so `+1`, `010`, `1_0`, non-ASCII digits and
+    blanks around a field or a row (a trailing carriage return too) are
+    accepted. t must fit int64 and be >= 0, (x, y) lie on the sensor and
+    p be +1 or -1; any other row raises an `EventError` naming its line.
 
     The rows are read a bounded chunk at a time, the chunks spread over
     `lanes.run_tasks`. A chunk whose rows all read exactly as
-    write_event_csv writes them is decoded in bulk byte passes; any other
-    chunk is checked row by row, so the first bad row in file order is
-    reported with its line number either way, at any lane count.
+    write_event_csv writes them (canonical rows) is decoded in bulk byte
+    passes; any other chunk is read row by row, so the first bad row in
+    file order is reported with its line number either way, at any lane
+    count.
     Rows out of time order are stably sorted; already-sorted input keeps
     its row order, including ties. The stream does not depend on the
     lane count.

@@ -173,6 +173,32 @@ def _g_shard(params: GanParams, batch: GanBatch, lo: int, hi: int):
                                Tensor(batch.z[lo:hi]))
 
 
+def _frame_grad(term, frames: Tensor):
+    """(value, gradient to the frames) of `term`, one term of the generator
+    loss, computed on a leaf tensor of its own that shares their array."""
+    leaf = Tensor(frames.data, requires_grad=True)
+    value = term(leaf)
+    ad.backward(value)
+    return value.detach(), leaf.grad
+
+
+def _d_round(params: GanParams, part: str, batch: GanBatch, x_fake: Tensor,
+             state: ad.AdamState):
+    """One Adam step on discriminator `part`; returns D's loss value and
+    the `_frame_grad` of its term -mean log D(x_fake) in the generator's
+    loss. D's graph is freed before the term builds its own."""
+    loss = d_loss(params, part, batch, x_fake)
+    plist = params.parameters(f"{part}.")
+    for p in plist:
+        p.zero_grad()
+    ad.backward(loss, plist)
+    ad.adam_step(plist, state)
+    d_value = loss.item()
+    del loss
+    return d_value, _frame_grad(
+        functools.partial(g_adv_loss, params, part, batch), x_fake)
+
+
 @lanes.one_blas_thread()
 @np.errstate(over="ignore", invalid="ignore")
 def train_gan(windows, ms_params: MsNetParams, cfg: PipelineConfig,
@@ -186,12 +212,15 @@ def train_gan(windows, ms_params: MsNetParams, cfg: PipelineConfig,
     rounds of `lanes.run_tasks` tasks (at once on two or more CPUs, else
     in turn; BLAS runs one thread):
     - `_g_shard`: G's forward over the two fixed halves of the batch;
-    - `_d_round`, once per discriminator: its step, then the G loss's
-      terms that read only its weights, each differentiated to its own
-      copy of the frames;
-    - G's backward over the two halves, in `_g_step`.
-    The halves are fixed, not one per CPU, so the checkpoint bytes are the
-    same however many CPUs run them.
+    - `_d_round`, once per discriminator: its step, then its adversarial
+      term of the G loss;
+    - G's backward over the two halves.
+    `_frame_grad` differentiates each term of the G loss, the L1 term
+    (if `gan_lambda_l1` > 0) in the calling thread between the last two
+    rounds. The terms are summed in the order D_xy, D_x, L1, as one
+    backward through their sum adds them, and G's gradient is half 0's
+    plus half 1's. The halves are fixed, not one per CPU, so the
+    checkpoint bytes are the same however many CPUs run them.
 
     Returns (GanParams, curves) with per-epoch mean losses. Diverging
     raises as in `msnet.fit`.
@@ -209,73 +238,29 @@ def train_gan(windows, ms_params: MsNetParams, cfg: PipelineConfig,
         batch = GanBatch(
             y=surfaces[idx], x=targets[idx],
             z=rng.standard_normal((len(idx), 1, h, w)).astype(np.float32))
+        halves = _halves(len(idx))
         shards = lanes.run_tasks([
             functools.partial(_g_shard, params, batch, lo, hi)
-            for lo, hi in _halves(len(idx))])
+            for lo, hi in halves])
         x_fake = Tensor(np.concatenate([frames.data for _, frames in shards]))
-        (v_dxy, g_dxy), (v_dx, g_dx) = lanes.run_tasks([
-            functools.partial(_d_round, params, part, batch, x_fake,
-                              opts[part], cfg.gan_lambda_l1)
+        (v_dxy, t_dxy), (v_dx, t_dx) = lanes.run_tasks([functools.partial(
+            _d_round, params, part, batch, x_fake, opts[part])
             for part in _D_PARTS])
-        return v_dxy, v_dx, _g_step(params, shards, g_dxy + g_dx, opts["g"])
+        terms = [t_dxy, t_dx]
+        if cfg.gan_lambda_l1 > 0:
+            terms.append(_frame_grad(functools.partial(
+                l1_loss, batch, lambda_l1=cfg.gan_lambda_l1), x_fake))
+        loss = functools.reduce(ad.add, [value for value, _ in terms])
+        dframes = functools.reduce(np.add, [grad for _, grad in terms])
+        lanes.run_tasks([
+            functools.partial(ad.backward, frames, leaves.parameters(),
+                              grad=dframes[lo:hi])
+            for (leaves, frames), (lo, hi) in zip(shards, halves)])
+        for name in shards[0][0]:
+            params[name].grad = functools.reduce(
+                np.add, [leaves[name].grad for leaves, _ in shards])
+        ad.adam_step(params.parameters("g."), opts["g"])
+        return v_dxy, v_dx, loss.item()
 
     curves = fit(params, rng, n, cfg.gan_epochs, cfg.gan_batch, step)
     return params, dict(zip(("d_xy", "d_x", "g"), curves))
-
-
-def _d_round(params: GanParams, part: str, batch: GanBatch, x_fake: Tensor,
-             state: ad.AdamState, lambda_l1: float):
-    """One Adam step on discriminator `part`, then the generator loss's
-    terms that read no other discriminator's weights: -mean log D(x_fake)
-    and, for "dx" with lambda_l1 > 0, lambda_l1 * mean|x_fake - x|. D's
-    graph is freed before the terms build theirs, and each term is
-    differentiated on a leaf tensor of its own that shares x_fake's
-    frames. Returns (D's loss value, the terms' (value, frame gradient)
-    pairs)."""
-    loss = d_loss(params, part, batch, x_fake)
-    plist = params.parameters(f"{part}.")
-    for p in plist:
-        p.zero_grad()
-    ad.backward(loss, plist)
-    ad.adam_step(plist, state)
-    d_value = loss.item()
-    del loss
-    terms = [functools.partial(g_adv_loss, params, part, batch)]
-    if part == "dx" and lambda_l1 > 0:
-        terms.append(functools.partial(l1_loss, batch, lambda_l1=lambda_l1))
-
-    def value_and_grad(term):
-        leaf = Tensor(x_fake.data, requires_grad=True)
-        value = term(leaf)
-        ad.backward(value)
-        return value.detach(), leaf.grad
-
-    return d_value, [value_and_grad(term) for term in terms]
-
-
-def _g_step(params: GanParams, shards, done, state: ad.AdamState) -> float:
-    """One Adam step on the generator, given its `_g_shard` (leaves,
-    frames) pairs in shard order and the (value, frame gradient) of each
-    of its loss's terms from `_d_round`, in the order D_xy, D_x, L1;
-    returns that loss's value.
-
-    The terms' gradients are summed in the order backward through one
-    graph of the summed loss adds them. The sum is cut by shard, and each
-    shard's cut is sent back through that shard's graph (as
-    `lanes.run_tasks` tasks). G's gradient is then shard 0's plus shard
-    1's, in that order: `run_tasks` has joined both backwards before the
-    sum. So the step's bits do not depend on how many CPUs run it.
-    """
-    loss, seed = done[0]
-    for value, grad in done[1:]:
-        loss = ad.add(loss, value)
-        seed += grad
-    lanes.run_tasks([
-        functools.partial(ad.backward, frames, leaves.parameters(),
-                          grad=seed[lo:hi])
-        for (leaves, frames), (lo, hi) in zip(shards, _halves(len(seed)))])
-    for name in shards[0][0]:
-        params[name].grad = functools.reduce(
-            np.add, [leaves[name].grad for leaves, _ in shards])
-    ad.adam_step(params.parameters("g."), state)
-    return loss.item()

@@ -17,7 +17,7 @@ from . import io, lanes
 from .events import EventStream
 from .msnet import MsNetParams, check_bins
 from .representation import MODES, window_block, window_count
-from .simulate import LabelTrack, label_frames
+from .simulate import LabelTrack, _merge_labels, label_frames
 
 
 class SingleClass(ValueError):
@@ -333,19 +333,12 @@ def plot_scores(series: ScoreSeries) -> str:
         f'<rect x="0" y="0" width="{width}" height="{height}" fill="white"/>',
     ]
     if series.labels is not None:
-        i = 0
-        while i < n:
-            if series.labels[i]:
-                j = i
-                while j < n and series.labels[j]:
-                    j += 1
+        for i, j, label in _merge_labels(series.labels, 1).intervals:
+            if label == "anomaly":
                 x0, x1 = sx(i), sx(j - 1)
                 parts.append(
                     f'<rect x="{x0:.2f}" y="{mt}" width="{x1 - x0:.2f}" '
                     f'height="{ph}" fill="#fdd" stroke="none"/>')
-                i = j
-            else:
-                i += 1
     pts = " ".join(f"{sx(i):.2f},{sy(v):.2f}"
                    for i, v in enumerate(series.scores))
     parts.append(f'<polyline points="{pts}" fill="none" stroke="#1f4e9c" '

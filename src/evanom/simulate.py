@@ -182,8 +182,9 @@ def render_scene(config: SceneConfig) -> tuple[EventStream, LabelTrack]:
     column, and their jitter is drawn in that order.
 
     Refuses, before drawing, a sensor whose one micro-step's mask (a byte
-    a pixel) or a noise rate whose expected events (17 bytes each) would
-    exceed physical memory.
+    a pixel), a duration whose step labels (a byte a micro-step) or a
+    noise rate whose expected events (17 bytes each) would exceed
+    physical memory.
     """
     ms, width = config.micro_step, config.width
     pixels = config.width * config.height
@@ -193,6 +194,12 @@ def render_scene(config: SceneConfig) -> tuple[EventStream, LabelTrack]:
             f"width={config.width}, height={config.height} need a "
             f"{pixels >> 30} GiB mask each micro-step, more than this "
             f"machine's physical memory")
+    steps = config.duration // ms
+    if steps > phys:
+        raise ConfigError(
+            f"duration_us={config.duration}, micro_step_us={ms} need "
+            f"{steps >> 30} GiB of step labels, more than this machine's "
+            f"physical memory")
     expect = config.noise_rate * pixels * config.duration / 1e6
     if expect * 17 > phys:
         raise ConfigError(
@@ -202,7 +209,6 @@ def render_scene(config: SceneConfig) -> tuple[EventStream, LabelTrack]:
             f"over {config.duration} us, more than this machine's physical "
             f"memory")
     rng = np.random.default_rng(config.seed)
-    steps = config.duration // ms
     xs, ys, ts, ps = [], [], [], []
     prev, anomalous = _occupancy(config, np.zeros(1, np.int64))
     labels = [anomalous]

@@ -453,6 +453,14 @@ def test_plot_structure_and_determinism(rng):
     shaded = [ln for ln in svg.splitlines() if "#fdd" in ln]
     assert len(shaded) == 2
     assert plot_scores(s) == svg  # byte-identical
+    # a run at each end and a one-frame run between: each rect spans its
+    # run's first to last frame, x = 50 + 740 * frame / 9
+    ends = series(rng.random(10), np.array([1, 1, 0, 0, 1, 0, 0, 0, 1, 1]))
+    rects = [(ln.split('x="')[1].split('"')[0],
+              ln.split('width="')[1].split('"')[0])
+             for ln in plot_scores(ends).splitlines() if "#fdd" in ln]
+    assert rects == [("50.00", "82.22"), ("378.89", "0.00"),
+                     ("707.78", "82.22")]
 
 
 def test_plot_flat_zero_series():
@@ -1058,8 +1066,9 @@ def test_cli_simulate_renders_values_beyond_float64(tmp_path, capsys, line):
     (f"noise_rate={2 * _PHYS / (16 * 16 * 2 * 17)}", "noise_rate"),
     (f"width={_PHYS}", "width"),
     ("width=100000000000000000000", "width"),
+    ("duration_us=1000000000000000000", "duration_us"),
 ], ids=["noise 1e30", "noise sized from memory", "width sized from memory",
-        "width 1e20"])
+        "width 1e20", "duration 1e18"])
 def test_cli_simulate_refuses_scenes_larger_than_memory(tmp_path, capsys,
                                                         line, key):
     scene, ev, lab = _walking_scene_with(tmp_path, line)

@@ -461,7 +461,10 @@ def _phys():
      r"^noise_rate=1e\+30 needs [0-9.]+ GiB of noise events"),
     (lambda: dataclasses.replace(simple_config(), width=_phys() // 16 + 1),
      r"^width=\d+, height=16 need a \d+ GiB mask each micro-step"),
-], ids=["noise sized from memory", "noise 1e30", "width"])
+    (lambda: dataclasses.replace(simple_config(), duration=10**18),
+     r"^duration_us=1000000000000000000, micro_step_us=5000 need \d+ GiB "
+     r"of step labels"),
+], ids=["noise sized from memory", "noise 1e30", "width", "duration"])
 def test_scenes_larger_than_memory_are_refused_undrawn(make, match):
     config = make()
     tracemalloc.start()

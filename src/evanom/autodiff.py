@@ -590,7 +590,7 @@ class Params(dict):
         if sum(sizes) > phys:
             settings = layers[sizes.index(max(sizes))][4]
             raise ValueError(
-                f"{settings} need {sum(sizes) / 2**30:.1f} GiB of weight "
+                f"{settings} need {sum(sizes) >> 30} GiB of weight "
                 f"draws, more than this machine's physical memory")
         p = cls()
         for name, shape, fan_in, n_out, _ in layers:

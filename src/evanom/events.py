@@ -18,10 +18,10 @@ from . import lanes
 HEADER = "t_us,x,y,p"
 _T_MAX = np.iinfo(np.int64).max
 
-# Rows are read a chunk of about _CHUNK characters at a time, one chunk a
-# lane, so the byte passes' and the row loop's temporaries stay a few MiB
-# a lane however long the stream. A stream of one chunk (a desk test
-# stream is ~0.1 MB) opens no pool.
+# Rows are read a chunk of about _CHUNK characters at a time, so the byte
+# passes' and the row loop's temporaries stay a few MiB a lane however
+# long the stream. A stream of one chunk (a desk test stream is ~0.1 MB)
+# opens no pool.
 # A 6.6 MB dense stream (2 vCPUs, numpy 2.4, one lane) parsed in a median
 # 99 ms at 16 KiB chunks, 60 at 64 KiB, 53 at 256 KiB, 59 at 1 MiB and 76
 # at 4 MiB: small chunks pay numpy's per-call cost, large ones miss cache.
@@ -185,8 +185,10 @@ def _decode(d: np.ndarray, end: np.ndarray, length: np.ndarray, dtype):
 
 def _canonical_chunk(chunk: str, width: int, height: int):
     """Columns (t, x, y, p) of the rows in `chunk`, decoded in bulk byte
-    passes, if every row is exactly as write_event_csv writes it and on
-    the sensor; else None, and the row loop finds and reports the bad row."""
+    passes, if every row is exactly as write_event_csv writes it (a CRLF
+    end too) and on the sensor; else None, for the row loop to read."""
+    if "\r" in chunk:  # a memchr, where replace alone scans 100x slower
+        chunk = chunk.replace("\r\n", "\n")  # a stray "\r" is refused below
     if not chunk.isascii() or len(chunk) > _CHUNK + _ROW_MAX:
         return None  # not ASCII, or a row longer than any canonical one
     b = np.frombuffer((chunk if chunk.endswith("\n") else chunk + "\n")
@@ -238,20 +240,6 @@ def _row_chunk(chunk: str, line_no: int, width: int, height: int):
                        4 * len(lines)).reshape(-1, 4).T
 
 
-def _chunk_columns(text: str, head: int, start: int, end: int,
-                   width: int, height: int):
-    """Columns (t, x, y, p) of the rows in text[start:end], a chunk of the
-    body that begins at `head`: decoded in bulk if every row is canonical,
-    else by the row loop, its first line numbered from the newlines
-    before it."""
-    chunk = text[start:end]
-    part = _canonical_chunk(chunk, width, height)
-    if part is None:
-        line_no = 2 + text.count("\n", head, start)
-        part = _row_chunk(chunk, line_no, width, height)
-    return part
-
-
 def parse_event_csv(text: str, width: int, height: int) -> EventStream:
     """Parse the event CSV format (header `t_us,x,y,p`).
 
@@ -261,12 +249,12 @@ def parse_event_csv(text: str, width: int, height: int) -> EventStream:
     accepted. t must fit int64 and be >= 0, (x, y) lie on the sensor and
     p be +1 or -1; any other row raises an `EventError` naming its line.
 
-    The rows are read a bounded chunk at a time, the chunks spread over
-    `lanes.run_tasks`. A chunk whose rows all read exactly as
-    write_event_csv writes them (canonical rows) is decoded in bulk byte
-    passes; any other chunk is read row by row, so the first bad row in
-    file order is reported with its line number either way, at any lane
-    count.
+    The rows are read a bounded chunk at a time. `lanes.run_tasks` only
+    bulk-decodes the chunks whose rows all read exactly as write_event_csv
+    writes them (canonical rows; CRLF ends are canonical too) and refuses
+    the rest, which the calling thread then reads row by row in file
+    order, numbering lines as it goes, so the first bad row in the file
+    is reported with its line number at any lane count.
     Rows out of time order are stably sorted; already-sorted input keeps
     its row order, including ties. The stream does not depend on the
     lane count.
@@ -280,10 +268,17 @@ def parse_event_csv(text: str, width: int, height: int) -> EventStream:
         cuts.append(text.find("\n", cuts[-1] + _CHUNK - 1) + 1 or len(text))
     if len(cuts) == 1:
         return EventStream.empty(width, height)
-    cols = lanes.run_tasks([
-        functools.partial(_chunk_columns, text, head, start, end,
-                          width, height)
-        for start, end in zip(cuts, cuts[1:])])
+    spans = list(zip(cuts, cuts[1:]))
+
+    def bulk(a: int, b: int):
+        return _canonical_chunk(text[a:b], width, height)
+
+    cols = lanes.run_tasks([functools.partial(bulk, a, b) for a, b in spans])
+    line_no = 2  # each line of a chunk is a row or raises: rows count lines
+    for k, (a, b) in enumerate(spans):
+        if cols[k] is None:
+            cols[k] = _row_chunk(text[a:b], line_no, width, height)
+        line_no += len(cols[k][0])
     t, x, y, p = (np.concatenate(c) for c in zip(*cols))
     del cols  # free the chunks' columns before from_arrays copies
     return EventStream.from_arrays(width, height, x, y, t, p)

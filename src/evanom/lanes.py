@@ -5,16 +5,17 @@ on the CPUs that leaves idle.
 `one_blas_thread`, so no output byte depends on `OPENBLAS_NUM_THREADS`
 (OpenBLAS splits a long reduction differently at one thread and at
 two). `run_tasks` alone spreads work over CPUs, and pins BLAS itself
-while its tasks run: it cuts its callers' self-contained tasks (an event
-CSV's chunks; a scoring call's 16 frames; in a GAN step, the generator's
-two half-batch shards, forward and then backward, and one task per
-discriminator with the generator loss's terms that read it) into one
-contiguous run per usable CPU; the calling thread runs the first run
-and a pool opened for the call runs the others (numpy drops the GIL
-inside BLAS and the large elementwise ops); every run has finished, and
-every pool thread is joined, before the call returns or raises. The
-caller runs a run itself because each further thread gets its own
-malloc arena, which raises peak RSS.
+while its tasks run: it cuts its callers' self-contained tasks (each
+event CSV chunk's bulk decode; a scoring call's 16 frames; in a GAN
+step, the generator's two half-batch shards, forward and then backward,
+and one task per discriminator with the generator loss's terms that
+read it) into one contiguous run per usable CPU; the calling thread
+runs the first run and a pool opened for the call runs the others
+(numpy drops the GIL inside BLAS and the large elementwise ops); every
+run has finished, and every pool thread is joined, before the call
+returns or raises. The caller runs a run itself because each further
+thread gets its own malloc arena, which raises peak RSS. A task that
+holds the GIL gains nothing here: the CSV row loop runs in the caller.
 """
 from __future__ import annotations
 

@@ -317,6 +317,7 @@ def plot_scores(series: ScoreSeries) -> str:
     ml, mr, mt, mb = 50, 10, 10, 30
     pw, ph = width - ml - mr, height - mt - mb
     n = len(series)
+    d = pw / max(n - 1, 1)  # one frame's width
     ymax = float(series.scores.max()) * 1.05
     if ymax == 0:
         ymax = 1.0
@@ -335,7 +336,8 @@ def plot_scores(series: ScoreSeries) -> str:
     if series.labels is not None:
         for i, j, label in _merge_labels(series.labels, 1).intervals:
             if label == "anomaly":
-                x0, x1 = sx(i), sx(j - 1)
+                x0 = max(sx(i) - d / 2, ml)
+                x1 = min(sx(j - 1) + d / 2, ml + pw)
                 parts.append(
                     f'<rect x="{x0:.2f}" y="{mt}" width="{x1 - x0:.2f}" '
                     f'height="{ph}" fill="#fdd" stroke="none"/>')

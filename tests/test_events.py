@@ -374,10 +374,9 @@ def _spy_parse(text, chunk):
 def test_only_the_bad_chunk_takes_the_row_loop(rng, row, exc):
     """Only the chunk holding the bad or non-canonical row goes on to the
     row loop, once, numbering its lines from the newlines before it, and
-    the outcome is the row loop's, at 1, 2 and 7 lanes. On one lane each
-    chunk goes to the bulk decoder once, in order, and after a bad row
-    no later chunk is decoded; on more lanes the other runs still decode
-    their own chunks, so that holds only on one."""
+    the outcome is the row loop's, at 1, 2 and 7 lanes. Every chunk goes
+    to the bulk decoder once, a bad row's later chunks too; on one lane,
+    in order."""
     chunk = 4096
     text, body, chunks = _with_rows(rng, chunk, [(0.6, row)])
     ends = np.cumsum([len(c) for c in chunks])
@@ -391,12 +390,9 @@ def test_only_the_bad_chunk_takes_the_row_loop(rng, row, exc):
         assert outcome == want
         assert row_calls == [
             (chunks[bad], 2 + "".join(chunks[:bad]).count("\n"))]
+        assert sorted(seen) == sorted(chunks)
         if cpus == 1:
-            assert seen == (chunks if exc is None else chunks[:bad + 1])
-        else:
-            assert sorted(seen, key=body.index) == [
-                c for c in chunks if c in seen]
-            assert exc is not None or sorted(seen) == sorted(chunks)
+            assert seen == chunks
 
 
 @pytest.mark.parametrize("cpus", [2, 7])
@@ -419,23 +415,67 @@ def test_the_earlier_bad_row_is_raised_from_any_lane(rng, cpus):
 
 @pytest.mark.parametrize("cpus", [2, 7])
 def test_a_chunk_failing_in_the_pool_raises_and_leaves_no_thread(rng, cpus):
-    """The last chunk's bad row is decoded in a pool thread: its error
-    is raised, and every pool thread has ended when the parse returns."""
+    """The last chunk is bulk-decoded in a pool thread and refused there;
+    the row loop reads it in the calling thread alone, its error is
+    raised, and every pool thread has ended when the parse returns."""
     text, _, _ = _with_rows(rng, 4096, [(0.95, "5,1,2,2")])
     want = _row_loop(text, 16, 12)
     assert want[0] is BadPolarity
-    before, ran, real = set(threading.enumerate()), set(), events._row_chunk
+    before, ran = set(threading.enumerate()), {"bulk": set(), "rows": set()}
 
-    def row_chunk(*args):
-        ran.add(threading.current_thread())
-        return real(*args)
+    def spy(part, real):
+        def call(*args):
+            ran[part].add(threading.current_thread())
+            return real(*args)
+        return call
 
     with _lanes(cpus), mock.patch.object(events, "_CHUNK", 4096), \
-            mock.patch.object(events, "_row_chunk", row_chunk):
+            mock.patch.object(events, "_canonical_chunk",
+                              spy("bulk", events._canonical_chunk)), \
+            mock.patch.object(events, "_row_chunk",
+                              spy("rows", events._row_chunk)):
         assert _outcome(text, 16, 12) == want
-    assert ran and threading.current_thread() not in ran
-    assert not any(t.is_alive() for t in ran)
+    pool = ran["bulk"] - {threading.current_thread()}
+    assert ran["rows"] == {threading.current_thread()}
+    assert pool and not any(t.is_alive() for t in pool)
     assert set(threading.enumerate()) == before
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 7])
+def test_blank_padded_rows_number_lines_across_chunks(rng, cpus):
+    """With a blank before every newline no chunk is canonical: the
+    calling thread reads the chunks row by row in file order, each
+    numbered on from the last, and reports a bad row near the end with
+    the row loop's exception and line."""
+    text, body, _ = _with_rows(rng, 4096, [(0.95, "5,1,2,2")])
+    body = body.replace("\n", " \n")
+    text = events.HEADER + "\n" + body
+    chunks = _body_chunks(body, 4096)
+    bad = next(k for k, c in enumerate(chunks) if "\n5,1,2,2 \n" in c)
+    assert len(chunks) > 4 and bad >= len(chunks) - 2
+    want = _row_loop(text, 16, 12)
+    line_no = 2 + body.count("\n", 0, body.index("5,1,2,2"))
+    assert want == (BadPolarity, line_no)
+    with _lanes(cpus):
+        outcome, _, row_calls = _spy_parse(text, 4096)
+    assert outcome == want
+    assert row_calls == [(c, 2 + "".join(chunks[:k]).count("\n"))
+                         for k, c in enumerate(chunks[:bad + 1])]
+
+
+@pytest.mark.parametrize("chunk", [None, 1, 64])
+def test_crlf_canonical_text_decodes_in_bulk(rng, chunk):
+    """CRLF ends are canonical: a write_event_csv text with CRLF ends,
+    its longest rows included, never reaches the row loop and parses as
+    its LF text does."""
+    chunk = chunk or events._CHUNK
+    side = 10**9
+    s, text = _canonical_text(rng, 3 * chunk, side, side)
+    crlf = text.replace("\n", "\r\n")
+    with mock.patch.object(events, "_CHUNK", chunk), \
+            mock.patch.object(events, "_row_chunk", _no_row_loop):
+        for fast_text in (crlf, crlf.removesuffix("\r\n")):
+            assert parse_event_csv(fast_text, side, side) == s
 
 
 def test_crlf_text_parses_in_bounded_memory(rng):

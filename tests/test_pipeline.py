@@ -454,13 +454,14 @@ def test_plot_structure_and_determinism(rng):
     assert len(shaded) == 2
     assert plot_scores(s) == svg  # byte-identical
     # a run at each end and a one-frame run between: each rect spans its
-    # run's first to last frame, x = 50 + 740 * frame / 9
+    # frames, half a frame (740 / 9 wide) either side of the first and last
+    # frame's x = 50 + 740 * frame / 9, clipped to the plot
     ends = series(rng.random(10), np.array([1, 1, 0, 0, 1, 0, 0, 0, 1, 1]))
     rects = [(ln.split('x="')[1].split('"')[0],
               ln.split('width="')[1].split('"')[0])
              for ln in plot_scores(ends).splitlines() if "#fdd" in ln]
-    assert rects == [("50.00", "82.22"), ("378.89", "0.00"),
-                     ("707.78", "82.22")]
+    assert rects == [("50.00", "123.33"), ("337.78", "82.22"),
+                     ("666.67", "123.33")]
 
 
 def test_plot_flat_zero_series():
@@ -1197,6 +1198,14 @@ def test_layers_larger_than_memory_are_refused_undrawn(tmp_path, capsys):
     assert err.startswith(f"error: bins=8, ms_filters={filters}")
     assert "Traceback" not in err
     assert not out.exists()
+
+
+def test_layers_beyond_float_range_are_refused_by_name():
+    """A size past float64's range is still the refusal, in whole GiB,
+    not an OverflowError from formatting it."""
+    with pytest.raises(ValueError, match=r"^bins=8, ms_filters=10{400} "
+                                         r"need \d+ GiB of weight draws"):
+        MsNetParams.init(8, 10**400, np.random.default_rng(0))
 
 
 def test_cli_score_rejects_ms_checkpoint_as_gan(tmp_path, capsys):
